@@ -156,8 +156,10 @@ def test_ablation_chaining_triggers(benchmark, runner, out_dir):
     t.add_row("half-IFQ gate, chaining", chained)
     t.add_row("0.9-IFQ gate, no chaining", strict_plain)
     t.add_row("0.9-IFQ gate, chaining", strict_chained)
-    assert strict_chained >= strict_plain - 0.02
+    # Record the table even when the shape check below fails, so the
+    # experiment log never quotes numbers the model no longer produces.
     emit(out_dir, "ablation_chaining", t.render())
+    assert strict_chained >= strict_plain - 0.02
 
 
 def test_ablation_region_policy(benchmark, runner, out_dir):

@@ -38,15 +38,16 @@ persistent artifact cache; the output is byte-identical to a serial run
 gated on byte-identical results, so figures and tables do not change
 with the backend — only wall-clock does.
 
-Measurement methodology lives in `repro bench` (`--quick` for the small
-matrix), which writes a `BENCH_pr*.json` report — **schema 3** as of
-PR 6: adds `cpus` (affinity-aware worker count), a per-section `backend`
-tag, and a `backends` section comparing per-kernel instructions/s at two
-operating points (the paper's 120-cycle memory latency and a deep-stall
-1000-cycle point) plus end-to-end batched-sweep wall-clock, each entry
-carrying an `identical_to_reference` equivalence check.  Schema 2 added
-tracer-overhead and suite-report passes; schema 1 the cold/warm
-figure-6 matrix and single-cell throughput.
+Performance is measured by the repository benchmark under `bench/`
+(`python3 bench/run.py`; `bench/README.md` documents it, and
+`BENCHMARK.json` declares its workloads and metrics).  It runs four
+workloads, each in a fresh interpreter: a cold figure 6, a cold and warm
+suite report, a guided fuzz campaign, and the timing kernel alone.
+Every run checks pinned output digests; `--trace 1` splits the time by
+layer (build, compile, functional trace, timing loop, cache, journal,
+pool), and `bench/compare.py` gives seed-paired A/B verdicts between two
+commits.  The older `repro bench` and its `BENCH_pr*.json` reports
+compared runs made on different days and are superseded.
 
 Absolute numbers are **not** expected to match the paper — the substrate is
 a trace-driven cycle-level model over synthetic benchmark analogs at
@@ -72,15 +73,16 @@ benchmarks refuse to benefit.
   loss comes from wrong-path pre-execution polluting the cache; our
   trace-driven model cannot execute wrong-path slices, so the residual
   SPEAR cost (decode-slot and port steal) nets to zero on a benchmark with
-  no misses.  fft does reproduce a genuine loss (0.92 at IFQ-256) through
+  no misses.  fft does reproduce a genuine loss (0.94 at IFQ-256) through
   its oversized loop-carried slices, and gzip's many-d-load trigger churn
   keeps it near flat, as published.
-* **Dedicated FUs help only marginally here** (+0.3–0.8% vs the paper's
-  ~+6%): with memory-bound IPCs of 0.3–1.3 the shared 8-wide issue path
-  and 4+4 ALUs are rarely contended in our model, so removing FU
-  contention has little left to recover.  The sign (sf >= shared, biggest
-  where the p-thread is busiest) is preserved.
-* **Figure 8's reductions are larger than the paper's** (~50% vs 19.7%
+* **Dedicated FUs help only marginally here** (+0.2–0.9% mean vs the
+  paper's ~+6%): with memory-bound IPCs of 0.3–1.3 the shared 8-wide
+  issue path and 4+4 ALUs are rarely contended in our model, so removing
+  FU contention has little left to recover.  The sign of the mean (sf >=
+  shared, biggest where the p-thread is busiest) is preserved; single
+  rows can dip slightly (matrix: 1.638 for sf-128 vs 1.652 shared).
+* **Figure 8's reductions are larger than the paper's** (~56% vs 19.7%
   mean) for the same coverage reason as the speedups; art remaining a
   top-tier reduction and zero-miss benchmarks staying at zero both hold.
 * **Figure 9's degradations are steeper** (our kernels are more
@@ -110,7 +112,7 @@ SECTIONS = [
      "1.0 (our analogs' deep-queue losers)."),
     ("figure7", "Figure 7 — dedicated functional units (SPEAR.sf)",
      "Paper: +18.9% / +26.3% mean for sf-128/sf-256.  Measured: sf >= "
-     "shared everywhere, with small margins (see fidelity notes)."),
+     "shared on the mean, with small margins (see fidelity notes)."),
     ("figure8", "Figure 8 — L1-D cache miss reduction",
      "Paper: 19.7% of misses removed on average (SPEAR-256); best art "
      "-38.8%.  Measured: art remains top-tier; zero-miss benchmarks "

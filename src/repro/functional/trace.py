@@ -9,9 +9,16 @@ functional layer and both consumers:
 * the **timing model** (`repro.pipeline`) replays a trace through the
   cycle-level SMT pipeline — the oracle-trace substitution documented in
   DESIGN.md §2.
+
+Traces are also the bulk of every cached workload artifact, so a
+:class:`Trace` pickles in columns (see :meth:`Trace.__reduce__`) rather
+than one :class:`TraceEntry` object at a time.
 """
 
 from __future__ import annotations
+
+from array import array
+from operator import attrgetter
 
 from ..isa.opcodes import OpClass
 
@@ -70,6 +77,31 @@ class Trace:
     def __getitem__(self, i):
         return self.entries[i]
 
+    def __reduce__(self):
+        """Pickle in columns: ``pc`` and ``addr`` as ``array('q')``,
+        ``taken`` as one byte per entry, and per entry an index into the
+        table of distinct static tuples (:data:`_static_fields`) — a
+        program has few static instructions, so most entries cost one
+        small index instead of a pickled object.
+
+        :func:`_trace_from_columns` rebuilds equal entries, field for
+        field and type for type (``taken`` must be a ``bool``, as the
+        functional simulator emits it).  There is deliberately no
+        ``__setstate__``: pickles written before this format still load
+        through the default slot restore.
+        """
+        entries = self.entries
+        index: dict[tuple, int] = {}
+        codes = [index.setdefault(s, len(index))
+                 for s in map(_static_fields, entries)]
+        return (_trace_from_columns, (
+            self.program_name, self.halted, self.instret,
+            array("q", map(attrgetter("pc"), entries)),
+            array("q", map(attrgetter("addr"), entries)),
+            bytes(map(attrgetter("taken"), entries)),
+            list(index),
+            array("H" if len(index) <= 1 << 16 else "I", codes)))
+
     # -- summary statistics --------------------------------------------------
 
     def count_loads(self) -> int:
@@ -90,3 +122,27 @@ class Trace:
 
     def load_fraction(self) -> float:
         return self.count_loads() / len(self.entries) if self.entries else 0.0
+
+
+#: The entry fields a static instruction determines, in
+#: :class:`TraceEntry` argument order — one row of a pickled trace's
+#: static table.
+_static_fields = attrgetter("op_class", "srcs", "dst", "is_load",
+                            "is_store", "is_branch", "is_cond")
+
+
+def _trace_from_columns(program_name: str, halted: bool, instret: int,
+                        pcs: array, addrs: array, taken: bytes,
+                        statics: list[tuple], codes: array) -> Trace:
+    """Inverse of :meth:`Trace.__reduce__` (module level, so pickles
+    reference it by name)."""
+    entries = []
+    append = entries.append
+    for pc, addr, tk, code in zip(pcs, addrs, taken, codes):
+        op_class, srcs, dst, is_load, is_store, is_branch, is_cond = \
+            statics[code]
+        append(TraceEntry(pc, op_class, srcs, dst, addr, tk == 1, is_load,
+                          is_store, is_branch, is_cond))
+    trace = Trace(entries, program_name=program_name, halted=halted)
+    trace.instret = instret
+    return trace

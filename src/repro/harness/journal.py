@@ -154,9 +154,11 @@ class RunJournal:
                     elapsed: float = 0.0, kind: str | None = None,
                     error: str | None = None, ref: str | None = None,
                     payload_bytes: int | None = None) -> None:
-        """``ref``/``payload_bytes`` describe a spilled heavy payload
-        (traced cells): ``ref`` is its ``kind/content-key`` address in
-        the disk cache — the journal never inlines the payload."""
+        """``elapsed`` is the attempt's execution time in seconds, with
+        no queue wait in it.  ``ref``/``payload_bytes`` describe a
+        spilled heavy payload (traced cells): ``ref`` is its
+        ``kind/content-key`` address in the disk cache — the journal
+        never inlines the payload."""
         rec = {"event": "cell", "index": index, "key": key,
                "workload": workload, "config": config, "status": status,
                "attempts": attempts, "elapsed": round(elapsed, 6)}

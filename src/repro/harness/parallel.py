@@ -34,8 +34,18 @@ the disk cache instead of recomputed.  Deterministic fault injection for
 all of these paths lives in :mod:`repro.harness.faults`.
 
 Workers share the parent's :class:`~repro.harness.diskcache.DiskCache`
-(when one is attached), so artifact compilation happens at most once per
-workload across the whole fleet — and not at all on a warm cache.
+(when one is attached), and each pool generation submits leaders first
+(:func:`_leaders_first`): one cell per workload, then the rest.  Each
+leader builds its workload's artifacts and writes them through the
+cache, and the followers queued behind all the leaders load them from
+there.  While workloads are at least as many as workers, each workload
+is therefore built once across the fleet in practice, and not at all on
+a warm cache.  Nothing is gated on a leader, so a follower that starts
+before its leader's artifacts are written builds them again.  That
+happens when workers outnumber workloads, and in one race at the tail
+of the leaders: a worker that finishes its own leader cell while
+another leader is still building takes that workload's first follower.
+Either costs time, never correctness.
 """
 
 from __future__ import annotations
@@ -325,10 +335,15 @@ def _init_worker(slicer_config: SlicerConfig, scale: float,
     # a worker (e.g. by the executor reaping a broken pool) would be
     # written into the *parent's* self-pipe and read back as a shutdown
     # request.  Detach and restore defaults so signals aimed at a worker
-    # stay in the worker.
+    # stay in the worker.  The serve fleet forks with both signals
+    # blocked so none lands before this point; unblock them now (a
+    # no-op for pools forked elsewhere), so one already pending takes
+    # the default action.
     signal.set_wakeup_fd(-1)
     for _sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(_sig, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK,
+                           {signal.SIGINT, signal.SIGTERM})
     # Die with the parent (Linux).  A crashed daemon must not leave
     # orphan workers holding its listening socket open: connects to the
     # stale socket file would be queued into a backlog nobody accepts,
@@ -370,9 +385,21 @@ def compute_cell(runner: ExperimentRunner, cell: Cell, *,
     return _spill(runner, cell, traced) if spill else traced
 
 
+def timed_cell(runner: ExperimentRunner, cell: Cell, *,
+               spill: bool = False):
+    """:func:`compute_cell`, returning ``(value, elapsed)``.  ``elapsed``
+    times the cell's execution alone, with no queue wait or result IPC
+    in it: what the run journal and the serve job journal record."""
+    t0 = time.monotonic()
+    value = compute_cell(runner, cell, spill=spill)
+    return value, time.monotonic() - t0
+
+
 def _run_cell(cell: Cell, index: int = 0, attempt: int = 1):
+    """Pool-worker entry: cell-level fault injection, then
+    :func:`timed_cell`."""
     faults.inject_cell_faults(index, attempt)
-    return compute_cell(_WORKER_RUNNER, cell, spill=True)
+    return timed_cell(_WORKER_RUNNER, cell, spill=True)
 
 
 def _spill(runner: ExperimentRunner, cell: Cell, traced: TracedRun):
@@ -641,10 +668,9 @@ def _execute_serial(runner: ExperimentRunner, items, attempts: dict,
     for i, cell in list(items):
         while True:
             attempts[i] += 1
-            t0 = time.monotonic()
             try:
                 faults.inject_cell_faults(i, attempts[i])
-                result = compute_cell(runner, cell)
+                result, elapsed = timed_cell(runner, cell)
             except Exception as exc:
                 if _register_failure(runner, cell, i, attempts[i],
                                      "exception", exc, policy, report,
@@ -652,9 +678,8 @@ def _execute_serial(runner: ExperimentRunner, items, attempts: dict,
                     time.sleep(policy.backoff_for(attempts[i] + 1))
                     continue
                 break
-            _register_ok(runner, cell, i, attempts[i],
-                         time.monotonic() - t0, result, results, report,
-                         journal)
+            _register_ok(runner, cell, i, attempts[i], elapsed, result,
+                         results, report, journal)
             break
 
 
@@ -688,11 +713,32 @@ class _InFlight:
     """Parent-side bookkeeping for one submitted cell attempt."""
 
     index: int
-    submitted: float
     #: when the future was first observed executing (``fut.running()``).
     #: The ``cell_timeout`` clock starts here — a cell queued behind a
     #: full worker fleet accrues no wait time against its timeout.
     started: float | None = None
+
+
+def _leaders_first(outstanding: dict[int, Cell]) -> list[int]:
+    """Submission order of one pool generation.
+
+    The first outstanding cell of each workload (its *leader*) comes
+    first, in index order, then every other cell (the *followers*), in
+    index order.  A leader builds its workload's artifacts and writes
+    them through the shared disk cache; its followers are queued behind
+    every leader, so they load those artifacts instead of building them
+    again.  Nothing waits on a leader: a follower that starts while its
+    leader is still building (once workers outnumber workloads, or when
+    another worker finished its own leader cell first) builds too, as
+    every cell did before.  Cells whose workloads are all distinct (fuzz
+    cells) keep index order.
+    """
+    leaders, followers, seen = [], [], set()
+    for i in sorted(outstanding):
+        workload = outstanding[i].workload
+        (followers if workload in seen else leaders).append(i)
+        seen.add(workload)
+    return leaders + followers
 
 
 def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
@@ -701,12 +747,13 @@ def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
                 journal: RunJournal | None) -> bool:
     """Run one pool generation over every outstanding cell.
 
-    Submits each cell as its own future and harvests completions until
-    the queue drains, a worker dies (``BrokenProcessPool``) or a cell
-    overruns ``cell_timeout``.  Retries of plain worker exceptions are
-    resubmitted once their backoff deadline passes, without blocking the
-    harvest loop; the timeout clock starts when an attempt is first seen
-    executing, never while it waits in the submission queue.  Returns
+    Submits each cell as its own future, in :func:`_leaders_first`
+    order, and harvests completions until the queue drains, a worker
+    dies (``BrokenProcessPool``) or a cell overruns ``cell_timeout``.
+    Retries of plain worker exceptions are resubmitted once their
+    backoff deadline passes, without blocking the harvest loop; the
+    timeout clock starts when an attempt is first seen executing, never
+    while it waits in the submission queue.  Returns
     True when the pool was abandoned and the caller should rebuild;
     completed/terminally-failed cells leave ``outstanding`` either way,
     so a rebuild resubmits only what is left.
@@ -719,10 +766,10 @@ def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
     def submit(i: int) -> None:
         submits[i] += 1
         fut = pool.submit(_run_cell, outstanding[i], i, submits[i])
-        pending[fut] = _InFlight(i, time.monotonic())
+        pending[fut] = _InFlight(i)
 
     try:
-        for i in sorted(outstanding):
+        for i in _leaders_first(outstanding):
             submit(i)
         broken = False
         while pending or backoffs:
@@ -752,7 +799,8 @@ def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
                 i = meta.index
                 cell = outstanding[i]
                 try:
-                    result = _resolve(runner, fut.result())
+                    value, elapsed = fut.result()
+                    result = _resolve(runner, value)
                 except BrokenProcessPool:
                     # Collateral or culprit — indistinguishable, and
                     # neither finished a real attempt: the crash charges
@@ -769,11 +817,8 @@ def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
                         del outstanding[i]
                 else:
                     attempts[i] += 1
-                    t0 = (meta.started if meta.started is not None
-                          else meta.submitted)
-                    _register_ok(runner, cell, i, attempts[i],
-                                 time.monotonic() - t0, result,
-                                 results, report, journal)
+                    _register_ok(runner, cell, i, attempts[i], elapsed,
+                                 result, results, report, journal)
                     del outstanding[i]
             if broken:
                 return True

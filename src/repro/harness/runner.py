@@ -85,8 +85,10 @@ class WorkloadArtifacts:
     compile_report: CompileReport
     eval_trace: Trace
     #: prefix replayed functionally before measurement (cache/predictor
-    #: warmup — the paper's "skipped instructions")
-    warmup_trace: list
+    #: warmup — the paper's "skipped instructions"); a :class:`Trace` so
+    #: it pickles in columns like ``eval_trace``.  Artifacts cached by
+    #: older versions hold a plain list, so consumers only iterate it.
+    warmup_trace: Trace
 
 
 #: The sweep pseudo-backend: not a per-run kernel, but accepted wherever
@@ -245,7 +247,10 @@ class ExperimentRunner:
         full = sim.run(warm_budget + eval_budget, trace=True)
         # A workload that halts early still needs a measurable window.
         warm_budget = min(warm_budget, max(0, len(full.entries) - eval_budget))
-        warmup = full.entries[:warm_budget]
+        # The measured window keeps the tail, so the prefix ends short of
+        # any ``halt``.
+        warmup = Trace(full.entries[:warm_budget],
+                       program_name=full.program_name, halted=False)
         measured = Trace(full.entries[warm_budget:],
                          program_name=full.program_name, halted=full.halted)
         return WorkloadArtifacts(workload, binary, report, measured, warmup)

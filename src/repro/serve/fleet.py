@@ -27,6 +27,7 @@ the ``on_done`` callback (the daemon bridges it onto the asyncio loop).
 from __future__ import annotations
 
 import queue
+import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -34,16 +35,16 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..harness import faults, parallel
-from ..harness.parallel import Cell, ExecutionPolicy, compute_cell
+from ..harness.parallel import Cell, ExecutionPolicy, timed_cell
 from ..harness.runner import ExperimentRunner
 
 
 def _fleet_run(cell: Cell, job_id: str, attempt: int):
     """Worker-side entry: job-level fault injection, then the shared
-    cell dispatch (traced payloads spill to the cache, results write
-    through it)."""
+    timed cell dispatch (traced payloads spill to the cache, results
+    write through it).  Returns ``(value, elapsed)``."""
     faults.inject_job_faults(job_id, attempt)
-    return compute_cell(parallel._WORKER_RUNNER, cell, spill=True)
+    return timed_cell(parallel._WORKER_RUNNER, cell, spill=True)
 
 
 @dataclass
@@ -59,7 +60,6 @@ class _Tracked:
 @dataclass
 class _InFlight:
     job_id: str
-    submitted: float
     #: set when first observed executing; the timeout clock starts here
     started: float | None = None
 
@@ -90,8 +90,9 @@ class WorkerFleet:
 
     ``on_done(job_id, result, error, attempts, elapsed)`` is invoked on
     the supervisor thread for every terminal outcome — exactly one of
-    ``result``/``error`` is set.  The caller owns thread-safety of the
-    callback.
+    ``result``/``error`` is set, and ``elapsed`` is the successful
+    attempt's execution time (0.0 on failure).  The caller owns
+    thread-safety of the callback.
     """
 
     def __init__(self, runner: ExperimentRunner, *, workers: int = 2,
@@ -135,6 +136,18 @@ class WorkerFleet:
     # -- supervisor --------------------------------------------------------
 
     def _supervise(self) -> None:
+        # Pool workers are forked from this thread and inherit its signal
+        # mask.  Until a new worker's initializer detaches the daemon's
+        # asyncio wakeup fd, a SIGTERM it receives (the teardown of a
+        # broken pool sends one to every worker) would be relayed to the
+        # daemon as its own shutdown request.  Forking with SIGINT and
+        # SIGTERM blocked holds such a signal until the initializer has
+        # restored the default handlers (``parallel._init_worker``).
+        # Blocking them here costs the daemon nothing: the kernel then
+        # delivers them to the main thread, which is where Python runs
+        # signal handlers anyway.
+        signal.pthread_sigmask(signal.SIG_BLOCK,
+                               {signal.SIGINT, signal.SIGTERM})
         tracked: dict[str, _Tracked] = {}
         pending: dict[Future, _InFlight] = {}
         ready: list[str] = []          # awaiting (re)submission
@@ -206,7 +219,7 @@ class WorkerFleet:
             ready.extend(self._rebuild(tracked, pending,
                                        extra=[job_id]))
             return
-        pending[fut] = _InFlight(job_id, time.monotonic())
+        pending[fut] = _InFlight(job_id)
 
     def _rebuild(self, tracked: dict, pending: dict,
                  extra: list | None = None) -> list[str]:
@@ -239,7 +252,7 @@ class WorkerFleet:
             if tr is None:
                 continue
             try:
-                result = fut.result()
+                result, elapsed = fut.result()
             except BrokenProcessPool:
                 broken.append(job_id)
             except Exception as exc:
@@ -251,10 +264,10 @@ class WorkerFleet:
                                             tr.attempts + 1))
                 else:
                     self._finish(tracked, job_id, None,
-                                 f"{type(exc).__name__}: {exc}", meta)
+                                 f"{type(exc).__name__}: {exc}")
             else:
                 tr.attempts += 1
-                self._finish(tracked, job_id, result, None, meta)
+                self._finish(tracked, job_id, result, None, elapsed)
         if broken:
             ready.extend(self._rebuild(tracked, pending, extra=broken))
             return
@@ -290,7 +303,7 @@ class WorkerFleet:
             else:
                 self._finish(tracked, job_id, None,
                              f"timeout: exceeded "
-                             f"{self.policy.cell_timeout:g}s", None)
+                             f"{self.policy.cell_timeout:g}s")
         ready.extend(j for j in self._rebuild(tracked, pending)
                      if j not in backoffs)
 
@@ -304,10 +317,9 @@ class WorkerFleet:
         job_id = ready.pop(0)
         tr = tracked[job_id]
         tr.submits += 1
-        t0 = time.monotonic()
         try:
             faults.inject_job_faults(job_id, tr.submits)
-            result = compute_cell(self.runner, tr.cell, spill=True)
+            result, elapsed = timed_cell(self.runner, tr.cell, spill=True)
         except Exception as exc:
             tr.attempts += 1
             if tr.attempts <= self.policy.retries:
@@ -317,14 +329,13 @@ class WorkerFleet:
                                         tr.attempts + 1))
             else:
                 self._finish(tracked, job_id, None,
-                             f"{type(exc).__name__}: {exc}", None)
+                             f"{type(exc).__name__}: {exc}")
             return
         tr.attempts += 1
-        meta = _InFlight(job_id, t0, t0)
-        self._finish(tracked, job_id, result, None, meta)
+        self._finish(tracked, job_id, result, None, elapsed)
 
     def _finish(self, tracked: dict, job_id: str, result, error,
-                meta: _InFlight | None) -> None:
+                elapsed: float = 0.0) -> None:
         tr = tracked.pop(job_id)
         if error is None:
             self.stats.ok += 1
@@ -335,8 +346,4 @@ class WorkerFleet:
                 self.stats.degraded = False
         else:
             self.stats.failed += 1
-        elapsed = 0.0
-        if meta is not None:
-            t0 = meta.started if meta.started is not None else meta.submitted
-            elapsed = time.monotonic() - t0
         self.on_done(job_id, result, error, tr.attempts, elapsed)

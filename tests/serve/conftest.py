@@ -23,6 +23,18 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 SCALE = 0.05
 
 
+class DaemonExited(RuntimeError):
+    """The daemon process exited before it answered a readiness ping —
+    e.g. a restart that adopted a journaled job, finished it and hit its
+    injected crash before the test connected."""
+
+    def __init__(self, code: int, output: str):
+        super().__init__(f"daemon exited with code {code} before it was "
+                         f"ready; output:\n{output}")
+        self.code = code
+        self.output = output
+
+
 class DaemonProc:
     """One ``repro serve start`` daemon subprocess over a given root dir
     (cache at ``root/cache``, state at ``root/state``)."""
@@ -48,9 +60,21 @@ class DaemonProc:
             text=True)
 
     def client(self, timeout: float = 30.0) -> ServeClient:
+        """A client of this daemon once it answers a ping.  Raises
+        :class:`DaemonExited` (exit code and output) as soon as the
+        process has exited, instead of polling a dead socket."""
         client = ServeClient(self.sock, timeout=timeout)
-        client.wait_ready(timeout=30.0)
-        return client
+        deadline = time.monotonic() + 30.0
+        while True:
+            code = self.proc.poll()
+            if code is not None:
+                raise DaemonExited(code, self.output())
+            try:
+                client.wait_ready(timeout=0.2)
+                return client
+            except TimeoutError:
+                if time.monotonic() >= deadline:
+                    raise
 
     def wait_exit(self, timeout: float = 60.0) -> int | None:
         """The daemon's exit code, or None if it outlived the timeout."""
@@ -78,7 +102,12 @@ class DaemonProc:
                 self.kill()
 
     def output(self) -> str:
-        return self.proc.stdout.read() if self.proc.stdout else ""
+        """Everything the daemon printed (call once it has exited)."""
+        try:
+            out, _ = self.proc.communicate(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            return "(output still open: a child process holds the pipe)"
+        return out or ""
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ import pytest
 
 from repro.serve import JobSpec, ServeClient, ServeError
 
-from .conftest import (SCALE, SRC, job_id_for, render_summary,
+from .conftest import (SCALE, SRC, DaemonExited, job_id_for, render_summary,
                        serial_summary)
 
 POINTER = JobSpec("pointer", "baseline")
@@ -110,7 +110,13 @@ class TestCrashLoop:
             code = d.wait_exit(timeout=90.0)
             assert code == 17, f"daemon exited {code}, wanted the crash"
             d = chaos_root.daemon(faults="daemon-crash:at=DONE")
-            client = d.client()
+            try:
+                client = d.client()
+            except DaemonExited as exc:
+                # It adopted a journaled job, finished it and crashed
+                # before we connected: a finished generation.
+                assert exc.code == 17, exc
+                continue
             _submit_all(chaos_root, specs)     # idempotent re-submits
             try:
                 states = client.status()["ids"]

@@ -4,12 +4,15 @@ Real simulations (scale 0.05, ~0.1 s each) through a real process pool,
 with deterministic ``REPRO_FAULTS`` injection for the failure paths.
 """
 
+import asyncio
+import signal
 import threading
 import time
 
 import pytest
 
-from repro.harness import DiskCache, ExecutionPolicy, ExperimentRunner
+from repro.harness import DiskCache, ExecutionPolicy, ExperimentRunner, \
+    parallel
 from repro.harness.journal import cell_key
 from repro.serve import JobSpec, WorkerFleet
 
@@ -21,12 +24,14 @@ class Collector:
 
     def __init__(self):
         self.done: dict[str, tuple] = {}
+        self.elapsed: dict[str, float] = {}
         self._event = threading.Event()
         self._lock = threading.Lock()
 
     def __call__(self, job_id, result, error, attempts, elapsed):
         with self._lock:
             self.done[job_id] = (result, error, attempts)
+            self.elapsed[job_id] = elapsed
         self._event.set()
 
     def wait(self, n, timeout=90.0):
@@ -80,6 +85,27 @@ class TestHappyPath:
             # The fleet's workers write through the shared cache under
             # the job id itself.
             assert runner.cache.get_by_key("results", job_id) is not None
+
+    def test_elapsed_is_execution_time_not_queue_wait(self, runner):
+        # One worker runs the jobs one after another, so their execution
+        # times fit inside the wall time.  Timed from submission, the
+        # queued jobs' waits would count too and the sum would exceed it.
+        jobs = _ids_and_cells(runner, [JobSpec("pointer", config) for config
+                                       in ("baseline", "SPEAR-128",
+                                           "SPEAR-256")])
+        sink = Collector()
+        fleet = WorkerFleet(runner, workers=1, policy=FAST, on_done=sink)
+        started = time.monotonic()
+        fleet.start()
+        try:
+            for job_id, cell in jobs:
+                fleet.submit(job_id, cell)
+            sink.wait(len(jobs))
+        finally:
+            fleet.stop()
+        wall = time.monotonic() - started
+        assert all(sink.elapsed[job_id] > 0 for job_id, _ in jobs)
+        assert sum(sink.elapsed.values()) <= wall
 
     def test_traced_job_returns_payload_ref(self, runner):
         from repro.harness.parallel import PayloadRef
@@ -147,6 +173,44 @@ class TestFaults:
             assert not fleet.stats.degraded
         finally:
             fleet.stop()
+
+    def test_sigterm_to_a_starting_worker_stays_in_it(self, runner,
+                                                      monkeypatch):
+        # Tearing down a broken pool SIGTERMs every worker, including one
+        # still starting.  Until its initializer detaches the daemon's
+        # asyncio wakeup fd, that signal must not reach the daemon's
+        # loop, where it would read as a shutdown request.
+        init = parallel._init_worker
+
+        def slow_init(*args):
+            time.sleep(1.0)
+            init(*args)
+
+        monkeypatch.setattr(parallel, "_init_worker", slow_init)
+        jobs = _ids_and_cells(runner, [JobSpec("pointer", "baseline")])
+
+        async def relayed_to_loop() -> bool:
+            loop = asyncio.get_running_loop()
+            stop = asyncio.Event()
+            loop.add_signal_handler(signal.SIGTERM, stop.set)
+            fleet = WorkerFleet(runner, workers=1, policy=FAST,
+                                on_done=Collector())
+            fleet.start()
+            try:
+                fleet.submit(*jobs[0])
+                deadline = time.monotonic() + 30.0
+                while not (fleet._pool and fleet._pool._processes):
+                    assert time.monotonic() < deadline, "no worker forked"
+                    await asyncio.sleep(0.01)
+                for proc in list(fleet._pool._processes.values()):
+                    proc.terminate()
+                await asyncio.sleep(0.5)
+                return stop.is_set()
+            finally:
+                fleet.stop()
+                loop.remove_signal_handler(signal.SIGTERM)
+
+        assert not asyncio.run(relayed_to_loop())
 
     def test_duplicate_submission_is_ignored(self, runner):
         jobs = _ids_and_cells(runner, [JobSpec("pointer", "baseline")])
