@@ -46,8 +46,8 @@ suite report, a guided fuzz campaign, and the timing kernel alone.
 Every run checks pinned output digests; `--trace 1` splits the time by
 layer (build, compile, functional trace, timing loop, cache, journal,
 pool), and `bench/compare.py` gives seed-paired A/B verdicts between two
-commits.  The older `repro bench` and its `BENCH_pr*.json` reports
-compared runs made on different days and are superseded.
+commits.  It replaced the older `repro bench` verb, whose reports
+compared runs made on different days; that verb has been removed.
 
 Absolute numbers are **not** expected to match the paper — the substrate is
 a trace-driven cycle-level model over synthetic benchmark analogs at

@@ -26,7 +26,6 @@ report --suite       the whole-suite report: every workload (or a named
                      document and one small-multiples SVG grid
 figure {6,7,8,9}     regenerate a figure of the paper
 table {1,2,3}        regenerate a table of the paper
-bench                time compile/trace/simulate phases, write BENCH json
 journal show [RUN]   list run journals, or dump one run's JSONL events
 serve start          run the job daemon (unix/TCP socket, shared cache,
                      supervised worker fleet, durable job journal)
@@ -622,23 +621,6 @@ def cmd_ablate_policy(args) -> int:
     print()
     print(report.render())
     return 0 if report.completed else 1
-
-
-def cmd_bench(args) -> int:
-    import json
-
-    from .harness.bench import render_report, run_bench
-    reference = None
-    if args.reference:
-        reference = json.loads(Path(args.reference).read_text())
-    report = run_bench(scale=args.scale, jobs=getattr(args, "jobs", None),
-                       cache_dir=getattr(args, "cache_dir", None),
-                       workloads=args.workloads or None,
-                       output=args.output, quick=args.quick,
-                       reference=reference)
-    print(render_report(report))
-    print(f"\nreport written to {args.output}")
-    return 0
 
 
 def cmd_journal_show(args) -> int:
@@ -1439,20 +1421,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cache location (default: $REPRO_CACHE_DIR or "
                          "~/.cache/repro)")
     pc.set_defaults(fn=cmd_cache_gc)
-
-    p = sub.add_parser(
-        "bench", help="time compile/trace/simulate, write a BENCH json")
-    p.add_argument("workloads", nargs="*")
-    p.add_argument("--quick", action="store_true",
-                   help="smoke mode: single workload, --scale capped "
-                        "at 0.05 (<60 s)")
-    p.add_argument("-o", "--output", default="BENCH_pr6.json",
-                   help="report path (default BENCH_pr6.json)")
-    p.add_argument("--reference",
-                   help="JSON report from an older commit to compare against")
-    _add_scale(p)
-    _add_perf(p)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

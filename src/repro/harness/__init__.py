@@ -1,8 +1,7 @@
 """Evaluation harness: runner, experiments (one per paper table/figure),
-persistent artifact cache, fault-tolerant parallel engine, run journal,
-fault injection and the phase-timing bench."""
+persistent artifact cache, fault-tolerant parallel engine, run journal
+and fault injection."""
 
-from .bench import render_report, run_bench
 from .diskcache import (CACHE_DIR_ENV, SCHEMA_VERSION, DiskCache,
                         default_cache_dir, parse_bytes)
 from .experiments import (EVAL_WORKLOADS, FIG9_WORKLOADS, FUZZ_WORKLOADS,
@@ -46,7 +45,6 @@ __all__ = ["EVAL_WORKLOADS", "FIG9_WORKLOADS", "IRREGULAR_WORKLOADS",
            "cells_for", "compute_cell",
            "default_jobs", "default_workloads", "report_cells", "run_cells",
            "PayloadRef", "PayloadResolutionError",
-           "render_report", "run_bench",
            "CellFailure", "ExecutionPolicy", "FatalCellError", "RunReport",
            "RunJournal", "TornJournalWarning", "default_journal_dir",
            "list_journals", "read_jsonl",

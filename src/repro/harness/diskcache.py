@@ -82,7 +82,8 @@ def content_key(payload: dict) -> str:
 
 @dataclass
 class CacheCounters:
-    """Per-kind accounting, surfaced by ``repro bench``."""
+    """Per-kind accounting, surfaced by the run report's ``cache[...]``
+    lines and the serve ``stats`` op."""
 
     hits: int = 0
     misses: int = 0

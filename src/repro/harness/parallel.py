@@ -5,25 +5,42 @@ independent cells — the same embarrassing parallelism Prophet exploits for
 speculative threads, and the same fault model: a mis-speculated (crashed,
 hung, failing) cell is squashed and re-executed alone, never at the cost
 of the rest of the run.  This module enumerates those cells as picklable
-:class:`Cell` descriptors, computes them on a ``ProcessPoolExecutor`` via
-per-future submission, and merges the results back into the parent
-:class:`~repro.harness.runner.ExperimentRunner`'s memo **in submission
-order**, so figures and tables render byte-identically regardless of job
-count.  ``jobs=1`` bypasses the pool entirely and is the exact serial
-path (same retry/keep-going semantics, no per-cell timeout preemption).
+:class:`Cell` descriptors and runs them under one :class:`Supervisor`,
+which owns the process pool, the attempts in flight, retry backoff, the
+timeout clock, pool rebuilds and in-process degradation.  Two loops
+step it:
 
-Fault tolerance, governed by :class:`ExecutionPolicy`:
+- :func:`run_cells` adds a run's cells and steps the supervisor on the
+  calling thread until none is outstanding, then merges the results
+  into the parent :class:`~repro.harness.runner.ExperimentRunner`'s
+  memo **in index order**, so figures and tables render
+  byte-identically regardless of job count.  With ``jobs <= 1`` or a
+  single cell every attempt runs in process and no pool is made.
+- :class:`~repro.serve.fleet.WorkerFleet` adds the serve daemon's jobs
+  as they arrive and steps the same supervisor for as long as the
+  daemon runs.
 
-- a cell attempt that raises is retried with exponential backoff up to
-  ``retries`` extra attempts, then recorded as a :class:`CellFailure`;
-- a cell attempt running longer than ``cell_timeout`` seconds is
-  abandoned (the pool is torn down to reclaim the stuck worker) and
-  retried — the clock starts when the attempt is observed executing,
-  so time queued behind a full worker fleet never counts against it;
-- a dead worker (``BrokenProcessPool``) costs only the in-flight cells:
-  the pool is rebuilt and outstanding cells resubmitted, charging the
-  rebuild budget rather than any cell's retry budget, and degrading to
-  in-process serial execution after ``max_pool_rebuilds`` rebuilds;
+Both get one set of rules, from :class:`ExecutionPolicy`:
+
+- every ready attempt is submitted at once (nothing caps the attempts in
+  flight at the worker count);
+- an attempt that raises is retried after an exponential backoff, up to
+  ``retries`` extra attempts, then reported as a terminal failure;
+- an attempt executing longer than ``cell_timeout`` seconds is abandoned
+  (the pool is torn down to reclaim the stuck worker) and, like a failed
+  attempt, retried after its backoff.  The executor reports an attempt
+  still waiting in its FIFO call queue as running, so a clock starts
+  only when its attempt ranks among the ``workers`` oldest running
+  ones: queue wait never counts.  In process nothing can be preempted,
+  and the timeout is not enforced;
+- a dead worker (``BrokenProcessPool``) costs only the attempts in
+  flight: the pool is rebuilt and they go back in their first-submission
+  order, charging the rebuild budget rather than any retry budget;
+- after ``max_pool_rebuilds`` rebuilds with no success between them,
+  attempts run in process (degraded mode) until one succeeds, which
+  re-arms the budget and returns to the pool.  ``RunReport.degraded``
+  says a run was degraded at some point, ``FleetStats.degraded`` that
+  the fleet is degraded now;
 - with ``fail_fast`` a terminal failure raises :class:`FatalCellError`;
   otherwise (keep-going, the default) failures are collected on the
   returned :class:`RunReport` and every other cell still completes.
@@ -34,9 +51,9 @@ the disk cache instead of recomputed.  Deterministic fault injection for
 all of these paths lives in :mod:`repro.harness.faults`.
 
 Workers share the parent's :class:`~repro.harness.diskcache.DiskCache`
-(when one is attached), and each pool generation submits leaders first
-(:func:`_leaders_first`): one cell per workload, then the rest.  Each
-leader builds its workload's artifacts and writes them through the
+(when one is attached), and :func:`run_cells` adds its cells leaders
+first (:func:`_leaders_first`): one cell per workload, then the rest.
+Each leader builds its workload's artifacts and writes them through the
 cache, and the followers queued behind all the leaders load them from
 there.  While workloads are at least as many as workers, each workload
 is therefore built once across the fleet in practice, and not at all on
@@ -55,6 +72,7 @@ import os
 import signal
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, \
     wait
 from concurrent.futures.process import BrokenProcessPool
@@ -219,7 +237,8 @@ class ExecutionPolicy:
     backoff: float = 0.25
     #: abort the whole run on the first terminal failure
     fail_fast: bool = False
-    #: pool rebuilds tolerated before degrading to serial execution
+    #: pool rebuilds since the last success tolerated before degrading
+    #: to in-process execution
     max_pool_rebuilds: int = 2
 
     def backoff_for(self, attempt: int) -> float:
@@ -260,7 +279,7 @@ class RunReport:
     retried: int = 0        #: ok cells that needed more than one attempt
     timeouts: int = 0       #: attempts lost to the per-cell timeout
     pool_rebuilds: int = 0
-    degraded: bool = False  #: fell back to in-process serial execution
+    degraded: bool = False  #: ran in process (degraded) at some point
     interrupted: bool = False  #: cut short by SIGINT/SIGTERM (clean exit)
     wall_time: float = 0.0
     failures: list[CellFailure] = field(default_factory=list)
@@ -437,7 +456,239 @@ def _build_artifact(name: str):
     return _WORKER_RUNNER.artifacts(name)
 
 
-# -- parent side -----------------------------------------------------------
+# -- the supervisor --------------------------------------------------------
+
+@dataclass
+class _Job:
+    """Supervisor-side bookkeeping for one outstanding cell."""
+
+    cell: Cell
+    attempts: int = 0    #: finished attempts, charged to the retry budget
+    submits: int = 0     #: attempts started, incl. ones lost to a dead pool
+    #: when the current attempt's timeout clock started
+    started: float | None = None
+
+
+class Supervisor:
+    """One process pool run under :class:`ExecutionPolicy`, in steps.
+
+    A caller :meth:`add`\\ s cells under keys of its own and calls
+    :meth:`step` until :attr:`outstanding` reaches zero (:func:`run_cells`)
+    or for as long as it lives (the serve fleet).  Every finished attempt
+    is reported through ``on_ok(key, value, attempts, elapsed)`` or
+    ``on_failed(key, kind, error, attempts, retry)``, where ``retry``
+    says whether the cell goes back in after its backoff; a callback may
+    raise to abort the caller's loop.
+
+    ``task(cell, key, attempt)`` is the picklable pool-worker entry and
+    returns ``(value, elapsed)``.  Attempts run in process, with
+    ``workers=0`` or in degraded mode, apply ``inject(key, attempt)``
+    and call :func:`timed_cell` on ``runner``.  With ``resolve`` a
+    spilled :class:`PayloadRef` is loaded before ``on_ok`` sees it.
+    """
+
+    def __init__(self, runner: ExperimentRunner, workers: int,
+                 policy: ExecutionPolicy, *, task, inject, on_ok, on_failed,
+                 resolve: bool = True):
+        self.runner = runner
+        self.workers = workers
+        self.policy = policy
+        self._task, self._inject = task, inject
+        self._on_ok, self._on_failed = on_ok, on_failed
+        self._resolve = resolve
+        self.pool_rebuilds = 0
+        #: attempts run in process until the next success
+        self.degraded = False
+        self._window = 0      # rebuilds since the last success
+        self._pool: ProcessPoolExecutor | None = None
+        self._jobs: dict = {}             # key -> _Job, first-submission order
+        self._ready: deque = deque()      # keys awaiting (re)submission
+        self._backoffs: dict = {}         # key -> resubmit-not-before deadline
+        self._running: dict[Future, object] = {}   # submission order
+
+    @property
+    def outstanding(self) -> int:
+        """Cells added and not yet finished (ok or terminally failed)."""
+        return len(self._jobs)
+
+    def add(self, key, cell: Cell) -> None:
+        """Track ``cell`` under ``key``; a key already tracked is ignored."""
+        if key not in self._jobs:
+            self._jobs[key] = _Job(cell)
+            self._ready.append(key)
+
+    def step(self, poll: float | None = None) -> None:
+        """One round: resubmit retries whose backoff has passed, then
+        either run one attempt in process or submit every ready attempt
+        to the pool and harvest what finishes.  Waits at most ``poll``
+        seconds (``None``: until an attempt finishes or a deadline
+        passes)."""
+        now = time.monotonic()
+        for key in [k for k, t in self._backoffs.items() if t <= now]:
+            del self._backoffs[key]
+            self._ready.append(key)
+        if self.workers <= 0 or self.degraded:
+            self._step_in_process(poll)
+        else:
+            self._step_pool(poll)
+
+    def close(self) -> None:
+        """Release the pool: wait for an idle one, kill a busy one."""
+        self._teardown(kill=bool(self._running))
+
+    # -- internals ---------------------------------------------------------
+
+    def _step_in_process(self, poll: float | None) -> None:
+        if not self._ready:
+            self._sleep_to_backoff(poll)
+            return
+        key = self._ready.popleft()
+        job = self._jobs[key]
+        job.submits += 1
+        try:
+            self._inject(key, job.submits)
+            value, elapsed = timed_cell(self.runner, job.cell)
+        except Exception as exc:
+            self._failed(key, "exception", _message(exc))
+        else:
+            self._ok(key, value, elapsed)
+
+    def _step_pool(self, poll: float | None) -> None:
+        if self._pool is None:
+            self._pool = _pool(self.runner, self.workers)
+        while self._ready:
+            key = self._ready[0]
+            job = self._jobs[key]
+            try:
+                fut = self._pool.submit(self._task, job.cell, key,
+                                        job.submits + 1)
+            except Exception:
+                # The pool broke before this submission: rebuild without
+                # charging the cell.
+                self._rebuild()
+                return
+            self._ready.popleft()
+            job.submits += 1
+            job.started = None
+            self._running[fut] = key
+        if not self._running:
+            self._sleep_to_backoff(poll)
+            return
+        timeout = poll
+        if self.policy.cell_timeout is not None:
+            tick = max(0.01, min(0.25, self.policy.cell_timeout / 4))
+            timeout = tick if timeout is None else min(timeout, tick)
+        if self._backoffs:
+            until = max(0.001, min(self._backoffs.values())
+                        - time.monotonic())
+            timeout = until if timeout is None else min(timeout, until)
+        done, _ = wait(list(self._running), timeout=timeout,
+                       return_when=FIRST_COMPLETED)
+        broken = False
+        for fut in done:
+            key = self._running.pop(fut)
+            try:
+                value, elapsed = fut.result()
+                if self._resolve:
+                    value = _resolve(self.runner, value)
+            except BrokenProcessPool:
+                # Collateral or culprit — indistinguishable, and neither
+                # finished a real attempt: the crash charges the rebuild
+                # budget, not the cell's retry budget.
+                broken = True
+            except Exception as exc:
+                self._failed(key, "exception", _message(exc))
+            else:
+                self._ok(key, value, elapsed)
+        if broken:
+            self._rebuild()
+        elif self.policy.cell_timeout is not None:
+            self._expire()
+
+    def _expire(self) -> None:
+        """Start and check timeout clocks.  The executor reports an
+        attempt waiting in its FIFO call queue as running too, so only
+        the ``workers`` oldest running attempts are executing: a clock
+        starts when its attempt first ranks among them."""
+        now = time.monotonic()
+        expired, executing = [], 0
+        for fut, key in self._running.items():
+            if executing == self.workers:
+                break
+            if not fut.running():
+                continue
+            executing += 1
+            job = self._jobs[key]
+            if job.started is None:
+                job.started = now
+            elif now - job.started > self.policy.cell_timeout:
+                expired.append(fut)
+        if not expired:
+            return
+        # Still listed as running, so a callback that raises leaves the
+        # pool to be killed by close() rather than waited on.
+        for fut in expired:
+            self._failed(self._running[fut], "timeout",
+                         f"exceeded {self.policy.cell_timeout:g}s")
+        # A stuck worker can only be reclaimed by pool teardown.
+        self._rebuild()
+
+    def _ok(self, key, value, elapsed: float) -> None:
+        job = self._jobs.pop(key)
+        job.attempts += 1
+        # A success proves the pool healthy: re-arm the rebuild budget
+        # and leave degraded mode.
+        self._window = 0
+        self.degraded = False
+        self._on_ok(key, value, job.attempts, elapsed)
+
+    def _failed(self, key, kind: str, error: str) -> None:
+        job = self._jobs[key]
+        job.attempts += 1
+        retry = job.attempts <= self.policy.retries
+        if retry:
+            self._backoffs[key] = (time.monotonic()
+                                   + self.policy.backoff_for(job.attempts + 1))
+        else:
+            del self._jobs[key]
+        self._on_failed(key, kind, error, job.attempts, retry)
+
+    def _rebuild(self) -> None:
+        """Replace a broken or stuck pool.  Every outstanding cell not
+        backing off goes back in first-submission order; the incident
+        charges the rebuild budget, not any retry budget."""
+        self._teardown(kill=True)
+        self._ready = deque(k for k in self._jobs if k not in self._backoffs)
+        self.pool_rebuilds += 1
+        self._window += 1
+        if self._window > self.policy.max_pool_rebuilds:
+            self.degraded = True
+
+    def _teardown(self, *, kill: bool) -> None:
+        if self._pool is not None:
+            if kill:
+                procs = getattr(self._pool, "_processes", None) or {}
+                for proc in list(procs.values()):
+                    try:
+                        proc.terminate()
+                    except Exception:
+                        pass
+            self._pool.shutdown(wait=not kill, cancel_futures=kill)
+            self._pool = None
+        self._running.clear()
+
+    def _sleep_to_backoff(self, poll: float | None) -> None:
+        """Nothing to run until the earliest backoff deadline."""
+        if self._backoffs:
+            until = min(self._backoffs.values()) - time.monotonic()
+            time.sleep(max(0.0, until if poll is None else min(until, poll)))
+
+
+def _message(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+# -- the batch loop --------------------------------------------------------
 
 def run_cells(runner: ExperimentRunner, cells: list[Cell],
               jobs: int | None = None, *,
@@ -462,45 +713,72 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
         journal.record_start(len(unique))
     if resume and journal is not None and unique:
         unique = _restore_resumed(runner, unique, journal, report)
-    indexed = list(enumerate(unique))
-    attempts = {i: 0 for i, _ in indexed}
     results: dict[int, object] = {}
+
+    def on_ok(i: int, value, attempts: int, elapsed: float) -> None:
+        cell = unique[i]
+        results[i] = value
+        report.ok += 1
+        if attempts > 1:
+            report.retried += 1
+        if journal is None:
+            return
+        ref = size = None
+        if cell.trace is not None and runner.cache is not None:
+            # Journal the spilled payload by reference only — a traced
+            # payload never appears inline in the JSONL stream.
+            spilled = _spill(runner, cell, value)
+            ref, size = spilled.address, spilled.size
+        journal.record_cell(index=i, key=cell_key(runner, cell),
+                            workload=cell.workload, config=cell.config.name,
+                            status="ok", attempts=attempts, elapsed=elapsed,
+                            ref=ref, payload_bytes=size)
+
+    def on_failed(i: int, kind: str, error: str, attempts: int,
+                  retry: bool) -> None:
+        cell = unique[i]
+        if kind == "timeout":
+            report.timeouts += 1
+        if journal is not None:
+            status = ("timed-out" if kind == "timeout" else "retried") \
+                if retry else "failed"
+            journal.record_cell(index=i, key=cell_key(runner, cell),
+                                workload=cell.workload,
+                                config=cell.config.name, status=status,
+                                attempts=attempts, kind=kind, error=error)
+        if retry:
+            return
+        failure = CellFailure(cell, i, attempts, kind, error)
+        report.failures.append(failure)
+        if policy.fail_fast:
+            raise FatalCellError(failure, report)
+
+    pooled = jobs > 1 and len(unique) > 1
+    supervisor = Supervisor(runner, min(jobs, len(unique)) if pooled else 0,
+                            policy, task=_run_cell,
+                            inject=faults.inject_cell_faults,
+                            on_ok=on_ok, on_failed=on_failed)
+    outstanding = dict(enumerate(unique))
+    for i in _leaders_first(outstanding):
+        supervisor.add(i, outstanding[i])
     try:
-        with _graceful_term():
-            if not indexed:
-                pass
-            elif jobs <= 1 or len(indexed) == 1:
-                _execute_serial(runner, indexed, attempts, policy, report,
-                                journal, results)
-            else:
-                _execute_pool(runner, indexed, attempts, policy, report,
-                              journal, results, jobs)
+        with _graceful_term(), contextlib.closing(supervisor):
+            while supervisor.outstanding:
+                supervisor.step()
+                report.degraded = report.degraded or supervisor.degraded
     except (KeyboardInterrupt, SystemExit):
-        # Ctrl-C / SIGTERM: the pool was already torn down on the way
-        # out (every generation's ``finally`` terminates an abandoned
-        # pool), completed cells still merge below, and the journal's
-        # ``end`` record says the run was interrupted — so ``--resume``
-        # picks up exactly where the interrupt landed.
+        # Ctrl-C / SIGTERM: closing the supervisor on the way out killed
+        # a busy pool, completed cells still merge below, and the
+        # journal's ``end`` record says the run was interrupted — so
+        # ``--resume`` picks up exactly where the interrupt landed.
         report.interrupted = True
         raise
     finally:
+        report.pool_rebuilds = supervisor.pool_rebuilds
         # Merge in submission order so rendering is order-independent.
-        for i, cell in indexed:
+        for i, cell in enumerate(unique):
             if i in results:
-                if cell.fuzz is not None:
-                    runner.seed_fuzz(cell.workload, cell.fuzz, results[i])
-                elif cell.trace is not None:
-                    runner.seed_traced(cell.workload, cell.config,
-                                       cell.latencies, cell.trace, results[i],
-                                       cell.backend, cell.policy)
-                elif cell.is_sweep:
-                    for lat, res in zip(cell.latencies, results[i]):
-                        runner.seed_result(cell.workload, cell.config, lat,
-                                           res, cell.backend, cell.policy)
-                else:
-                    runner.seed_result(cell.workload, cell.config,
-                                       cell.latencies, results[i],
-                                       cell.backend, cell.policy)
+                _seed(runner, cell, results[i])
         report.wall_time = time.monotonic() - started
         if runner.cache is not None:
             report.cache_stats = runner.cache.stats()
@@ -530,6 +808,22 @@ def _graceful_term():
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
+
+
+def _seed(runner: ExperimentRunner, cell: Cell, value) -> None:
+    """Seed one cell's computed or restored payload into the memo."""
+    if cell.fuzz is not None:
+        runner.seed_fuzz(cell.workload, cell.fuzz, value)
+    elif cell.trace is not None:
+        runner.seed_traced(cell.workload, cell.config, cell.latencies,
+                           cell.trace, value, cell.backend, cell.policy)
+    elif cell.is_sweep:
+        for lat, res in zip(cell.latencies, value):
+            runner.seed_result(cell.workload, cell.config, lat, res,
+                               cell.backend, cell.policy)
+    else:
+        runner.seed_result(cell.workload, cell.config, cell.latencies, value,
+                           cell.backend, cell.policy)
 
 
 def _memoized(runner: ExperimentRunner, cell: Cell) -> bool:
@@ -588,139 +882,15 @@ def _restore_resumed(runner: ExperimentRunner, unique: list[Cell],
                                                      cell.backend,
                                                      cell.policy))
         if restored is not None:
-            if cell.fuzz is not None:
-                runner.seed_fuzz(cell.workload, cell.fuzz, restored)
-            elif cell.trace is not None:
-                runner.seed_traced(cell.workload, cell.config, cell.latencies,
-                                   cell.trace, restored, cell.backend,
-                                   cell.policy)
-            elif cell.is_sweep:
-                for lat, res in zip(cell.latencies, restored):
-                    runner.seed_result(cell.workload, cell.config, lat, res,
-                                       cell.backend, cell.policy)
-            else:
-                runner.seed_result(cell.workload, cell.config, cell.latencies,
-                                   restored, cell.backend, cell.policy)
+            _seed(runner, cell, restored)
             report.resumed += 1
         else:
             remaining.append(cell)
     return remaining
 
 
-def _register_ok(runner, cell: Cell, i: int, attempts_used: int,
-                 elapsed: float, result, results: dict, report: RunReport,
-                 journal: RunJournal | None) -> None:
-    results[i] = result
-    report.ok += 1
-    if attempts_used > 1:
-        report.retried += 1
-    if journal is not None:
-        ref = size = None
-        if cell.trace is not None and runner.cache is not None:
-            # Journal the spilled payload by reference only — a traced
-            # payload never appears inline in the JSONL stream.
-            config = runner.normalize_config(cell.config, cell.latencies)
-            key = runner.cache.key_for(
-                "traces",
-                runner.traced_payload(cell.workload, config, cell.trace,
-                                      cell.backend, cell.policy))
-            ref = f"traces/{key}"
-            size = runner.cache.entry_size("traces", key)
-        journal.record_cell(index=i, key=cell_key(runner, cell),
-                            workload=cell.workload, config=cell.config.name,
-                            status="ok", attempts=attempts_used,
-                            elapsed=elapsed, ref=ref, payload_bytes=size)
-
-
-def _register_failure(runner, cell: Cell, i: int, attempts_used: int,
-                      kind: str, error, policy: ExecutionPolicy,
-                      report: RunReport,
-                      journal: RunJournal | None) -> bool:
-    """Record one failed attempt.  Returns True if the cell may retry;
-    on terminal failure appends a :class:`CellFailure` (and raises under
-    ``fail_fast``)."""
-    if kind == "timeout":
-        report.timeouts += 1
-    message = (error if isinstance(error, str)
-               else f"{type(error).__name__}: {error}")
-    retryable = attempts_used <= policy.retries
-    if journal is not None:
-        status = ("timed-out" if kind == "timeout" else "retried") \
-            if retryable else "failed"
-        journal.record_cell(index=i, key=cell_key(runner, cell),
-                            workload=cell.workload, config=cell.config.name,
-                            status=status, attempts=attempts_used,
-                            kind=kind, error=message)
-    if retryable:
-        return True
-    failure = CellFailure(cell, i, attempts_used, kind, message)
-    report.failures.append(failure)
-    if policy.fail_fast:
-        raise FatalCellError(failure, report)
-    return False
-
-
-def _execute_serial(runner: ExperimentRunner, items, attempts: dict,
-                    policy: ExecutionPolicy, report: RunReport,
-                    journal: RunJournal | None, results: dict) -> None:
-    """The in-process path: same retry/keep-going semantics, no pool.
-    ``cell_timeout`` cannot preempt in-process work and is not enforced."""
-    for i, cell in list(items):
-        while True:
-            attempts[i] += 1
-            try:
-                faults.inject_cell_faults(i, attempts[i])
-                result, elapsed = timed_cell(runner, cell)
-            except Exception as exc:
-                if _register_failure(runner, cell, i, attempts[i],
-                                     "exception", exc, policy, report,
-                                     journal):
-                    time.sleep(policy.backoff_for(attempts[i] + 1))
-                    continue
-                break
-            _register_ok(runner, cell, i, attempts[i], elapsed, result,
-                         results, report, journal)
-            break
-
-
-def _execute_pool(runner: ExperimentRunner, indexed, attempts: dict,
-                  policy: ExecutionPolicy, report: RunReport,
-                  journal: RunJournal | None, results: dict,
-                  jobs: int) -> None:
-    """Pool generations: drain, rebuild on breakage/timeout, degrade to
-    serial once the rebuild budget is spent."""
-    outstanding = dict(indexed)
-    # Worker-side attempt numbering: counts every submission (including
-    # ones lost to a dead pool), so fault-injection ``times`` matching
-    # stays monotonic even though crashes don't charge the retry budget.
-    submits = {i: 0 for i in outstanding}
-    workers = min(jobs, len(outstanding))
-    while outstanding:
-        abandoned = _drain_pool(runner, outstanding, attempts, submits,
-                                results, workers, policy, report, journal)
-        if not outstanding or not abandoned:
-            return
-        report.pool_rebuilds += 1
-        if report.pool_rebuilds > policy.max_pool_rebuilds:
-            report.degraded = True
-            _execute_serial(runner, sorted(outstanding.items()), attempts,
-                            policy, report, journal, results)
-            return
-
-
-@dataclass
-class _InFlight:
-    """Parent-side bookkeeping for one submitted cell attempt."""
-
-    index: int
-    #: when the future was first observed executing (``fut.running()``).
-    #: The ``cell_timeout`` clock starts here — a cell queued behind a
-    #: full worker fleet accrues no wait time against its timeout.
-    started: float | None = None
-
-
 def _leaders_first(outstanding: dict[int, Cell]) -> list[int]:
-    """Submission order of one pool generation.
+    """The order :func:`run_cells` submits its cells in.
 
     The first outstanding cell of each workload (its *leader*) comes
     first, in index order, then every other cell (the *followers*), in
@@ -739,131 +909,6 @@ def _leaders_first(outstanding: dict[int, Cell]) -> list[int]:
         (followers if workload in seen else leaders).append(i)
         seen.add(workload)
     return leaders + followers
-
-
-def _drain_pool(runner: ExperimentRunner, outstanding: dict, attempts: dict,
-                submits: dict, results: dict, workers: int,
-                policy: ExecutionPolicy, report: RunReport,
-                journal: RunJournal | None) -> bool:
-    """Run one pool generation over every outstanding cell.
-
-    Submits each cell as its own future, in :func:`_leaders_first`
-    order, and harvests completions until the queue drains, a worker
-    dies (``BrokenProcessPool``) or a cell overruns ``cell_timeout``.
-    Retries of plain worker exceptions are resubmitted once their
-    backoff deadline passes, without blocking the harvest loop; the
-    timeout clock starts when an attempt is first seen executing, never
-    while it waits in the submission queue.  Returns
-    True when the pool was abandoned and the caller should rebuild;
-    completed/terminally-failed cells leave ``outstanding`` either way,
-    so a rebuild resubmits only what is left.
-    """
-    pool = _pool(runner, min(workers, len(outstanding)))
-    pending: dict[Future, _InFlight] = {}
-    backoffs: dict[int, float] = {}   # index -> resubmit-not-before deadline
-    abandon = True
-
-    def submit(i: int) -> None:
-        submits[i] += 1
-        fut = pool.submit(_run_cell, outstanding[i], i, submits[i])
-        pending[fut] = _InFlight(i)
-
-    try:
-        for i in _leaders_first(outstanding):
-            submit(i)
-        broken = False
-        while pending or backoffs:
-            now = time.monotonic()
-            for i in [i for i, ready in backoffs.items() if ready <= now]:
-                del backoffs[i]
-                try:
-                    submit(i)
-                except Exception:
-                    return True
-            if not pending:
-                # Every remaining cell is backing off; nothing can
-                # complete until the earliest deadline.
-                time.sleep(max(0.0, min(backoffs.values())
-                               - time.monotonic()))
-                continue
-            poll = None
-            if policy.cell_timeout is not None:
-                poll = max(0.01, min(0.25, policy.cell_timeout / 4))
-            if backoffs:
-                until = max(0.001, min(backoffs.values()) - time.monotonic())
-                poll = until if poll is None else min(poll, until)
-            done, _ = wait(list(pending), timeout=poll,
-                           return_when=FIRST_COMPLETED)
-            for fut in done:
-                meta = pending.pop(fut)
-                i = meta.index
-                cell = outstanding[i]
-                try:
-                    value, elapsed = fut.result()
-                    result = _resolve(runner, value)
-                except BrokenProcessPool:
-                    # Collateral or culprit — indistinguishable, and
-                    # neither finished a real attempt: the crash charges
-                    # the rebuild budget, not the cell's retry budget.
-                    broken = True
-                except Exception as exc:
-                    attempts[i] += 1
-                    if _register_failure(runner, cell, i, attempts[i],
-                                         "exception", exc, policy, report,
-                                         journal):
-                        backoffs[i] = (time.monotonic()
-                                       + policy.backoff_for(attempts[i] + 1))
-                    else:
-                        del outstanding[i]
-                else:
-                    attempts[i] += 1
-                    _register_ok(runner, cell, i, attempts[i], elapsed,
-                                 result, results, report, journal)
-                    del outstanding[i]
-            if broken:
-                return True
-            if policy.cell_timeout is None:
-                continue
-            now = time.monotonic()
-            expired = []
-            for fut, meta in pending.items():
-                if meta.started is None:
-                    if fut.running():
-                        meta.started = now
-                elif now - meta.started > policy.cell_timeout:
-                    expired.append((fut, meta))
-            if not expired:
-                continue
-            for fut, meta in expired:
-                i = meta.index
-                pending.pop(fut)
-                fut.cancel()
-                attempts[i] += 1
-                if not _register_failure(runner, outstanding[i], i,
-                                         attempts[i], "timeout",
-                                         f"exceeded {policy.cell_timeout:g}s",
-                                         policy, report, journal):
-                    del outstanding[i]
-            # A stuck worker can only be reclaimed by pool teardown.
-            return True
-        abandon = False
-        return False
-    finally:
-        if abandon:
-            _terminate(pool)
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            pool.shutdown(wait=True)
-
-
-def _terminate(pool: ProcessPoolExecutor) -> None:
-    """Kill a pool's workers outright (stuck or crashing generations)."""
-    procs = getattr(pool, "_processes", None) or {}
-    for proc in list(procs.values()):
-        try:
-            proc.terminate()
-        except Exception:
-            pass
 
 
 def build_artifacts(runner: ExperimentRunner, names: list[str],

@@ -9,9 +9,10 @@ requests over a JSON-lines socket protocol:
 - :mod:`~repro.serve.state` — the PENDING→RUNNING→DONE/FAILED state
   machine and the append-only :class:`ServerJournal` that makes every
   promise durable across crashes;
-- :mod:`~repro.serve.fleet` — the supervised worker pool (timeouts,
-  retries, pool rebuilds, serial degradation — the
-  :mod:`repro.harness.parallel` policies, applied continuously);
+- :mod:`~repro.serve.fleet` — the worker fleet: a thread stepping the
+  :class:`~repro.harness.parallel.Supervisor` that batch runs use
+  (timeouts, retries, pool rebuilds, in-process degradation),
+  continuously;
 - :mod:`~repro.serve.server` — the asyncio daemon tying them together;
 - :mod:`~repro.serve.client` — the synchronous poll-and-reconnect
   client the CLI (and tests) use.

@@ -1,38 +1,35 @@
 """Supervised worker fleet: the serve daemon's execution engine.
 
-A long-lived re-statement of the batch engine in
-:mod:`repro.harness.parallel`, with the same fault policy
-(:class:`~repro.harness.parallel.ExecutionPolicy`) applied continuously
-instead of per run:
+The fleet steps :class:`~repro.harness.parallel.Supervisor`, the same
+process pool under the same fault rules as
+:func:`~repro.harness.parallel.run_cells`.  ``run_cells`` steps it
+until a run's cells are done; the fleet steps it on its own thread for
+as long as the daemon runs, adding jobs as they arrive from its inbox.
+Under the daemon's :class:`~repro.harness.parallel.ExecutionPolicy`:
 
-- each job attempt runs in a ``ProcessPoolExecutor`` worker sharing the
-  daemon's :class:`~repro.harness.diskcache.DiskCache`;
-- an attempt that raises is retried with exponential backoff up to
+- each job attempt runs in a pool worker sharing the daemon's
+  :class:`~repro.harness.diskcache.DiskCache`;
+- an attempt that raises, or that executes longer than
+  ``policy.cell_timeout``, is retried after its backoff up to
   ``policy.retries`` extra attempts, then reported failed;
 - a dead worker (``BrokenProcessPool`` — e.g. an injected
-  ``worker-kill``) costs only the in-flight attempts: the pool is
+  ``worker-kill``) costs only the attempts in flight: the pool is
   rebuilt and they are resubmitted without charging any retry budget;
-- an attempt overrunning ``policy.cell_timeout`` (measured from when it
-  is observed executing) tears the pool down to reclaim the worker and
-  charges the job a timeout attempt;
 - after ``policy.max_pool_rebuilds`` rebuilds *without an intervening
-  success*, the fleet degrades to in-process serial execution (any
-  success re-arms the rebuild budget — a long-lived server must not be
-  permanently degraded by one bad afternoon).
+  success*, jobs run in process until one succeeds (a long-lived server
+  must not be permanently degraded by one bad afternoon).
 
-The supervisor runs on its own thread; completions are reported through
+What the fleet adds is the thread, the inbox, :class:`FleetStats` and
 the ``on_done`` callback (the daemon bridges it onto the asyncio loop).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import queue
 import signal
 import threading
-import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..harness import faults, parallel
 from ..harness.parallel import Cell, ExecutionPolicy, timed_cell
@@ -48,25 +45,9 @@ def _fleet_run(cell: Cell, job_id: str, attempt: int):
 
 
 @dataclass
-class _Tracked:
-    """Supervisor-side bookkeeping for one in-fleet job."""
-
-    cell: Cell
-    attempts: int = 0    #: completed attempts charged to the retry budget
-    submits: int = 0     #: submissions, incl. ones lost to dead pools
-    enqueued: float = field(default_factory=time.monotonic)
-
-
-@dataclass
-class _InFlight:
-    job_id: str
-    #: set when first observed executing; the timeout clock starts here
-    started: float | None = None
-
-
-@dataclass
 class FleetStats:
-    """Monotonic counters surfaced by the ``stats`` op."""
+    """Monotonic counters surfaced by the ``stats`` op (``degraded``
+    says whether the fleet runs jobs in process now)."""
 
     ok: int = 0
     failed: int = 0
@@ -97,18 +78,23 @@ class WorkerFleet:
 
     def __init__(self, runner: ExperimentRunner, *, workers: int = 2,
                  policy: ExecutionPolicy | None = None, on_done):
-        self.runner = runner
-        self.workers = max(1, workers)
-        self.policy = policy or ExecutionPolicy()
         self.on_done = on_done
-        self.stats = FleetStats()
+        self._counts = FleetStats()
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         self._thread: threading.Thread | None = None
-        self._pool = None
-        #: rebuilds since the last success (the degradation window)
-        self._rebuild_window = 0
+        self._supervisor = parallel.Supervisor(
+            runner, max(1, workers), policy or ExecutionPolicy(),
+            task=_fleet_run, inject=faults.inject_job_faults,
+            on_ok=self._ok, on_failed=self._failed, resolve=False)
 
     # -- public surface ----------------------------------------------------
+
+    @property
+    def stats(self) -> FleetStats:
+        """The outcome counters plus the supervisor's pool state."""
+        return dataclasses.replace(
+            self._counts, pool_rebuilds=self._supervisor.pool_rebuilds,
+            degraded=self._supervisor.degraded)
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._supervise,
@@ -133,7 +119,7 @@ class WorkerFleet:
     def active(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-    # -- supervisor --------------------------------------------------------
+    # -- supervisor thread -------------------------------------------------
 
     def _supervise(self) -> None:
         # Pool workers are forked from this thread and inherit its signal
@@ -148,37 +134,17 @@ class WorkerFleet:
         # signal handlers anyway.
         signal.pthread_sigmask(signal.SIG_BLOCK,
                                {signal.SIGINT, signal.SIGTERM})
-        tracked: dict[str, _Tracked] = {}
-        pending: dict[Future, _InFlight] = {}
-        ready: list[str] = []          # awaiting (re)submission
-        backoffs: dict[str, float] = {}
         try:
-            while True:
-                if not self._drain_inbox(tracked, ready):
-                    return
-                now = time.monotonic()
-                for job_id in [j for j, t in backoffs.items() if t <= now]:
-                    del backoffs[job_id]
-                    ready.append(job_id)
-                if self.stats.degraded:
-                    self._run_degraded(tracked, ready, backoffs)
-                    continue
-                while ready and not self.stats.degraded:
-                    self._submit_one(tracked, pending, ready, ready.pop(0))
-                if not pending:
-                    if backoffs:
-                        time.sleep(min(0.05,
-                                       max(0.0, min(backoffs.values())
-                                           - time.monotonic())))
-                    continue
-                self._harvest(tracked, pending, ready, backoffs)
+            while self._drain_inbox():
+                self._supervisor.step(poll=0.05)
         finally:
-            self._teardown_pool(wait_for=not pending)
+            self._supervisor.close()
 
-    def _drain_inbox(self, tracked: dict, ready: list) -> bool:
-        """Pull newly submitted jobs; blocks briefly when idle.  Returns
-        False on the stop sentinel."""
-        block = not tracked
+    def _drain_inbox(self) -> bool:
+        """Hand newly submitted jobs to the supervisor (a job id already
+        there is ignored); blocks briefly when idle.  Returns False on
+        the stop sentinel."""
+        block = not self._supervisor.outstanding
         while True:
             try:
                 item = self._inbox.get(timeout=0.05) if block \
@@ -188,162 +154,20 @@ class WorkerFleet:
             block = False
             if item is _STOP:
                 return False
-            job_id, cell = item
-            if job_id not in tracked:
-                tracked[job_id] = _Tracked(cell)
-                ready.append(job_id)
+            self._supervisor.add(*item)
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = parallel._pool(self.runner, self.workers)
-        return self._pool
+    def _ok(self, job_id: str, result, attempts: int,
+            elapsed: float) -> None:
+        self._counts.ok += 1
+        self.on_done(job_id, result, None, attempts, elapsed)
 
-    def _teardown_pool(self, *, wait_for: bool = False) -> None:
-        if self._pool is None:
+    def _failed(self, job_id: str, kind: str, error: str, attempts: int,
+                retry: bool) -> None:
+        if kind == "timeout":
+            self._counts.timeouts += 1
+            error = f"timeout: {error}"
+        if retry:
+            self._counts.retries += 1
             return
-        if not wait_for:
-            parallel._terminate(self._pool)
-        self._pool.shutdown(wait=wait_for, cancel_futures=not wait_for)
-        self._pool = None
-
-    def _submit_one(self, tracked: dict, pending: dict, ready: list,
-                    job_id: str) -> None:
-        tr = tracked[job_id]
-        tr.submits += 1
-        try:
-            fut = self._ensure_pool().submit(_fleet_run, tr.cell, job_id,
-                                             tr.submits)
-        except Exception:
-            # Pool already broken at submission time: rebuild and retry
-            # on the next pass without charging the job.
-            ready.extend(self._rebuild(tracked, pending,
-                                       extra=[job_id]))
-            return
-        pending[fut] = _InFlight(job_id)
-
-    def _rebuild(self, tracked: dict, pending: dict,
-                 extra: list | None = None) -> list[str]:
-        """Replace a broken/stuck pool.  Returns the job ids to requeue
-        (every in-flight job, oldest first) — the incident charges the
-        rebuild window, not any retry budget."""
-        self.stats.pool_rebuilds += 1
-        self._rebuild_window += 1
-        requeue = {meta.job_id for meta in pending.values()}
-        requeue.update(extra or [])
-        pending.clear()
-        self._teardown_pool()
-        if self._rebuild_window > self.policy.max_pool_rebuilds:
-            self.stats.degraded = True
-        return sorted((j for j in requeue if j in tracked),
-                      key=lambda j: tracked[j].enqueued)
-
-    def _harvest(self, tracked: dict, pending: dict, ready: list,
-                 backoffs: dict) -> None:
-        poll = 0.05
-        if self.policy.cell_timeout is not None:
-            poll = max(0.01, min(poll, self.policy.cell_timeout / 4))
-        done, _ = wait(list(pending), timeout=poll,
-                       return_when=FIRST_COMPLETED)
-        broken: list[str] = []   # jobs whose futures died with the pool
-        for fut in done:
-            meta = pending.pop(fut)
-            job_id = meta.job_id
-            tr = tracked.get(job_id)
-            if tr is None:
-                continue
-            try:
-                result, elapsed = fut.result()
-            except BrokenProcessPool:
-                broken.append(job_id)
-            except Exception as exc:
-                tr.attempts += 1
-                if tr.attempts <= self.policy.retries:
-                    self.stats.retries += 1
-                    backoffs[job_id] = (time.monotonic()
-                                        + self.policy.backoff_for(
-                                            tr.attempts + 1))
-                else:
-                    self._finish(tracked, job_id, None,
-                                 f"{type(exc).__name__}: {exc}")
-            else:
-                tr.attempts += 1
-                self._finish(tracked, job_id, result, None, elapsed)
-        if broken:
-            ready.extend(self._rebuild(tracked, pending, extra=broken))
-            return
-        self._expire_timeouts(tracked, pending, ready, backoffs)
-
-    def _expire_timeouts(self, tracked: dict, pending: dict, ready: list,
-                         backoffs: dict) -> None:
-        if self.policy.cell_timeout is None:
-            return
-        now = time.monotonic()
-        expired = []
-        for fut, meta in pending.items():
-            if meta.started is None:
-                if fut.running():
-                    meta.started = now
-            elif now - meta.started > self.policy.cell_timeout:
-                expired.append(meta.job_id)
-        if not expired:
-            return
-        # A stuck worker can only be reclaimed by pool teardown; the
-        # collateral in-flight jobs are resubmitted uncharged.
-        for job_id in expired:
-            tr = tracked.get(job_id)
-            if tr is None:
-                continue
-            tr.attempts += 1
-            self.stats.timeouts += 1
-            if tr.attempts <= self.policy.retries:
-                self.stats.retries += 1
-                backoffs[job_id] = (time.monotonic()
-                                    + self.policy.backoff_for(
-                                        tr.attempts + 1))
-            else:
-                self._finish(tracked, job_id, None,
-                             f"timeout: exceeded "
-                             f"{self.policy.cell_timeout:g}s")
-        ready.extend(j for j in self._rebuild(tracked, pending)
-                     if j not in backoffs)
-
-    def _run_degraded(self, tracked: dict, ready: list,
-                      backoffs: dict) -> None:
-        """In-process serial fallback after the rebuild budget is spent.
-        Correct but slow; any success re-arms the pooled path."""
-        if not ready:
-            time.sleep(0.01)
-            return
-        job_id = ready.pop(0)
-        tr = tracked[job_id]
-        tr.submits += 1
-        try:
-            faults.inject_job_faults(job_id, tr.submits)
-            result, elapsed = timed_cell(self.runner, tr.cell, spill=True)
-        except Exception as exc:
-            tr.attempts += 1
-            if tr.attempts <= self.policy.retries:
-                self.stats.retries += 1
-                backoffs[job_id] = (time.monotonic()
-                                    + self.policy.backoff_for(
-                                        tr.attempts + 1))
-            else:
-                self._finish(tracked, job_id, None,
-                             f"{type(exc).__name__}: {exc}")
-            return
-        tr.attempts += 1
-        self._finish(tracked, job_id, result, None, elapsed)
-
-    def _finish(self, tracked: dict, job_id: str, result, error,
-                elapsed: float = 0.0) -> None:
-        tr = tracked.pop(job_id)
-        if error is None:
-            self.stats.ok += 1
-            # A success proves the fleet is healthy again: re-arm the
-            # rebuild budget (and leave degraded mode if we were in it).
-            self._rebuild_window = 0
-            if self.stats.degraded:
-                self.stats.degraded = False
-        else:
-            self.stats.failed += 1
-        self.on_done(job_id, result, error, tr.attempts, elapsed)
+        self._counts.failed += 1
+        self.on_done(job_id, None, error, attempts, 0.0)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -17,15 +15,6 @@ def _hermetic_cache_dir(tmp_path, monkeypatch):
     """Point the persistent artifact cache at a per-test tmp dir so tests
     never read (or pollute) the user's ~/.cache/repro."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("RUN_BENCH_TESTS") == "1":
-        return
-    skip_bench = pytest.mark.skip(reason="bench tests need RUN_BENCH_TESTS=1")
-    for item in items:
-        if "bench" in item.keywords:
-            item.add_marker(skip_bench)
 
 
 def build_gather_program(seed: int = 1, iters: int = 800, n: int = 1 << 14,

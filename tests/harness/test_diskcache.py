@@ -6,7 +6,8 @@ import pytest
 
 from repro.compiler import SlicerConfig
 from repro.core import BASELINE, SPEAR_128
-from repro.harness import DiskCache, ExperimentRunner, default_cache_dir
+from repro.harness import (DiskCache, ExperimentRunner, default_cache_dir,
+                           figure6)
 from repro.harness import diskcache as diskcache_mod
 
 
@@ -274,6 +275,19 @@ class TestRunnerIntegration:
         result = warm.run("pointer", BASELINE)
         assert warm.builds == 0 and warm.simulations == 0
         assert result.ipc == cold.run("pointer", BASELINE).ipc
+
+    def test_warm_figure6_renders_same_bytes_without_work(self, tmp_path):
+        # A second figure 6 on the first one's cache reads every artifact
+        # and result back: the same bytes, with nothing built or run.
+        names = ["pointer", "update"]
+        cache = DiskCache(tmp_path / "c")
+        cold = ExperimentRunner(instruction_scale=0.05, cache=cache)
+        table = figure6(cold, names).table("Figure 6").render()
+        assert cold.builds == 2 and cold.simulations == 6
+
+        warm = ExperimentRunner(instruction_scale=0.05, cache=cache)
+        assert figure6(warm, names).table("Figure 6").render() == table
+        assert warm.builds == 0 and warm.simulations == 0
 
     def test_memo_key_normalizes_noop_latency_override(self, tmp_path):
         runner = ExperimentRunner(instruction_scale=0.05)

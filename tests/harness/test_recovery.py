@@ -92,17 +92,22 @@ class TestTimeout:
         assert report.timeouts >= 1
         assert report.retried >= 1
 
-    def test_queue_wait_does_not_count_against_timeout(self, monkeypatch):
-        # Every attempt sleeps ~1.2s and two workers serve three cells,
-        # so the queued third cell waits longer than cell_timeout before
+    @pytest.mark.parametrize("delay_ms, timeout", [(1200, 2.5), (1500, 2.5)])
+    def test_queue_wait_does_not_count_against_timeout(self, monkeypatch,
+                                                       delay_ms, timeout):
+        # Every attempt sleeps delay_ms and two workers serve three
+        # cells, so the queued third cell waits about that long before
         # it even starts executing.  The timeout clock must start at
         # execution, not submission: with retries=0 a false expiry would
-        # be a terminal failure.
-        monkeypatch.setenv("REPRO_FAULTS", "delay:ms=1200:times=0")
+        # be a terminal failure.  The executor reports the third attempt
+        # as running while it still waits in its call queue, so at
+        # 1500 ms a clock started by that report alone expires.
+        monkeypatch.setenv("REPRO_FAULTS", f"delay:ms={delay_ms}:times=0")
         runner = _runner()
         report = run_cells(
             runner, _cells(), jobs=2,
-            policy=ExecutionPolicy(cell_timeout=2.5, retries=0, backoff=0))
+            policy=ExecutionPolicy(cell_timeout=timeout, retries=0,
+                                   backoff=0))
         assert report.completed and report.ok == 3
         assert report.timeouts == 0 and report.retried == 0
 
@@ -115,6 +120,29 @@ class TestTimeout:
                                    max_pool_rebuilds=0))
         assert report.failed == 1
         assert report.failures[0].kind == "timeout"
+
+
+class TestRebuildBudget:
+    def test_success_rearms_the_rebuild_budget(self, monkeypatch):
+        # One crash with no rebuilds to spare degrades the run to
+        # in-process execution, but only until the first success there:
+        # the budget counts the rebuilds since the last success, so the
+        # rest of the run goes back to the pool.
+        names = ["pointer", "update", "mcf"]
+        monkeypatch.setenv("REPRO_FAULTS", "crash:cell=0")
+        runner = _runner()
+        report = run_cells(runner, cells_for("figure6", names), jobs=2,
+                           policy=ExecutionPolicy(backoff=0,
+                                                  max_pool_rebuilds=0))
+        assert report.completed
+        assert report.degraded
+        assert runner.simulations < 9
+
+        monkeypatch.delenv("REPRO_FAULTS")
+        reference = _runner()
+        run_cells(reference, cells_for("figure6", names), jobs=1)
+        assert (figure6(runner, names).table("Figure 6").render()
+                == figure6(reference, names).table("Figure 6").render())
 
 
 class TestSerialSemantics:

@@ -199,10 +199,12 @@ class TestFaults:
             try:
                 fleet.submit(*jobs[0])
                 deadline = time.monotonic() + 30.0
-                while not (fleet._pool and fleet._pool._processes):
+                while not (fleet._supervisor._pool
+                           and fleet._supervisor._pool._processes):
                     assert time.monotonic() < deadline, "no worker forked"
                     await asyncio.sleep(0.01)
-                for proc in list(fleet._pool._processes.values()):
+                for proc in list(
+                        fleet._supervisor._pool._processes.values()):
                     proc.terminate()
                 await asyncio.sleep(0.5)
                 return stop.is_set()
