@@ -59,7 +59,8 @@ class TraceSpec:
 
     Hashable and picklable so it can ride on a parallel-engine
     :class:`~repro.harness.parallel.Cell`; ``kinds`` is normalized to a
-    sorted tuple so equal filters always produce equal cache keys.
+    sorted tuple so equal filters always produce equal cache keys.  None
+    keeps every kind; an empty ``kinds`` would keep none and is rejected.
     """
 
     interval: int = 1000
@@ -68,12 +69,16 @@ class TraceSpec:
 
     def __post_init__(self) -> None:
         if self.kinds is not None:
+            if not self.kinds:
+                raise ValueError("empty trace kinds keep no event; "
+                                 "use None for every kind")
             object.__setattr__(self, "kinds", tuple(sorted(self.kinds)))
 
     def payload(self) -> dict:
         """The ``trace`` section of a traced-run cache/journal key."""
+        kinds = list(self.kinds) if self.kinds is not None else None
         return {"interval": self.interval, "capacity": self.capacity,
-                "kinds": list(self.kinds) if self.kinds else None}
+                "kinds": kinds}
 
 
 @dataclass

@@ -2,9 +2,10 @@
 sampler and the comparison/rendering layer feeding ``repro trace``,
 ``repro analyze --timeline`` and ``repro report``.
 
-The timing model emits events only when a sink is attached (the
-tracer-is-None fast path keeps the instrumented hot loop at its
-uninstrumented speed), so observability is strictly opt-in.  On top of
+The timing model emits events only when a sink is attached, and only of
+the kinds the sink keeps (each emit site tests its kind's sink for None,
+which keeps the instrumented hot loop at its uninstrumented speed), so
+observability is strictly opt-in.  On top of
 the raw streams sit pure-data tools: :class:`IntervalSampler` collects
 per-interval (and per-thread) series, :func:`diff_timelines` aligns a
 baseline and a SPEAR run to localize the speedup, and ``render``

@@ -1,7 +1,7 @@
 """Trace sinks: where the timing model's event stream goes.
 
-The simulator calls ``sink.emit(event)`` for every event; the two
-implementations trade memory for completeness:
+The simulator calls ``sink.emit(event)`` for every event of a kind the
+sink keeps; the two implementations trade memory for completeness:
 
 * :class:`RingBufferSink` keeps the last ``capacity`` events in memory —
   the default for interactive use and for caching trace artifacts, with
@@ -10,7 +10,10 @@ implementations trade memory for completeness:
   as canonical JSONL, for full-fidelity captures piped to other tools.
 
 Both accept an optional ``kinds`` filter so a sink can subscribe to a
-subset (e.g. only mode transitions) without the simulator knowing.
+subset (e.g. only mode transitions).  The simulator reads the
+subscription once, through the read-only ``kinds`` attribute, and builds
+no event of any other kind; the sinks still apply the filter themselves,
+so a caller that emits by hand gets the same stream.
 """
 
 from __future__ import annotations
@@ -19,12 +22,20 @@ from collections import deque
 from pathlib import Path
 from typing import IO, Iterable, Protocol, runtime_checkable
 
-from .events import TraceEvent, serialize_events
+from .events import EVENT_KINDS, TraceEvent, serialize_events
 
 
 @runtime_checkable
 class TraceSink(Protocol):
-    """Anything that can receive the simulator's event stream."""
+    """Anything that can receive the simulator's event stream.
+
+    ``kinds`` is the subscription: the event kinds the sink keeps, or
+    None for every kind.  The simulator reads it once at construction
+    and only builds events of those kinds.
+    """
+
+    @property
+    def kinds(self) -> frozenset[str] | None: ...
 
     def emit(self, event: TraceEvent) -> None: ...
 
@@ -53,6 +64,10 @@ class RingBufferSink:
     @property
     def capacity(self) -> int | None:
         return self._buf.maxlen
+
+    @property
+    def kinds(self) -> frozenset[str] | None:
+        return self._kinds
 
     def emit(self, event: TraceEvent) -> None:
         if self._kinds is not None and event.kind not in self._kinds:
@@ -94,6 +109,10 @@ class JsonlStreamSink:
         self._kinds = frozenset(kinds) if kinds is not None else None
         self.emitted = 0
 
+    @property
+    def kinds(self) -> frozenset[str] | None:
+        return self._kinds
+
     def emit(self, event: TraceEvent) -> None:
         if self._kinds is not None and event.kind not in self._kinds:
             return
@@ -105,3 +124,14 @@ class JsonlStreamSink:
             self._stream.close()
         else:
             self._stream.flush()
+
+
+def kind_sinks(sink: TraceSink | None) -> dict[str, TraceSink | None]:
+    """Every event kind mapped to ``sink`` if it keeps that kind, else to
+    None — so an emit site pays one ``is None`` test and builds an event
+    only when someone keeps it.  With no sink every kind maps to None."""
+    if sink is None:
+        return dict.fromkeys(EVENT_KINDS)
+    kinds = sink.kinds
+    return {kind: sink if kinds is None or kind in kinds else None
+            for kind in EVENT_KINDS}

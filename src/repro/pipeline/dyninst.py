@@ -19,8 +19,7 @@ class DynInstr:
     """One in-flight instruction instance."""
 
     __slots__ = ("seq", "thread", "trace_idx", "entry", "deps", "consumers",
-                 "issued", "done", "completion_cycle", "is_trigger_dload",
-                 "decode_cycle")
+                 "issued", "done", "is_trigger_dload", "decode_cycle")
 
     def __init__(self, seq: int, thread: int, trace_idx: int,
                  entry: TraceEntry, decode_cycle: int):
@@ -34,15 +33,10 @@ class DynInstr:
         self.consumers: list[DynInstr] = []
         self.issued = False
         self.done = False
-        self.completion_cycle = -1
         #: True for the p-thread instance of the d-load that triggered the
         #: current pre-execution mode (its completion ends the mode).
         self.is_trigger_dload = False
         self.decode_cycle = decode_cycle
-
-    @property
-    def ready(self) -> bool:
-        return self.deps == 0 and not self.issued
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         t = "P" if self.thread else "M"

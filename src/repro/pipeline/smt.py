@@ -39,14 +39,19 @@ from ..observe.events import (COMMIT, COMPLETE, DECODE, EXTRACT, FETCH, FILL,
                               ISSUE, MISPREDICT, MODE, MODE_NAMES, PREFETCH,
                               TraceEvent)
 from ..observe.sampler import IntervalSampler
-from ..observe.sinks import TraceSink
+from ..observe.sinks import TraceSink, kind_sinks
 from .dyninst import DynInstr, MAIN_THREAD, P_THREAD
-from .funits import FUPool
+from .funits import FU_OF_CLASS, FUPool
 from .ifq import IFQSlot, InstructionFetchQueue
 from .stats import PipelineResult, PipelineStats
 
 # Pre-execution mode states.
 _IDLE, _DRAIN, _COPY, _ACTIVE = range(4)
+
+#: Op class -> functional-unit kind and -> execution latency as lists the
+#: issue loop indexes per instruction; the dicts stay the definitions.
+_FU_KIND = [FU_OF_CLASS[c] for c in range(len(FU_OF_CLASS))]
+_LATENCY = [OP_LATENCY[c] for c in range(len(OP_LATENCY))]
 
 
 def trace_flags(trace: Trace, table: PThreadTable
@@ -102,9 +107,12 @@ class TimingSimulator:
                  policy=None):
         self.trace = trace
         self.config = config
-        #: observability hooks — every emit site checks ``is not None``
-        #: first, so an untraced run pays one predictable branch per site.
-        self._tracer = tracer
+        #: observability hooks.  ``_sinks`` maps each event kind to the
+        #: tracer if it keeps that kind, else to None; every emit site
+        #: tests its kind's entry for ``is None`` before building an
+        #: event, so an untraced run pays one predictable branch per site
+        #: and a filtered one builds only the events its sink keeps.
+        self._sinks = kind_sinks(tracer)
         self._sampler = sampler
         self.table = table if (table is not None and config.spear_enabled) \
             else PThreadTable.empty()
@@ -258,9 +266,12 @@ class TimingSimulator:
     def _run_loop(self, stop: int) -> None:
         # The per-cycle loop dominates wall clock; everything invariant is
         # hoisted into locals, the rare phases (complete / commit / mode
-        # tick / issue) are only dispatched when their guard says they have
-        # work, and the every-cycle phases (decode, fetch) are inlined —
-        # semantics are identical to calling each phase unconditionally.
+        # tick / issue / extract / wrong-path fetch) are only dispatched
+        # when their guard says they have work, and the every-cycle phases
+        # (decode, fetch) are inlined — semantics are identical to calling
+        # each phase unconditionally.  Values that change within a run
+        # (IFQ and RUU room, the pending trigger) live in locals for one
+        # cycle at most, so ``step()`` reaches ``run()``'s state.
         # Resumable: accumulators seed from the stats fields and flush back
         # on exit, so any split of a run into ``_run_loop`` calls (one big
         # one, per-cycle steps, fast-forward jumps) leaves identical state.
@@ -294,8 +305,10 @@ class TimingSimulator:
         store_map = self._store_map
         main_ready = self._main_ready
         predict_and_update = self.predictor.predict_and_update
-        tracer = self._tracer
-        trace_on = tracer is not None   # plain-bool guard: cheapest test
+        sinks = self._sinks
+        fetch_sink = sinks[FETCH]
+        decode_sink = sinks[DECODE]
+        mispredict_sink = sinks[MISPREDICT]
         sampler = self._sampler
         sampling = sampler is not None
         sample_interval = sampler.interval if sampling else 0
@@ -331,30 +344,44 @@ class TimingSimulator:
             if rob and rob[0].done:
                 self._commit()
             mode = self._mode
-            if mode != _IDLE:
+            if mode == _IDLE:
+                if spear and marked_queue and (
+                        chaining or len(ifq_slots) >= trigger_occ):
+                    # With chaining triggers the occupancy requirement is
+                    # waived (see _try_retrigger), so the fast-path guard
+                    # must not swallow low-occupancy retriggers under that
+                    # config.
+                    self._try_retrigger()
+                    mode = self._mode
+            elif mode != _ACTIVE:
+                # DRAIN or COPY: the mode tick has nothing to do in ACTIVE.
                 self._spear_mode_tick()
-                mode = self._mode
-            elif spear and marked_queue and (chaining
-                                             or len(ifq_slots) >= trigger_occ):
-                # With chaining triggers the occupancy requirement is waived
-                # (see _try_retrigger), so the fast-path guard must not
-                # swallow low-occupancy retriggers under that config.
-                self._try_retrigger()
                 mode = self._mode
             if self._pt_ready or main_ready:
                 self._issue()
-            extracted = self._extract() if mode == _ACTIVE else 0
+            if (mode == _ACTIVE and not self._trigger_extracted
+                    and marked_queue):
+                extracted = self._extract()
+            else:
+                extracted = 0
 
             # ---- decode / rename (inlined _decode) -----------------------
             if ifq_slots:
                 budget = decode_width - extracted
                 barrier_seq = self._barrier_seq
                 next_seq = self._next_seq
+                # Counted down per decoded instruction, this cycle only.
+                ruu_room = ruu_size - len(rob)
+                # The trigger d-load the main thread must not reach while
+                # its mode is still pending (not yet extracted); -1: none.
+                pending = (self._trigger_trace_idx
+                           if self._mode != _IDLE
+                           and not self._trigger_extracted else -1)
                 while budget > 0:
                     if not ifq_slots:
                         stats.decode_stall_empty_ifq += 1
                         break
-                    if len(rob) >= ruu_size:
+                    if ruu_room <= 0:
                         stats.decode_stall_ruu_full += 1
                         break
                     head = ifq_slots[0]
@@ -368,15 +395,19 @@ class TimingSimulator:
                         # until the branch resolves and flushes them.
                         break
                     slot = ifq_slots.popleft()
-                    # Main thread caught up with an untriggered or still-
-                    # pending pre-execution target: pre-executing it would
-                    # be pointless.
-                    if (self._mode != _IDLE and not self._trigger_extracted
-                            and slot.trace_idx == self._trigger_trace_idx):
+                    trace_idx = slot.trace_idx
+                    if trace_idx == pending:
+                        # Main thread caught up with an untriggered or
+                        # still-pending pre-execution target: pre-executing
+                        # it would be pointless.  Ending the mode may
+                        # retrigger on a younger d-load, so re-read.
                         sstats.modes_aborted += 1
                         self._end_mode()
-                    entry = entries[slot.trace_idx]
-                    instr = DynInstr(next_seq, MAIN_THREAD, slot.trace_idx,
+                        pending = (self._trigger_trace_idx
+                                   if self._mode != _IDLE
+                                   and not self._trigger_extracted else -1)
+                    entry = entries[trace_idx]
+                    instr = DynInstr(next_seq, MAIN_THREAD, trace_idx,
                                      entry, cycle)
                     next_seq += 1
                     for r in entry.srcs:
@@ -394,10 +425,11 @@ class TimingSimulator:
                     if entry.is_store:
                         store_map[entry.addr >> 3] = instr
                     rob.append(instr)
+                    ruu_room -= 1
                     decoded_total += 1
-                    if trace_on:
-                        tracer.emit(TraceEvent(cycle, DECODE, MAIN_THREAD,
-                                               entry.pc, slot.trace_idx))
+                    if decode_sink is not None:
+                        decode_sink.emit(TraceEvent(cycle, DECODE, MAIN_THREAD,
+                                                    entry.pc, trace_idx))
                     if instr.deps == 0:
                         main_ready.append(instr)
                     budget -= 1
@@ -413,12 +445,13 @@ class TimingSimulator:
             if self._await_branch_idx >= 0:
                 stats.fetch_stall_mispredict += 1
                 if wp_mode == "bubbles":
-                    for _ in range(fetch_width):
-                        if len(ifq_slots) >= ifq_size:
-                            break
+                    for _ in range(min(fetch_width,
+                                       ifq_size - len(ifq_slots))):
                         ifq.push_bubble()
                         stats.wrong_path_fetched += 1
-                elif wp_mode == "reconverge":
+                elif (wp_mode == "reconverge" and len(ifq_slots) < ifq_size
+                      and self._fetch_idx < n):
+                    # Its own first checks: skip the call when they fail.
                     self._fetch_wrong_path_reconvergent()
             elif cycle < self._fetch_resume_cycle:
                 stats.fetch_stall_mispredict += 1
@@ -426,8 +459,10 @@ class TimingSimulator:
                 fetched = 0
                 idx = self._fetch_idx
                 seq = ifq._next_seq
+                # Counted up per fetched instruction, this cycle only.
+                occupancy = len(ifq_slots)
                 while fetched < fetch_width and idx < n:
-                    if len(ifq_slots) >= ifq_size:
+                    if occupancy >= ifq_size:
                         stats.fetch_stall_ifq_full += 1
                         break
                     entry = entries[idx]
@@ -436,18 +471,19 @@ class TimingSimulator:
                                    is_dload != 0)
                     seq += 1
                     ifq_slots.append(slot)
+                    occupancy += 1
                     if slot.marked:
                         marked_queue.append(slot)
-                    if trace_on:
-                        tracer.emit(TraceEvent(cycle, FETCH, MAIN_THREAD,
-                                               entry.pc, idx))
+                    if fetch_sink is not None:
+                        fetch_sink.emit(TraceEvent(cycle, FETCH, MAIN_THREAD,
+                                                   entry.pc, idx))
                     idx += 1
                     fetched += 1
 
                     if is_dload:
                         if self._mode != _IDLE:
                             sstats.triggers_blocked += 1
-                        elif len(ifq_slots) >= trigger_occ:
+                        elif occupancy >= trigger_occ:
                             ifq._next_seq = seq
                             self._begin_trigger(idx - 1, slot.seq)
                         else:
@@ -459,8 +495,8 @@ class TimingSimulator:
                         if not correct:
                             stats.mispredicts += 1
                             self._await_branch_idx = idx - 1
-                            if tracer is not None:
-                                tracer.emit(TraceEvent(
+                            if mispredict_sink is not None:
+                                mispredict_sink.emit(TraceEvent(
                                     cycle, MISPREDICT, MAIN_THREAD, entry.pc,
                                     idx - 1, "taken" if entry.taken else
                                     "not-taken"))
@@ -575,14 +611,14 @@ class TimingSimulator:
         (the run loop pops the event list and skips the call when empty)."""
         main_ready = self._main_ready
         pt_ready = self._pt_ready
-        tracer = self._tracer
-        if tracer is not None:
+        sink = self._sinks[COMPLETE]
+        if sink is not None:
             # Pre-pass keeps the completion loop itself branch-free for
             # the (default) untraced run.
             cycle = self._cycle
             for instr in finished:
-                tracer.emit(TraceEvent(cycle, COMPLETE, instr.thread,
-                                       instr.entry.pc, instr.trace_idx))
+                sink.emit(TraceEvent(cycle, COMPLETE, instr.thread,
+                                     instr.entry.pc, instr.trace_idx))
         completed_by_thread = self._completed_by_thread
         for instr in finished:
             instr.done = True
@@ -620,14 +656,14 @@ class TimingSimulator:
         budget = self.config.commit_width
         last_writer = self._last_writer
         store_map = self._store_map
-        tracer = self._tracer
+        sink = self._sinks[COMMIT]
         cycle = self._cycle
         while budget and rob and rob[0].done:
             instr = rob.popleft()
             e = instr.entry
-            if tracer is not None:
-                tracer.emit(TraceEvent(cycle, COMMIT, MAIN_THREAD, e.pc,
-                                       instr.trace_idx))
+            if sink is not None:
+                sink.emit(TraceEvent(cycle, COMMIT, MAIN_THREAD, e.pc,
+                                     instr.trace_idx))
             if e.dst >= 0 and last_writer.get(e.dst) is instr:
                 del last_writer[e.dst]
             if e.is_store:
@@ -642,12 +678,13 @@ class TimingSimulator:
     # ------------------------------------------------------------------
 
     def _spear_mode_tick(self) -> None:
-        # Only called with a mode in flight: the run loop routes idle-time
-        # dormant-d-load wakeups straight to _try_retrigger.
+        # Only called in DRAIN or COPY: the run loop routes idle-time
+        # dormant-d-load wakeups straight to _try_retrigger, and ACTIVE
+        # has nothing to tick.
         if self._mode == _DRAIN:
             if self._drain_satisfied():
                 self._mode = _COPY
-                if self._tracer is not None:
+                if self._sinks[MODE] is not None:
                     self._emit_mode(_DRAIN, _COPY)
                 if self._copy_remaining == 0:
                     self._begin_active()
@@ -660,13 +697,13 @@ class TimingSimulator:
                 self._begin_active()
 
     def _emit_mode(self, old: int, new: int) -> None:
-        self._tracer.emit(TraceEvent(
+        self._sinks[MODE].emit(TraceEvent(
             self._cycle, MODE, -1, -1, -1,
             f"{MODE_NAMES[old]}->{MODE_NAMES[new]}"))
 
     def _begin_active(self) -> None:
         self._mode = _ACTIVE
-        if self._tracer is not None:
+        if self._sinks[MODE] is not None:
             self._emit_mode(_COPY, _ACTIVE)
         # Live-in semantics: the p-thread starts from the main thread's
         # architectural register state.  Any register whose main-thread
@@ -698,7 +735,7 @@ class TimingSimulator:
         pc = self._entries[trace_idx].pc
         pthread = self.table[pc]
         self._mode = _DRAIN
-        if self._tracer is not None:
+        if self._sinks[MODE] is not None:
             self._emit_mode(_IDLE, _DRAIN)
         self._trigger_trace_idx = trace_idx
         self._trigger_extracted = False
@@ -717,7 +754,7 @@ class TimingSimulator:
         old = self._mode
         self._mode = _IDLE
         self._trigger_trace_idx = -1
-        if self._tracer is not None:
+        if self._sinks[MODE] is not None:
             self._emit_mode(old, _IDLE)
         self._try_retrigger()
 
@@ -748,8 +785,11 @@ class TimingSimulator:
     # ------------------------------------------------------------------
 
     def _extract(self) -> int:
-        if self._trigger_extracted or not self.ifq.marked_queue:
-            return 0
+        """Copy marked IFQ entries into the p-thread; returns how many.
+
+        The run loop calls it only in ACTIVE mode with the trigger d-load
+        not yet extracted and the marked queue non-empty.
+        """
         cfg = self.config
         sstats = self.stats.spear
         budget = cfg.extract_width
@@ -807,8 +847,9 @@ class TimingSimulator:
             ptlw[entry.dst] = instr
         if trace_idx == self._trigger_trace_idx:
             instr.is_trigger_dload = True
-        if self._tracer is not None:
-            self._tracer.emit(TraceEvent(
+        sink = self._sinks[EXTRACT]
+        if sink is not None:
+            sink.emit(TraceEvent(
                 self._cycle, EXTRACT, P_THREAD, entry.pc, trace_idx,
                 "trigger" if instr.is_trigger_dload else ""))
         self._pt_inflight += 1
@@ -828,9 +869,10 @@ class TimingSimulator:
         cfg = self.config
         fu_main = self._fu_main
         fu_pt = self._fu_pt
-        fu_main.begin_cycle()
+        # A new cycle's units (FUPool.begin_cycle, without the call).
+        fu_main._avail[:] = fu_main._capacity
         if fu_pt is not fu_main:
-            fu_pt.begin_cycle()
+            fu_pt._avail[:] = fu_pt._capacity
 
         budget = cfg.issue_width
         # Dedicated-FU models give the p-thread its own issue path (the
@@ -854,7 +896,11 @@ class TimingSimulator:
 
     def _issue_from(self, ready: list[DynInstr], pool: FUPool, budget: int,
                     decode_before: int) -> int:
-        """Issue up to ``budget`` ready instructions; returns count issued."""
+        """Issue up to ``budget`` ready instructions; returns count issued.
+
+        Claims units from ``pool``'s availability list directly (what
+        :meth:`FUPool.take` does, without a call per instruction).
+        """
         if budget <= 0 or not ready:
             return 0
         issued = 0
@@ -863,10 +909,12 @@ class TimingSimulator:
         cycle = self._cycle
         mem = self.mem
         stats = self.stats
-        take = pool.take
+        avail = pool._avail
+        fu_kind = _FU_KIND
+        latency = _LATENCY
         prefetch_active = self._prefetch_active
-        tracer = self._tracer
-        trace_on = tracer is not None
+        sinks = self._sinks
+        issue_sink = sinks[ISSUE]
         for idx, instr in enumerate(ready):
             if issued >= budget:
                 leftovers.extend(ready[idx:])
@@ -876,43 +924,48 @@ class TimingSimulator:
                 leftovers.append(instr)
                 continue
             e = instr.entry
-            if not take(e.op_class):
+            kind = fu_kind[e.op_class]
+            if not avail[kind]:
+                pool.conflicts[kind] += 1
                 stats.issue_fu_conflicts += 1
                 leftovers.append(instr)
                 continue
+            avail[kind] -= 1
             if e.is_load:
                 lat = mem.access(e.addr, thread=instr.thread, now=cycle)
                 comp = cycle + (lat if lat > 1 else 1)
-                if trace_on:
-                    tracer.emit(TraceEvent(cycle, ISSUE, instr.thread, e.pc,
-                                           instr.trace_idx, f"load:{lat}"))
+                if issue_sink is not None:
+                    issue_sink.emit(TraceEvent(cycle, ISSUE, instr.thread,
+                                               e.pc, instr.trace_idx,
+                                               f"load:{lat}"))
                 if prefetch_active and instr.thread == MAIN_THREAD:
+                    prefetch_sink = sinks[PREFETCH]
+                    fill_sink = sinks[FILL]
                     for target in self.prefetcher.observe(
                             e.pc, e.addr, lat > mem.latencies.l1):
-                        if trace_on:
-                            tracer.emit(TraceEvent(
+                        if prefetch_sink is not None:
+                            prefetch_sink.emit(TraceEvent(
                                 cycle, PREFETCH, MAIN_THREAD, e.pc,
                                 instr.trace_idx, f"{target:#x}"))
                         if mem.prefetch(target, now=cycle):
                             self.prefetcher.stats.useful_hint += 1
-                            if trace_on:
-                                tracer.emit(TraceEvent(
+                            if fill_sink is not None:
+                                fill_sink.emit(TraceEvent(
                                     cycle, FILL, MAIN_THREAD, e.pc,
                                     instr.trace_idx, f"{target:#x}"))
             elif e.is_store:
                 mem.access(e.addr, is_write=True, thread=instr.thread,
                            now=cycle)
                 comp = cycle + 1
-                if trace_on:
-                    tracer.emit(TraceEvent(cycle, ISSUE, instr.thread, e.pc,
-                                           instr.trace_idx, "store"))
+                if issue_sink is not None:
+                    issue_sink.emit(TraceEvent(cycle, ISSUE, instr.thread,
+                                               e.pc, instr.trace_idx, "store"))
             else:
-                comp = cycle + OP_LATENCY[e.op_class]
-                if trace_on:
-                    tracer.emit(TraceEvent(cycle, ISSUE, instr.thread, e.pc,
-                                           instr.trace_idx))
+                comp = cycle + latency[e.op_class]
+                if issue_sink is not None:
+                    issue_sink.emit(TraceEvent(cycle, ISSUE, instr.thread,
+                                               e.pc, instr.trace_idx))
             instr.issued = True
-            instr.completion_cycle = comp
             lst = events.get(comp)
             if lst is None:
                 events[comp] = [instr]
@@ -950,6 +1003,7 @@ class TimingSimulator:
         n = len(entries)
         marked_flags = self._marked_flags
         dload_flags = self._dload_flags
+        sink = self._sinks[FETCH]
         fetched = 0
         while fetched < cfg.fetch_width and self._fetch_idx < n:
             if len(ifq_slots) >= ifq_size:
@@ -966,9 +1020,9 @@ class TimingSimulator:
             is_dload = dload_flags[idx]
             slot = ifq.push(idx, marked=marked_flags[idx] != 0,
                             is_dload=is_dload != 0)
-            if self._tracer is not None:
-                self._tracer.emit(TraceEvent(self._cycle, FETCH, MAIN_THREAD,
-                                             entry.pc, idx, "wrong-path"))
+            if sink is not None:
+                sink.emit(TraceEvent(self._cycle, FETCH, MAIN_THREAD,
+                                     entry.pc, idx, "wrong-path"))
             self._fetch_idx += 1
             fetched += 1
             stats.wrong_path_fetched += 1

@@ -25,11 +25,13 @@ decision sequence exactly.
 
 Decisions are recorded as a flat series (rendered by ``repro analyze
 --timeline`` and attached to ``PipelineResult.timeline["policy"]``) and
-emitted as ``policy-decision`` trace events when a tracer is attached.
+emitted as ``policy-decision`` trace events when the attached tracer
+keeps that kind.
 """
 
 from __future__ import annotations
 
+from ..observe.events import POLICY, TraceEvent
 from .base import LEVELS, PolicySignals, propose, start_level
 
 #: Windows to sit out after an adopt or revert before proposing again.
@@ -162,10 +164,9 @@ class PhaseController:
         self.decisions.append({"cycle": cycle, "action": action,
                                "level": level, "fraction": frac,
                                "chaining": int(chain), "reason": reason})
-        tracer = sim._tracer
-        if tracer is not None:
-            from ..observe.events import POLICY, TraceEvent
-            tracer.emit(TraceEvent(
+        sink = sim._sinks[POLICY]
+        if sink is not None:
+            sink.emit(TraceEvent(
                 cycle, POLICY,
                 info=f"{action} level=L{level} frac={frac:g} "
                      f"chain={'on' if chain else 'off'}"

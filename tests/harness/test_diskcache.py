@@ -9,6 +9,7 @@ from repro.core import BASELINE, SPEAR_128
 from repro.harness import (DiskCache, ExperimentRunner, default_cache_dir,
                            figure6)
 from repro.harness import diskcache as diskcache_mod
+from repro.harness.runner import TraceSpec
 
 
 @pytest.fixture()
@@ -66,6 +67,22 @@ class TestInvalidation:
         r2 = ExperimentRunner(instruction_scale=0.10, cache=cache)
         assert (cache.key_for("artifacts", r1._artifact_payload("pointer"))
                 != cache.key_for("artifacts", r2._artifact_payload("pointer")))
+
+    def test_empty_trace_kinds_cannot_alias_every_kind(self, cache):
+        # An empty kind filter keeps no event.  Sharing the unfiltered
+        # capture's cache key would hand a later unfiltered request an
+        # empty trace, so it is rejected before anything runs.
+        with pytest.raises(ValueError):
+            TraceSpec(kinds=())
+        runner = ExperimentRunner(instruction_scale=0.05, cache=cache)
+        with pytest.raises(ValueError):
+            runner.run_traced("pointer", SPEAR_128, kinds=())
+        assert runner.simulations == 0
+        fresh = ExperimentRunner(instruction_scale=0.05, cache=cache)
+        traced = fresh.run_traced("pointer", SPEAR_128)
+        assert fresh.simulations == 1 and traced.emitted > 0
+        assert TraceSpec(kinds=("mode",)).payload()["kinds"] == ["mode"]
+        assert TraceSpec().payload()["kinds"] is None
 
     def test_config_in_result_key(self, cache):
         r = ExperimentRunner(instruction_scale=0.05, cache=cache)

@@ -40,6 +40,13 @@ class TestRingBufferSink:
         assert sink.emitted == 1
         assert [e.kind for e in sink.events()] == ["mode"]
 
+    def test_kinds_is_the_read_only_subscription(self):
+        assert RingBufferSink().kinds is None
+        sink = RingBufferSink(kinds=["mode", "fill"])
+        assert sink.kinds == frozenset({"mode", "fill"})
+        with pytest.raises(AttributeError):
+            sink.kinds = None
+
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             RingBufferSink(capacity=0)
@@ -75,5 +82,6 @@ class TestJsonlStreamSink:
     def test_kind_filter(self):
         buf = io.StringIO()
         sink = JsonlStreamSink(buf, kinds=["issue"])
+        assert sink.kinds == frozenset({"issue"})
         sink.emit(TraceEvent(0, "commit"))
         assert buf.getvalue() == "" and sink.emitted == 0

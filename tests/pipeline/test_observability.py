@@ -11,7 +11,8 @@ from repro.functional import Trace, TraceEntry
 from repro.isa import OpClass
 from repro.memory import MemoryHierarchy
 from repro.observe import (COMMIT, DECODE, EXTRACT, MISPREDICT, MODE,
-                           IntervalSampler, RingBufferSink, serialize_events)
+                           POLICY, IntervalSampler, RingBufferSink,
+                           serialize_events)
 from repro.pipeline import TimingSimulator
 
 INT_ALU = int(OpClass.INT_ALU)
@@ -105,6 +106,47 @@ class TestTracerDisabled:
         trace = gather_like_trace(iters=20)
         res = TimingSimulator(trace, BASELINE, None).run()
         assert res.timeline is None
+
+
+class _RecordingSink:
+    """Keeps every event the simulator offers, whatever its subscription,
+    so a test sees which events were built at all."""
+
+    def __init__(self, kinds):
+        self.kinds = frozenset(kinds)
+        self.offered = []
+
+    def emit(self, event):
+        self.offered.append(event)
+
+    def close(self):
+        pass
+
+
+class TestSubscribedKinds:
+    def test_only_subscribed_kinds_are_built(self):
+        sink = _RecordingSink({EXTRACT})
+        res = TimingSimulator(
+            gather_like_trace(), SPEAR_128, table_for(),
+            MemoryHierarchy(latencies=SPEAR_128.latencies),
+            tracer=sink).run()
+        assert {e.kind for e in sink.offered} == {EXTRACT}
+        assert len(sink.offered) == res.stats.spear.extracted > 0
+
+    def test_policy_site_follows_the_subscription(self):
+        from repro.policy.controller import PhaseController
+
+        def offered(kinds):
+            sink = _RecordingSink(kinds)
+            TimingSimulator(gather_like_trace(), SPEAR_128, table_for(),
+                            MemoryHierarchy(latencies=SPEAR_128.latencies),
+                            tracer=sink,
+                            policy=PhaseController(SPEAR_128,
+                                                   interval=500)).run()
+            return {e.kind for e in sink.offered}
+
+        assert offered({POLICY}) == {POLICY}
+        assert offered({MODE}) == {MODE}
 
 
 class TestDeterminism:

@@ -145,12 +145,14 @@ def test_propose_holds_when_balanced():
 
 class _StubSim:
     """Just enough simulator surface for the controller: live fill
-    counters, the committed count, and the two knobs it mutates."""
+    counters, the committed count, the two knobs it mutates, and the
+    sink it emits ``policy-decision`` events to."""
 
     def __init__(self, config=SPEAR_128, tracer=None):
+        from repro.observe.events import POLICY
         self.config = config
         self._committed = 0
-        self._tracer = tracer
+        self._sinks = {POLICY: tracer}
         self._trigger_occ = config.trigger_occupancy
         self._chaining = config.chaining
         self._fills = SimpleNamespace(fills=0, timely=0, late=0, unused=0,

@@ -13,7 +13,10 @@ the system leans on:
   functional trace, no instruction duplicated or dropped;
 * **observer neutrality** — attaching the tracer and sampler never
   changes a run's architectural stats (the tracer-is-None fast path and
-  the instrumented path agree).
+  the instrumented path agree);
+* **subscription fidelity** — a sink subscribed to some event kinds
+  receives exactly those kinds' events of the full stream, although the
+  simulator builds no event of any other kind.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from repro.core import PThread, PThreadTable
 from repro.core.configs import BASELINE, BASELINE_STRIDE, SPEAR_128
 from repro.functional import run_program
 from repro.memory import MemoryHierarchy
-from repro.observe import IntervalSampler, RingBufferSink
+from repro.observe import (EVENT_KINDS, IntervalSampler, RingBufferSink,
+                           filter_events)
 
 from ..conftest import build_gather_program, gather_load_pcs
 from .generators import build_random_program, iters_strategy, ops_strategy
@@ -38,15 +42,31 @@ baseline_configs = st.sampled_from([BASELINE, BASELINE_STRIDE])
 gather_seeds = st.integers(0, 7)
 gather_iters = st.integers(100, 300)
 
+kind_subsets = st.frozensets(st.sampled_from(EVENT_KINDS), min_size=1)
 
-def simulate(trace, config, table=None, *, traced=False):
+
+def simulate(trace, config, table=None, *, traced=False, tracer=None):
     from repro.pipeline import TimingSimulator
-    tracer = RingBufferSink(capacity=None) if traced else None
+    if traced and tracer is None:
+        tracer = RingBufferSink(capacity=None)
     sampler = IntervalSampler(500) if traced else None
     sim = TimingSimulator(trace, config, table,
                           MemoryHierarchy(latencies=config.latencies),
                           tracer=tracer, sampler=sampler)
     return sim.run()
+
+
+def check_subscription(trace, config, kinds, table=None):
+    """A sink subscribed to ``kinds`` gets the full stream's events of
+    those kinds, and the run matches the untraced one."""
+    full = RingBufferSink(capacity=None)
+    simulate(trace, config, table, traced=True, tracer=full)
+    subscribed = RingBufferSink(capacity=None, kinds=kinds)
+    observed = simulate(trace, config, table, traced=True, tracer=subscribed)
+    assert subscribed.events() == filter_events(full.events(), kinds=kinds)
+    plain = simulate(trace, config, table)
+    assert observed.stats == plain.stats
+    assert observed.memory == plain.memory
 
 
 def gather_setup(seed: int, iters: int):
@@ -131,3 +151,19 @@ def test_tracer_never_changes_results_spear(seed, iters):
     observed = simulate(trace, SPEAR_128, table, traced=True)
     assert observed.stats == plain.stats
     assert observed.memory == plain.memory
+
+
+@settings(**SETTINGS)
+@given(ops=ops_strategy, iters=iters_strategy, config=baseline_configs,
+       kinds=kind_subsets)
+def test_subscribed_sink_gets_filtered_stream(ops, iters, config, kinds):
+    trace = run_program(build_random_program(ops, iters),
+                        max_instructions=20_000)
+    check_subscription(trace, config, kinds)
+
+
+@settings(**SETTINGS)
+@given(seed=gather_seeds, iters=gather_iters, kinds=kind_subsets)
+def test_subscribed_sink_gets_filtered_stream_spear(seed, iters, kinds):
+    trace, table = gather_setup(seed, iters)
+    check_subscription(trace, SPEAR_128, kinds, table)

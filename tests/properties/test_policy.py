@@ -23,7 +23,7 @@ import pytest
 from repro.core.configs import BASELINE, SPEAR_128
 from repro.harness import (DiskCache, ExecutionPolicy, ExperimentRunner,
                            RunJournal, ablate_policy, ablate_policy_cells,
-                           run_cells)
+                           report_trace_spec, run_cells)
 from repro.observe import serialize_events
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,20 @@ GOLDEN_TRACED = {
         "3c5da669ecea4d7d7a64aeaa72e5ff19f09786000c993f75a39c349d6f87e425",
     ("fzgain", "SPEAR-128"):
         "89ef1fe12ad08909a712092d6bf3a433921e2d4ac8912bb591fc08166092209b",
+}
+
+#: ``report_trace_spec()`` captures (pre-execution kinds only, unbounded),
+#: recorded before the simulator learned to build only the kinds a sink
+#: keeps: the filtered capture must not move.
+GOLDEN_REPORT_TRACED = {
+    ("ll4", "baseline"):
+        "87d49d404d90b3aa055d656546b5ba69ac6e55895ed1153ab72318ad8d36203a",
+    ("ll4", "SPEAR-128"):
+        "c0f3d6f63c209f4dbfa49c4623d987282cc7388de5ffa683d49de6cbd6698893",
+    ("mcf", "baseline"):
+        "6ee1ce07320567494be674673eca07e9907e60f3f4e32d575e11180289fa2c13",
+    ("mcf", "SPEAR-128"):
+        "43851f134e7deb8ad9a1c7179f1568a2e2bf7704e5689a8926dbb345e4649840",
 }
 
 CONFIGS = {"baseline": BASELINE, "SPEAR-128": SPEAR_128}
@@ -98,6 +112,13 @@ def test_fixed_policy_traces_match_pre_policy_golden(full_runner, workload,
                                                      config):
     tr = full_runner.run_traced(workload, CONFIGS[config], policy="fixed")
     assert traced_digest(tr) == GOLDEN_TRACED[workload, config]
+
+
+@pytest.mark.parametrize("workload,config", sorted(GOLDEN_REPORT_TRACED))
+def test_report_spec_traces_match_golden(full_runner, workload, config):
+    tr = full_runner.run_traced(workload, CONFIGS[config],
+                                spec=report_trace_spec())
+    assert traced_digest(tr) == GOLDEN_REPORT_TRACED[workload, config]
 
 
 # ---------------------------------------------------------------------------
