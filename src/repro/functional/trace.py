@@ -10,9 +10,11 @@ functional layer and both consumers:
   cycle-level SMT pipeline — the oracle-trace substitution documented in
   DESIGN.md §2.
 
-Traces are also the bulk of every cached workload artifact, so a
-:class:`Trace` pickles in columns (see :meth:`Trace.__reduce__`) rather
-than one :class:`TraceEntry` object at a time.
+Traces are also the bulk of every cached workload artifact.  Most entries
+touch no memory, and those are shared, one object per static instruction
+and branch outcome; a :class:`Trace` pickles each distinct row once (see
+:meth:`Trace.__reduce__`) rather than one :class:`TraceEntry` object at a
+time.
 """
 
 from __future__ import annotations
@@ -27,8 +29,14 @@ class TraceEntry:
     """One dynamic instruction on the committed path.
 
     Attributes are deliberately flat scalars/tuples — this object is
-    allocated once per simulated instruction and read many times in the
-    timing model's inner loop.
+    read many times in the timing model's inner loop.
+
+    Entries are shared: every instruction but a load or a store has no
+    address (``addr == -1``), and a traced run or an unpickled trace
+    holds one entry per (pc, taken) pair of those, however often it
+    executes.  Only loads and stores get an entry each.  So no code may
+    write an entry's fields after construction, or tell two entries
+    apart by identity.
     """
 
     __slots__ = ("pc", "op_class", "srcs", "dst", "addr", "taken",
@@ -56,7 +64,11 @@ class TraceEntry:
 
 
 class Trace:
-    """A complete committed-path trace plus summary statistics."""
+    """A complete committed-path trace plus summary statistics.
+
+    ``entries`` may hold one :class:`TraceEntry` object many times (see
+    there), so treat them as read-only values.
+    """
 
     __slots__ = ("entries", "program_name", "halted", "instret")
 
@@ -78,29 +90,42 @@ class Trace:
         return self.entries[i]
 
     def __reduce__(self):
-        """Pickle in columns: ``pc`` and ``addr`` as ``array('q')``,
-        ``taken`` as one byte per entry, and per entry an index into the
-        table of distinct static tuples (:data:`_static_fields`) — a
-        program has few static instructions, so most entries cost one
-        small index instead of a pickled object.
+        """Pickle each distinct row once, and one row code per entry.
 
-        :func:`_trace_from_columns` rebuilds equal entries, field for
-        field and type for type (``taken`` must be a ``bool``, as the
-        functional simulator emits it).  There is deliberately no
-        ``__setstate__``: pickles written before this format still load
+        A row holds an entry's pc, static fields and ``taken``, plus its
+        ``addr`` when that is negative, in :class:`TraceEntry` argument
+        order (:data:`_entry_fields`, :data:`_row_fields`).  The pickle
+        holds three things: the table of distinct rows; one code per
+        entry, as ``array('H')`` or, past 65,536 rows, ``array('I')``;
+        and one ``array('q')`` with the addresses of the entries whose
+        row leaves ``addr`` out, in entry order.  A program has few
+        static instructions and most of them touch no memory, so most
+        entries cost one small code.
+
+        :func:`_trace_from_rows` rebuilds equal entries, field for field
+        and type for type, with one shared entry per row that holds
+        ``addr``.  Pickles in the earlier columnar format still load
+        through :func:`_trace_from_columns`, and there is deliberately
+        no ``__setstate__``: pickles written before either format load
         through the default slot restore.
         """
-        entries = self.entries
         index: dict[tuple, int] = {}
-        codes = [index.setdefault(s, len(index))
-                 for s in map(_static_fields, entries)]
-        return (_trace_from_columns, (
-            self.program_name, self.halted, self.instret,
-            array("q", map(attrgetter("pc"), entries)),
-            array("q", map(attrgetter("addr"), entries)),
-            bytes(map(attrgetter("taken"), entries)),
-            list(index),
-            array("H" if len(index) <= 1 << 16 else "I", codes)))
+        codes = []
+        addrs = array("q")
+        for entry in self.entries:
+            addr = entry.addr
+            if addr < 0:
+                row = _entry_fields(entry)
+            else:
+                row = _row_fields(entry)
+                addrs.append(addr)
+            code = index.get(row)
+            if code is None:
+                code = index[row] = len(index)
+            codes.append(code)
+        return (_trace_from_rows, (
+            self.program_name, self.halted, self.instret, list(index),
+            array("H" if len(index) <= 1 << 16 else "I", codes), addrs))
 
     # -- summary statistics --------------------------------------------------
 
@@ -124,18 +149,43 @@ class Trace:
         return self.count_loads() / len(self.entries) if self.entries else 0.0
 
 
-#: The entry fields a static instruction determines, in
-#: :class:`TraceEntry` argument order — one row of a pickled trace's
-#: static table.
-_static_fields = attrgetter("op_class", "srcs", "dst", "is_load",
-                            "is_store", "is_branch", "is_cond")
+#: Every entry field, in :class:`TraceEntry` argument order — the row of
+#: a pickled entry whose ``addr`` is negative.
+_entry_fields = attrgetter(*TraceEntry.__slots__)
+#: The same fields less ``addr`` — the row of an entry with an address.
+_row_fields = attrgetter(*(f for f in TraceEntry.__slots__ if f != "addr"))
+
+
+def _trace_from_rows(program_name: str, halted: bool, instret: int,
+                     rows: list[tuple], codes: array, addrs: array) -> Trace:
+    """Inverse of :meth:`Trace.__reduce__` (module level, so pickles
+    reference it by name)."""
+    # One entry for each row that holds its addr, shared by its codes.
+    shared = [TraceEntry(*row) if len(row) == len(TraceEntry.__slots__)
+              else None for row in rows]
+    entries = []
+    append = entries.append
+    next_addr = iter(addrs).__next__
+    for code in codes:
+        entry = shared[code]
+        if entry is None:
+            pc, op_class, srcs, dst, taken, is_load, is_store, is_branch, \
+                is_cond = rows[code]
+            entry = TraceEntry(pc, op_class, srcs, dst, next_addr(), taken,
+                               is_load, is_store, is_branch, is_cond)
+        append(entry)
+    trace = Trace(entries, program_name=program_name, halted=halted)
+    trace.instret = instret
+    return trace
 
 
 def _trace_from_columns(program_name: str, halted: bool, instret: int,
                         pcs: array, addrs: array, taken: bytes,
                         statics: list[tuple], codes: array) -> Trace:
-    """Inverse of :meth:`Trace.__reduce__` (module level, so pickles
-    reference it by name)."""
+    """Loader for traces pickled in the earlier columnar format: ``pc``
+    and ``addr`` columns, a ``taken`` byte per entry, and a code per
+    entry into a table of static tuples (``op_class, srcs, dst, is_load,
+    is_store, is_branch, is_cond``)."""
     entries = []
     append = entries.append
     for pc, addr, tk, code in zip(pcs, addrs, taken, codes):

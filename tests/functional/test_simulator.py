@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.functional import FunctionalSimulator, SimulationError
-from repro.isa import ProgramBuilder, assemble
+from repro.isa import (FP_BASE, LINK_REG, OP_INFO, Fmt, Instruction, Op,
+                       Program, ProgramBuilder, assemble)
 
 
 def run_asm(text, max_instructions=10_000):
@@ -331,3 +332,75 @@ class TestRunControl:
         assert s.read_fword(0x108) == 1.5
         s.write_ireg(2, 2 ** 64 + 3)   # wraps
         assert s.read_ireg(2) == 3
+
+
+#: Set-up for :func:`one_op_program`: r1 holds a word address, r3 a
+#: divisor and r5 the jump-register target (the trailing ``halt``).
+_PROLOGUE = [Instruction(Op.LI, rd=1, imm=0x100),
+             Instruction(Op.LI, rd=3, imm=7),
+             Instruction(Op.LI, rd=5, imm=4)]
+_TESTED_PC = len(_PROLOGUE)
+_HALT_PC = _TESTED_PC + 1
+
+
+def one_op_program(op: Op) -> Program:
+    """The prologue, one ``op`` with well-formed operands, then ``halt``.
+
+    Registers are fp or int as the opcode's metadata says; branches and
+    jumps target the ``halt``; memory operands address word 0x108.
+    """
+    info = OP_INFO[op]
+
+    def reg(fp: bool, i: int) -> int:
+        return FP_BASE + i if fp else i
+
+    link = LINK_REG if info.is_call else -1
+    fmt = info.fmt
+    if fmt == Fmt.R:
+        ins = Instruction(op, rd=reg(info.fp_dest, 2),
+                          rs1=reg(info.fp_src, 1), rs2=reg(info.fp_src, 3))
+    elif fmt == Fmt.I:
+        ins = Instruction(op, rd=2, rs1=1, imm=3)
+    elif fmt == Fmt.LI:
+        ins = Instruction(op, rd=2, imm=5)
+    elif fmt == Fmt.M:
+        value = (reg(info.fp_src, 3) if info.is_store
+                 else reg(info.fp_dest, 2))
+        ins = Instruction(op, rd=value, rs1=1, imm=8)
+    elif fmt == Fmt.B:
+        ins = Instruction(op, rs1=1, rs2=3, imm=_HALT_PC)
+    elif fmt == Fmt.BZ:
+        ins = Instruction(op, rs1=1, imm=_HALT_PC)
+    elif fmt == Fmt.J:
+        ins = Instruction(op, rd=link, imm=_HALT_PC)
+    elif fmt == Fmt.JR and info.is_branch:
+        ins = Instruction(op, rd=link, rs1=5)
+    elif fmt == Fmt.JR:
+        ins = Instruction(op, rd=reg(info.fp_dest, 2),
+                          rs1=reg(info.fp_src, 1))
+    else:
+        assert fmt == Fmt.N
+        ins = Instruction(op)
+    return Program(_PROLOGUE + [ins, Instruction(Op.HALT)],
+                   name=f"one-{op.name.lower()}")
+
+
+class TestEveryOpcode:
+    @pytest.mark.parametrize("op", list(Op), ids=lambda op: op.name)
+    def test_dispatches(self, op):
+        program = one_op_program(op)
+        sim = FunctionalSimulator(program)
+        trace = sim.run(100, trace=True)
+        assert sim.halted
+        if op == Op.HALT:
+            assert len(trace) == _TESTED_PC
+            assert sim.instret == _TESTED_PC + 1
+            return
+        ins = program.instructions[_TESTED_PC]
+        assert [e.pc for e in trace] == list(range(_HALT_PC))
+        e = trace[_TESTED_PC]
+        assert e.op_class == int(ins.op_class) and type(e.op_class) is int
+        assert (e.srcs, e.dst) == (ins.srcs, ins.dst)
+        assert (e.is_load, e.is_store, e.is_branch, e.is_cond) == \
+            (ins.is_load, ins.is_store, ins.is_branch, ins.is_conditional)
+        assert e.addr == (0x108 if ins.is_load or ins.is_store else -1)

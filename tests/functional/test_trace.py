@@ -21,6 +21,11 @@ j done
 done:
 nop
 halt"""
+#: The same program's trace, pickled in the columnar format that the
+#: row-coded one replaced: ``pc`` and ``addr`` columns, a ``taken`` byte
+#: per entry and a table of static tuples.
+COLUMNS_FORMAT_PICKLE = (Path(__file__).parent / "data"
+                         / "trace_columns_format.pkl")
 
 
 def trace_of(text, limit=10_000):
@@ -155,3 +160,36 @@ class TestPickle:
         old = pickle.loads(OLD_FORMAT_PICKLE.read_bytes())
         assert_same_trace(old, run_program(assemble(OLD_FORMAT_SOURCE),
                                            max_instructions=10_000))
+
+    def test_columns_format_pickle_still_loads(self):
+        back = pickle.loads(COLUMNS_FORMAT_PICKLE.read_bytes())
+        assert_same_trace(back, run_program(assemble(OLD_FORMAT_SOURCE),
+                                            max_instructions=10_000))
+
+    def test_past_65536_rows(self):
+        entries = [TraceEntry(pc, int(OpClass.INT_ALU), (1,), 2, -1, False,
+                              False, False, False, False)
+                   for pc in range((1 << 16) + 10)]
+        trace = Trace(entries, program_name="wide")
+        assert_same_trace(roundtrip(trace), trace)
+
+
+def split_by_address(trace):
+    """Map each (pc, taken) to its address-free entry, asserting that
+    there is one object per pair; and list the entries with an address."""
+    shared, addressed = {}, []
+    for e in trace:
+        if e.addr < 0:
+            assert shared.setdefault((e.pc, e.taken), e) is e, (e.pc, e.taken)
+        else:
+            addressed.append(e)
+    return shared, addressed
+
+
+class TestSharedEntries:
+    def test_one_object_per_pc_and_outcome(self, gather_trace):
+        for trace in (gather_trace, roundtrip(gather_trace)):
+            shared, addressed = split_by_address(trace)
+            assert len(shared) < len(trace) - len(addressed)
+            assert (len({id(e) for e in addressed}) == len(addressed)
+                    == trace.count_loads())
