@@ -27,15 +27,6 @@ report --suite       the whole-suite report: every workload (or a named
 figure {6,7,8,9}     regenerate a figure of the paper
 table {1,2,3}        regenerate a table of the paper
 journal show [RUN]   list run journals, or dump one run's JSONL events
-serve start          run the job daemon (unix/TCP socket, shared cache,
-                     supervised worker fleet, durable job journal)
-serve submit WORKLOAD   submit one simulation job (``--wait`` polls and
-                     prints the summary, byte-identical to ``run``)
-serve status [ID]    one job's state, or the whole job table
-serve result ID      fetch a finished job's summary (``--wait`` polls)
-serve stats          daemon + fleet + cache statistics (JSON)
-serve drain          finish every live job, then shut the daemon down
-serve stop           stop now; in-flight jobs resume on next start
 fuzz run             run a seeded differential-fuzzing campaign (triage
                      text on stdout is byte-deterministic at any --jobs;
                      --strict exits 1 on any divergence; --guided
@@ -113,10 +104,14 @@ def _add_policy(p: argparse.ArgumentParser) -> None:
                         "interval boundaries; see docs/adaptive-policy.md)")
 
 
-def _add_cache(p: argparse.ArgumentParser) -> None:
+def _add_cache_dir(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", default=None,
                    help="persistent artifact cache location "
                         "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
+
+
+def _add_cache(p: argparse.ArgumentParser) -> None:
+    _add_cache_dir(p)
     p.add_argument("--no-cache", action="store_true",
                    help="disable the persistent artifact cache")
     p.set_defaults(use_cache=True)
@@ -658,206 +653,6 @@ def cmd_journal_show(args) -> int:
     return 0
 
 
-# -- serve ------------------------------------------------------------------
-
-def _serve_state_dir(args) -> Path:
-    from .serve import default_state_dir
-    if getattr(args, "state_dir", None):
-        return Path(args.state_dir)
-    return default_state_dir(getattr(args, "cache_dir", None))
-
-
-def _serve_address(args) -> str:
-    """The daemon address a client command should dial: explicit
-    ``--address``, else the running daemon's ``server.json``, else the
-    default socket path under the state dir."""
-    if getattr(args, "address", None):
-        return args.address
-    from .serve import default_address, read_server_json
-    state_dir = _serve_state_dir(args)
-    info = read_server_json(state_dir)
-    if info and info.get("address"):
-        return info["address"]
-    return default_address(state_dir)
-
-
-def _serve_client(args):
-    from .serve import ServeClient
-    return ServeClient(_serve_address(args),
-                       timeout=getattr(args, "timeout", 60.0))
-
-
-def _print_job(resp: dict) -> None:
-    print(f"job    {resp['id']}")
-    bits = resp["state"]
-    if resp.get("deduped"):
-        bits += "  (deduped)"
-    if resp.get("detail"):
-        bits += f"  [{resp['detail']}]"
-    print(f"state  {bits}")
-
-
-def _print_result_response(resp: dict) -> None:
-    """Render a ``result`` response exactly like ``repro run`` renders a
-    summary (JSON float round-tripping is exact, so the bytes match)."""
-    summary = resp.get("summary")
-    rows = summary if isinstance(summary, list) else [summary]
-    for i, row in enumerate(rows):
-        if i:
-            print()
-        for key, value in row.items():
-            print(f"{key:18s} {value}")
-    trace = resp.get("trace")
-    if trace:
-        print(f"{'trace_events':18s} {trace['events']}")
-        print(f"{'trace_emitted':18s} {trace['emitted']}")
-        print(f"{'trace_dropped':18s} {trace['dropped']}")
-
-
-def cmd_serve_start(args) -> int:
-    import asyncio
-
-    from .serve import ServeServer
-    if getattr(args, "no_cache", False):
-        print("serve needs the disk cache (results live there); "
-              "drop --no-cache", file=sys.stderr)
-        return 2
-    from .harness.diskcache import parse_bytes
-    budget = None
-    if args.gc_budget:
-        try:
-            budget = parse_bytes(args.gc_budget)
-        except ValueError as exc:
-            print(f"bad --gc-budget: {exc}", file=sys.stderr)
-            return 2
-    runner = _runner(args)
-    state_dir = _serve_state_dir(args)
-    server = ServeServer(runner, state_dir, address=args.address,
-                         workers=_jobs(args), policy=_policy(args),
-                         max_jobs=args.max_jobs, gc_budget=budget)
-    print(f"serving on {server.address}  (state {state_dir})", flush=True)
-    asyncio.run(server.serve())
-    return 0
-
-
-def cmd_serve_submit(args) -> int:
-    from .serve import ServeError
-    spec: dict = {"workload": args.workload, "config": args.config}
-    if args.memory is not None:
-        spec["memory"] = args.memory
-    if getattr(args, "backend", None):
-        spec["backend"] = args.backend
-    if args.trace:
-        spec["trace"] = {"interval": args.interval,
-                         "capacity": args.capacity or None}
-    client = _serve_client(args)
-    try:
-        resp = client.submit(spec)
-    except ServeError as exc:
-        print(f"submit rejected ({exc.code}): {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"no daemon at {client.address}: {exc}", file=sys.stderr)
-        return 1
-    if not args.wait:
-        _print_job(resp)
-        return 0
-    return _wait_and_print(client, resp["id"], args.timeout)
-
-
-def _wait_and_print(client, job_id: str, timeout: float) -> int:
-    from .serve import ServeError
-    try:
-        result = client.wait_result(job_id, timeout=timeout)
-    except ServeError as exc:
-        print(f"job failed ({exc.code}): {exc}", file=sys.stderr)
-        return 1
-    except TimeoutError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    _print_result_response(result)
-    return 0
-
-
-def cmd_serve_status(args) -> int:
-    from .serve import ServeError
-    client = _serve_client(args)
-    try:
-        resp = client.status(args.id)
-    except ServeError as exc:
-        print(f"status failed ({exc.code}): {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"no daemon at {client.address}: {exc}", file=sys.stderr)
-        return 1
-    if args.id is not None:
-        resp.pop("ok", None)
-        print(json.dumps(resp, sort_keys=True, indent=2))
-        return 0
-    print(f"jobs {resp['jobs']}  queue {resp['queue']}  "
-          f"inflight {resp['inflight']}"
-          + ("  (draining)" if resp.get("draining") else ""))
-    for job_id, state in resp.get("ids", {}).items():
-        print(f"{state:8s} {job_id}")
-    return 0
-
-
-def cmd_serve_result(args) -> int:
-    from .serve import ServeError
-    client = _serve_client(args)
-    if args.wait:
-        return _wait_and_print(client, args.id, args.timeout)
-    try:
-        resp = client.result(args.id)
-    except ServeError as exc:
-        print(f"result unavailable ({exc.code}): {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"no daemon at {client.address}: {exc}", file=sys.stderr)
-        return 1
-    _print_result_response(resp)
-    return 0
-
-
-def cmd_serve_stats(args) -> int:
-    from .serve import ServeError
-    client = _serve_client(args)
-    try:
-        resp = client.stats()
-    except (ServeError, OSError) as exc:
-        print(f"stats failed: {exc}", file=sys.stderr)
-        return 1
-    resp.pop("ok", None)
-    print(json.dumps(resp, sort_keys=True, indent=2))
-    return 0
-
-
-def cmd_serve_drain(args) -> int:
-    from .serve import ServeError
-    client = _serve_client(args)
-    client.timeout = max(client.timeout, args.timeout)
-    try:
-        resp = client.drain()
-    except (ServeError, OSError) as exc:
-        print(f"drain failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"drained: {resp.get('done', 0)} done, "
-          f"{resp.get('failed', 0)} failed")
-    return 0
-
-
-def cmd_serve_stop(args) -> int:
-    from .serve import ServeError
-    client = _serve_client(args)
-    try:
-        client.stop()
-    except (ServeError, OSError) as exc:
-        print(f"stop failed: {exc}", file=sys.stderr)
-        return 1
-    print("stopped")
-    return 0
-
-
 # -- fuzz -------------------------------------------------------------------
 
 def _parse_dials(text: str | None):
@@ -1246,87 +1041,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="journal location (default: <cache-dir>/journal)")
     pj.set_defaults(fn=cmd_journal_show)
 
-    p = sub.add_parser("serve", help="the simulation job daemon")
-    ssub = p.add_subparsers(dest="action", required=True)
-
-    def _add_serve_addr(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--address", default=None,
-                        help="daemon address: a unix socket path or "
-                             "tcp:HOST:PORT (default: the running "
-                             "daemon's, via server.json)")
-        sp.add_argument("--state-dir", default=None,
-                        help="daemon state location "
-                             "(default: <cache-dir>/serve)")
-        sp.add_argument("--cache-dir", default=None,
-                        help="cache the daemon serves (default: "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro)")
-        sp.add_argument("--timeout", type=float, default=300.0,
-                        help="client-side wait budget in seconds "
-                             "(default 300)")
-
-    ps = ssub.add_parser("start", help="run the daemon (foreground)")
-    _add_scale(ps)
-    _add_backend(ps)
-    _add_perf(ps)
-    ps.add_argument("--address", default=None,
-                    help="bind address: unix socket path or tcp:HOST:PORT "
-                         "(default: <state-dir>/serve.sock)")
-    ps.add_argument("--state-dir", default=None,
-                    help="journal + socket + server.json location "
-                         "(default: <cache-dir>/serve)")
-    ps.add_argument("--max-jobs", type=int, default=64,
-                    help="bounded admission queue: max live jobs before "
-                         "submissions are rejected 429-style (default 64)")
-    ps.add_argument("--gc-budget", default=None, metavar="BYTES",
-                    help="cache byte budget; LRU GC runs after completions "
-                         "(suffixes K/M/G; default: no automatic GC)")
-    ps.set_defaults(fn=cmd_serve_start)
-
-    ps = ssub.add_parser("submit", help="submit one simulation job")
-    ps.add_argument("workload")
-    ps.add_argument("--config", default="SPEAR-128",
-                    help="machine model (default SPEAR-128; aliases like "
-                         "'spear' work)")
-    ps.add_argument("--memory", type=int, default=None,
-                    help="override main-memory latency (cycles)")
-    ps.add_argument("--trace", action="store_true",
-                    help="traced run: attach the event tracer/sampler")
-    ps.add_argument("--interval", type=int, default=1000,
-                    help="trace sampling interval (default 1000)")
-    ps.add_argument("--capacity", type=int, default=0,
-                    help="trace ring capacity; 0 keeps everything")
-    ps.add_argument("--wait", action="store_true",
-                    help="poll until done and print the summary "
-                         "(byte-identical to `repro run`)")
-    _add_backend(ps)
-    _add_serve_addr(ps)
-    ps.set_defaults(fn=cmd_serve_submit)
-
-    ps = ssub.add_parser("status", help="job state (one job or the table)")
-    ps.add_argument("id", nargs="?", default=None)
-    _add_serve_addr(ps)
-    ps.set_defaults(fn=cmd_serve_status)
-
-    ps = ssub.add_parser("result", help="fetch a finished job's summary")
-    ps.add_argument("id")
-    ps.add_argument("--wait", action="store_true",
-                    help="poll until the job finishes")
-    _add_serve_addr(ps)
-    ps.set_defaults(fn=cmd_serve_result)
-
-    ps = ssub.add_parser("stats", help="daemon/fleet/cache statistics")
-    _add_serve_addr(ps)
-    ps.set_defaults(fn=cmd_serve_stats)
-
-    ps = ssub.add_parser("drain", help="finish live jobs, then shut down")
-    _add_serve_addr(ps)
-    ps.set_defaults(fn=cmd_serve_drain)
-
-    ps = ssub.add_parser("stop", help="stop now (in-flight jobs resume "
-                                      "on next start)")
-    _add_serve_addr(ps)
-    ps.set_defaults(fn=cmd_serve_stop)
-
     p = sub.add_parser("fuzz", help="differential fuzzing campaigns")
     fsub = p.add_subparsers(dest="action", required=True)
 
@@ -1410,16 +1124,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="inspect or collect the disk cache")
     csub = p.add_subparsers(dest="action", required=True)
     pc = csub.add_parser("stats", help="per-kind on-disk accounting")
-    pc.add_argument("--cache-dir", default=None,
-                    help="cache location (default: $REPRO_CACHE_DIR or "
-                         "~/.cache/repro)")
+    _add_cache_dir(pc)
     pc.set_defaults(fn=cmd_cache_stats)
     pc = csub.add_parser("gc", help="LRU-evict down to a byte budget")
     pc.add_argument("--budget", required=True, metavar="BYTES",
                     help="target cache size (suffixes K/M/G)")
-    pc.add_argument("--cache-dir", default=None,
-                    help="cache location (default: $REPRO_CACHE_DIR or "
-                         "~/.cache/repro)")
+    _add_cache_dir(pc)
     pc.set_defaults(fn=cmd_cache_gc)
 
     return parser

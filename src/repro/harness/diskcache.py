@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import faults
 from .faults import corrupt_cache_bytes
 
 #: Bump whenever a change to the compiler, functional simulator or timing
@@ -83,7 +82,7 @@ def content_key(payload: dict) -> str:
 @dataclass
 class CacheCounters:
     """Per-kind accounting, surfaced by the run report's ``cache[...]``
-    lines and the serve ``stats`` op."""
+    lines."""
 
     hits: int = 0
     misses: int = 0
@@ -227,8 +226,7 @@ class DiskCache:
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-        # No-ops unless the matching fault is injected ($REPRO_FAULTS).
-        faults.maybe_disk_full(kind, key)
+        # A no-op unless the matching fault is injected ($REPRO_FAULTS).
         data = corrupt_cache_bytes(kind, key, data)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
@@ -278,31 +276,24 @@ class DiskCache:
         out["total"] = {"entries": total_entries, "bytes": total_bytes}
         return out
 
-    def gc(self, budget_bytes: int, *,
-           protect: frozenset | set = frozenset()) -> dict:
+    def gc(self, budget_bytes: int) -> dict:
         """Evict least-recently-used entries until the cache fits
-        ``budget_bytes``.
+        ``budget_bytes`` (what ``repro cache gc`` runs).
 
         Eviction order is oldest mtime first (ties broken by address,
         so two GC passes over the same tree make identical decisions).
-        ``protect`` is a set of ``"kind/key"`` addresses that are never
-        evicted regardless of budget pressure — the serve daemon passes
-        the result keys of its live jobs, so a running client can always
-        resolve what it was promised.  Returns an accounting report.
+        Returns an accounting report.
         """
         entries = sorted(self.iter_entries(),
                          key=lambda e: (e[3], e[0], e[1]))
         total = sum(e[2] for e in entries)
         report = {"budget": budget_bytes, "examined": len(entries),
-                  "removed": 0, "freed_bytes": 0, "protected_kept": 0,
+                  "removed": 0, "freed_bytes": 0,
                   "kept_entries": 0, "kept_bytes": 0}
         excess = total - budget_bytes
         for kind, key, size, _mtime in entries:
             if excess <= 0:
                 break
-            if f"{kind}/{key}" in protect:
-                report["protected_kept"] += 1
-                continue
             try:
                 self.path_for(kind, key).unlink()
             except OSError:

@@ -10,7 +10,6 @@ Grammar::
     spec    := clause ("," clause)*
     clause  := kind (":" name "=" value)*
     kind    := crash | fail | delay | corrupt-cache
-             | worker-kill | daemon-crash | torn-journal | disk-full
 
 Parameters (all optional; a clause with neither ``cell`` nor ``p``
 matches every candidate site):
@@ -27,13 +26,9 @@ matches every candidate site):
 ``ms=N``
     Delay duration in milliseconds (``delay`` only; default 50).
 ``kind=S``
-    Cache namespace to corrupt (``corrupt-cache``/``disk-full`` only;
-    default all).
+    Cache namespace to corrupt (``corrupt-cache`` only; default all).
 ``seed=N``
     Decision seed (default 0).
-``at=STATE``
-    Job transition to target (``daemon-crash``/``torn-journal`` only;
-    default any transition).
 
 Examples::
 
@@ -56,34 +51,10 @@ Fault kinds:
 ``corrupt-cache``
     Garbles the bytes :class:`~repro.harness.diskcache.DiskCache.put`
     writes, exercising the corruption-is-a-miss recovery on later reads.
-
-Server-side fault kinds (the ``repro serve`` chaos surface — see
-:mod:`repro.serve`):
-
-``worker-kill``
-    Hard-kills the fleet worker running a job (``os._exit``); the
-    supervisor sees ``BrokenProcessPool``, rebuilds the pool and
-    re-runs the job.  ``times`` counts the job's submission attempts,
-    so ``times=1`` kills only each job's first attempt.
-``daemon-crash``
-    Hard-exits the daemon immediately *after* it journals a job state
-    transition (``at=RUNNING`` targets one transition; default any).
-    A restarted daemon must re-adopt the journaled state.  Injections
-    are counted per process; restart the daemon without the clause to
-    observe the recovery (a fresh process starts a fresh count).
-``torn-journal``
-    Writes only the first half of a journal record's bytes, then
-    hard-exits — the classic torn JSONL append.  Replay must skip the
-    torn line and converge as if the record was never written.
-``disk-full``
-    Makes :meth:`~repro.harness.diskcache.DiskCache.put` raise
-    ``OSError(ENOSPC)``; counted per process (``times=1`` fails the
-    first store only, so a retry succeeds).
 """
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import os
 import time
@@ -92,8 +63,7 @@ from dataclasses import dataclass
 #: Environment variable holding the active fault spec.
 FAULTS_ENV = "REPRO_FAULTS"
 
-_KINDS = ("crash", "fail", "delay", "corrupt-cache",
-          "worker-kill", "daemon-crash", "torn-journal", "disk-full")
+_KINDS = ("crash", "fail", "delay", "corrupt-cache")
 
 #: Set in pool workers (see ``parallel._init_worker``): decides whether a
 #: ``crash`` clause hard-exits the process or raises :class:`InjectedCrash`.
@@ -123,7 +93,6 @@ class FaultClause:
     ms: int = 50
     cache_kind: str | None = None
     seed: int = 0
-    at: str | None = None
 
     def render(self) -> str:
         bits = [self.kind]
@@ -139,8 +108,6 @@ class FaultClause:
             bits.append(f"kind={self.cache_kind}")
         if self.seed:
             bits.append(f"seed={self.seed}")
-        if self.at is not None:
-            bits.append(f"at={self.at}")
         return ":".join(bits)
 
 
@@ -178,8 +145,6 @@ def parse_faults(spec: str) -> tuple[FaultClause, ...]:
                     kwargs["cache_kind"] = value
                 elif name == "seed":
                     kwargs["seed"] = int(value)
-                elif name == "at":
-                    kwargs["at"] = value
                 else:
                     raise FaultSpecError(
                         f"unknown parameter {name!r} in {part!r}")
@@ -236,8 +201,8 @@ def _matches(clause: FaultClause, index: int, attempt: int) -> bool:
     return True
 
 
-#: Clause kinds applied at the cell-attempt site (everything else has
-#: its own dedicated injection point).
+#: Clause kinds applied at the cell-attempt site (``corrupt-cache`` has
+#: its own, in :meth:`~repro.harness.diskcache.DiskCache.put`).
 _CELL_KINDS = frozenset(("crash", "fail", "delay"))
 
 
@@ -258,102 +223,6 @@ def inject_cell_faults(index: int, attempt: int) -> None:
                 os._exit(13)
             raise InjectedCrash(
                 f"injected crash at cell {index} attempt {attempt}")
-
-
-# -- server-side sites (repro serve) ----------------------------------------
-
-#: Per-process injection counters for the server-side clauses, keyed by
-#: the clause's canonical rendering.  ``times=N`` means "inject the
-#: first N times *this process* reaches a matching site"; a restarted
-#: daemon starts a fresh count (chaos harnesses restart the daemon with
-#: the clause cleared to observe the recovery path).
-_PROCESS_HITS: dict[str, int] = {}
-
-
-def _spend(clause: FaultClause) -> bool:
-    """Whether this clause still has injections left in this process;
-    charges one on success."""
-    key = clause.render()
-    hits = _PROCESS_HITS.get(key, 0)
-    if clause.times and hits >= clause.times:
-        return False
-    _PROCESS_HITS[key] = hits + 1
-    return True
-
-
-def _matches_job(clause: FaultClause, job_id: str, attempt: int) -> bool:
-    if clause.times and attempt > clause.times:
-        return False
-    if clause.p is not None:
-        return _decide(clause.seed, clause.kind, f"job:{job_id}:{attempt}",
-                       clause.p)
-    return True
-
-
-def inject_job_faults(job_id: str, attempt: int) -> None:
-    """Fleet-worker site: applied before a serve job's real work.
-    ``attempt`` is the job's submission count (tracked by the
-    supervisor, so it survives worker deaths)."""
-    for clause in active_faults():
-        if clause.kind != "worker-kill":
-            continue
-        if not _matches_job(clause, job_id, attempt):
-            continue
-        if _IN_WORKER:
-            os._exit(13)
-        raise InjectedCrash(
-            f"injected worker-kill at job {job_id[:12]} attempt {attempt}")
-
-
-def maybe_daemon_crash(transition: str, job_id: str = "") -> None:
-    """Daemon site: called *after* a job state transition is journaled.
-    A matching ``daemon-crash`` clause hard-exits the process, leaving
-    the journal as the only record of progress."""
-    for clause in active_faults():
-        if clause.kind != "daemon-crash":
-            continue
-        if clause.at is not None and clause.at != transition:
-            continue
-        if clause.p is not None and not _decide(
-                clause.seed, "daemon-crash", f"{transition}:{job_id}",
-                clause.p):
-            continue
-        if _spend(clause):
-            os._exit(17)
-
-
-def torn_journal_cut(transition: str, nbytes: int) -> int | None:
-    """Journal-append site: a matching ``torn-journal`` clause returns
-    how many bytes of the record to actually write (about half, never
-    the whole line) — the caller writes that prefix, flushes, and
-    hard-exits, simulating a crash mid-append."""
-    for clause in active_faults():
-        if clause.kind != "torn-journal":
-            continue
-        if clause.at is not None and clause.at != transition:
-            continue
-        if clause.p is not None and not _decide(
-                clause.seed, "torn-journal", transition, clause.p):
-            continue
-        if _spend(clause):
-            return max(1, nbytes // 2)
-    return None
-
-
-def maybe_disk_full(kind: str, key: str) -> None:
-    """Cache-write site: a matching ``disk-full`` clause makes the store
-    fail with ``ENOSPC`` (counted per process, so retries can succeed)."""
-    for clause in active_faults():
-        if clause.kind != "disk-full":
-            continue
-        if clause.cache_kind is not None and clause.cache_kind != kind:
-            continue
-        if clause.p is not None and not _decide(clause.seed, "disk-full",
-                                                key, clause.p):
-            continue
-        if _spend(clause):
-            raise OSError(errno.ENOSPC,
-                          f"injected disk-full writing {kind}/{key[:12]}")
 
 
 def corrupt_cache_bytes(kind: str, key: str, data: bytes) -> bytes:

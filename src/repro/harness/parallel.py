@@ -7,20 +7,15 @@ hung, failing) cell is squashed and re-executed alone, never at the cost
 of the rest of the run.  This module enumerates those cells as picklable
 :class:`Cell` descriptors and runs them under one :class:`Supervisor`,
 which owns the process pool, the attempts in flight, retry backoff, the
-timeout clock, pool rebuilds and in-process degradation.  Two loops
-step it:
+timeout clock, pool rebuilds and in-process degradation.
+:func:`run_cells` adds a run's cells and steps the supervisor on the
+calling thread until none is outstanding, then merges the results into
+the parent :class:`~repro.harness.runner.ExperimentRunner`'s memo **in
+index order**, so figures and tables render byte-identically regardless
+of job count.  With ``jobs <= 1`` or a single cell every attempt runs in
+process and no pool is made.
 
-- :func:`run_cells` adds a run's cells and steps the supervisor on the
-  calling thread until none is outstanding, then merges the results
-  into the parent :class:`~repro.harness.runner.ExperimentRunner`'s
-  memo **in index order**, so figures and tables render
-  byte-identically regardless of job count.  With ``jobs <= 1`` or a
-  single cell every attempt runs in process and no pool is made.
-- :class:`~repro.serve.fleet.WorkerFleet` adds the serve daemon's jobs
-  as they arrive and steps the same supervisor for as long as the
-  daemon runs.
-
-Both get one set of rules, from :class:`ExecutionPolicy`:
+The rules come from :class:`ExecutionPolicy`:
 
 - every ready attempt is submitted at once (nothing caps the attempts in
   flight at the worker count);
@@ -39,8 +34,7 @@ Both get one set of rules, from :class:`ExecutionPolicy`:
 - after ``max_pool_rebuilds`` rebuilds with no success between them,
   attempts run in process (degraded mode) until one succeeds, which
   re-arms the budget and returns to the pool.  ``RunReport.degraded``
-  says a run was degraded at some point, ``FleetStats.degraded`` that
-  the fleet is degraded now;
+  says a run was degraded at some point;
 - with ``fail_fast`` a terminal failure raises :class:`FatalCellError`;
   otherwise (keep-going, the default) failures are collected on the
   returned :class:`RunReport` and every other cell still completes.
@@ -56,7 +50,7 @@ first (:func:`_leaders_first`): one cell per workload, then the rest.
 Each leader builds its workload's artifacts and writes them through the
 cache, and the followers queued behind all the leaders load them from
 there.  While workloads are at least as many as workers, each workload
-is therefore built once across the fleet in practice, and not at all on
+is therefore built once across the workers in practice, and not at all on
 a warm cache.  Nothing is gated on a leader, so a follower that starts
 before its leader's artifacts are written builds them again.  That
 happens when workers outnumber workloads, and in one race at the tail
@@ -349,24 +343,17 @@ def _init_worker(slicer_config: SlicerConfig, scale: float,
                  policy: str | None = None) -> None:
     global _WORKER_RUNNER
     faults.mark_worker()
-    # Forked workers inherit the parent's signal wiring.  Under the
-    # serve daemon that includes asyncio's wakeup fd — a SIGTERM sent to
-    # a worker (e.g. by the executor reaping a broken pool) would be
-    # written into the *parent's* self-pipe and read back as a shutdown
-    # request.  Detach and restore defaults so signals aimed at a worker
-    # stay in the worker.  The serve fleet forks with both signals
-    # blocked so none lands before this point; unblock them now (a
-    # no-op for pools forked elsewhere), so one already pending takes
-    # the default action.
-    signal.set_wakeup_fd(-1)
+    # Forked workers inherit the parent's signal handlers, including
+    # _graceful_term's SIGTERM-to-KeyboardInterrupt.  Tearing down a
+    # stuck or broken pool terminates its workers with SIGTERM, and with
+    # the inherited handler each busy one would print a KeyboardInterrupt
+    # traceback on stderr.  Restore the defaults so a signal aimed at a
+    # worker just ends it.
     for _sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(_sig, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK,
-                           {signal.SIGINT, signal.SIGTERM})
-    # Die with the parent (Linux).  A crashed daemon must not leave
-    # orphan workers holding its listening socket open: connects to the
-    # stale socket file would be queued into a backlog nobody accepts,
-    # hanging clients instead of failing fast into a retry.
+    # Die with the parent (Linux).  A parent killed outright (SIGKILL,
+    # the OOM killer) never shuts its pool down, and its workers would
+    # outlive it, blocked on a call queue nobody feeds.
     try:
         import ctypes
         PR_SET_PDEATHSIG = 1
@@ -386,10 +373,10 @@ def _init_worker(slicer_config: SlicerConfig, scale: float,
 def compute_cell(runner: ExperimentRunner, cell: Cell, *,
                  spill: bool = False):
     """Execute one cell's real work on ``runner`` (no fault injection):
-    the single dispatch shared by the pool workers, the in-process
-    serial path and the serve fleet.  With ``spill`` (cross-process
-    callers) a traced payload is exchanged for its cache
-    :class:`PayloadRef` instead of riding the result pipe."""
+    the single dispatch shared by the pool workers and the in-process
+    serial path.  With ``spill`` (pool workers) a traced payload is
+    exchanged for its cache :class:`PayloadRef` instead of riding the
+    result pipe."""
     if cell.fuzz is not None:
         return runner.run_fuzz(cell.workload, cell.fuzz)
     if cell.is_sweep:
@@ -408,7 +395,7 @@ def timed_cell(runner: ExperimentRunner, cell: Cell, *,
                spill: bool = False):
     """:func:`compute_cell`, returning ``(value, elapsed)``.  ``elapsed``
     times the cell's execution alone, with no queue wait or result IPC
-    in it: what the run journal and the serve job journal record."""
+    in it: what the run journal records."""
     t0 = time.monotonic()
     value = compute_cell(runner, cell, spill=spill)
     return value, time.monotonic() - t0
@@ -472,30 +459,26 @@ class _Job:
 class Supervisor:
     """One process pool run under :class:`ExecutionPolicy`, in steps.
 
-    A caller :meth:`add`\\ s cells under keys of its own and calls
-    :meth:`step` until :attr:`outstanding` reaches zero (:func:`run_cells`)
-    or for as long as it lives (the serve fleet).  Every finished attempt
-    is reported through ``on_ok(key, value, attempts, elapsed)`` or
+    :func:`run_cells` :meth:`add`\\ s each cell once, under its index,
+    and calls :meth:`step` until :attr:`outstanding` reaches zero.
+    Every finished attempt is reported through
+    ``on_ok(key, value, attempts, elapsed)`` or
     ``on_failed(key, kind, error, attempts, retry)``, where ``retry``
     says whether the cell goes back in after its backoff; a callback may
     raise to abort the caller's loop.
 
-    ``task(cell, key, attempt)`` is the picklable pool-worker entry and
-    returns ``(value, elapsed)``.  Attempts run in process, with
-    ``workers=0`` or in degraded mode, apply ``inject(key, attempt)``
-    and call :func:`timed_cell` on ``runner``.  With ``resolve`` a
-    spilled :class:`PayloadRef` is loaded before ``on_ok`` sees it.
+    Pool attempts run :func:`_run_cell` in a worker, and a spilled
+    :class:`PayloadRef` is loaded before ``on_ok`` sees it.  Attempts in
+    process, with ``workers=0`` or in degraded mode, apply the cell
+    faults and call :func:`timed_cell` on ``runner``.
     """
 
     def __init__(self, runner: ExperimentRunner, workers: int,
-                 policy: ExecutionPolicy, *, task, inject, on_ok, on_failed,
-                 resolve: bool = True):
+                 policy: ExecutionPolicy, *, on_ok, on_failed):
         self.runner = runner
         self.workers = workers
         self.policy = policy
-        self._task, self._inject = task, inject
         self._on_ok, self._on_failed = on_ok, on_failed
-        self._resolve = resolve
         self.pool_rebuilds = 0
         #: attempts run in process until the next success
         self.degraded = False
@@ -512,25 +495,23 @@ class Supervisor:
         return len(self._jobs)
 
     def add(self, key, cell: Cell) -> None:
-        """Track ``cell`` under ``key``; a key already tracked is ignored."""
-        if key not in self._jobs:
-            self._jobs[key] = _Job(cell)
-            self._ready.append(key)
+        """Track ``cell`` under ``key``."""
+        self._jobs[key] = _Job(cell)
+        self._ready.append(key)
 
-    def step(self, poll: float | None = None) -> None:
+    def step(self) -> None:
         """One round: resubmit retries whose backoff has passed, then
         either run one attempt in process or submit every ready attempt
-        to the pool and harvest what finishes.  Waits at most ``poll``
-        seconds (``None``: until an attempt finishes or a deadline
-        passes)."""
+        to the pool and harvest what finishes.  Waits until an attempt
+        finishes or a deadline passes."""
         now = time.monotonic()
         for key in [k for k, t in self._backoffs.items() if t <= now]:
             del self._backoffs[key]
             self._ready.append(key)
         if self.workers <= 0 or self.degraded:
-            self._step_in_process(poll)
+            self._step_in_process()
         else:
-            self._step_pool(poll)
+            self._step_pool()
 
     def close(self) -> None:
         """Release the pool: wait for an idle one, kill a busy one."""
@@ -538,29 +519,31 @@ class Supervisor:
 
     # -- internals ---------------------------------------------------------
 
-    def _step_in_process(self, poll: float | None) -> None:
+    def _step_in_process(self) -> None:
         if not self._ready:
-            self._sleep_to_backoff(poll)
+            self._sleep_to_backoff()
             return
         key = self._ready.popleft()
         job = self._jobs[key]
         job.submits += 1
         try:
-            self._inject(key, job.submits)
+            faults.inject_cell_faults(key, job.submits)
             value, elapsed = timed_cell(self.runner, job.cell)
         except Exception as exc:
             self._failed(key, "exception", _message(exc))
         else:
             self._ok(key, value, elapsed)
 
-    def _step_pool(self, poll: float | None) -> None:
+    def _step_pool(self) -> None:
         if self._pool is None:
             self._pool = _pool(self.runner, self.workers)
         while self._ready:
             key = self._ready[0]
             job = self._jobs[key]
             try:
-                fut = self._pool.submit(self._task, job.cell, key,
+                # A module-global lookup at submit time, so a wrapper
+                # installed on ``_run_cell`` (the bench's) is what runs.
+                fut = self._pool.submit(_run_cell, job.cell, key,
                                         job.submits + 1)
             except Exception:
                 # The pool broke before this submission: rebuild without
@@ -572,12 +555,11 @@ class Supervisor:
             job.started = None
             self._running[fut] = key
         if not self._running:
-            self._sleep_to_backoff(poll)
+            self._sleep_to_backoff()
             return
-        timeout = poll
+        timeout = None
         if self.policy.cell_timeout is not None:
-            tick = max(0.01, min(0.25, self.policy.cell_timeout / 4))
-            timeout = tick if timeout is None else min(timeout, tick)
+            timeout = max(0.01, min(0.25, self.policy.cell_timeout / 4))
         if self._backoffs:
             until = max(0.001, min(self._backoffs.values())
                         - time.monotonic())
@@ -589,8 +571,7 @@ class Supervisor:
             key = self._running.pop(fut)
             try:
                 value, elapsed = fut.result()
-                if self._resolve:
-                    value = _resolve(self.runner, value)
+                value = _resolve(self.runner, value)
             except BrokenProcessPool:
                 # Collateral or culprit — indistinguishable, and neither
                 # finished a real attempt: the crash charges the rebuild
@@ -677,11 +658,11 @@ class Supervisor:
             self._pool = None
         self._running.clear()
 
-    def _sleep_to_backoff(self, poll: float | None) -> None:
+    def _sleep_to_backoff(self) -> None:
         """Nothing to run until the earliest backoff deadline."""
         if self._backoffs:
             until = min(self._backoffs.values()) - time.monotonic()
-            time.sleep(max(0.0, until if poll is None else min(until, poll)))
+            time.sleep(max(0.0, until))
 
 
 def _message(exc: Exception) -> str:
@@ -755,9 +736,7 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
 
     pooled = jobs > 1 and len(unique) > 1
     supervisor = Supervisor(runner, min(jobs, len(unique)) if pooled else 0,
-                            policy, task=_run_cell,
-                            inject=faults.inject_cell_faults,
-                            on_ok=on_ok, on_failed=on_failed)
+                            policy, on_ok=on_ok, on_failed=on_failed)
     outstanding = dict(enumerate(unique))
     for i in _leaders_first(outstanding):
         supervisor.add(i, outstanding[i])
@@ -792,8 +771,8 @@ def _graceful_term():
     """Route SIGTERM through ``KeyboardInterrupt`` for the duration of a
     run, so a polite kill gets the same clean unwind as Ctrl-C: pool
     teardown, result merge, and a journaled ``interrupted`` end record.
-    Outside the main thread (the serve fleet, test harnesses) signal
-    handlers cannot be installed and the run proceeds unwrapped."""
+    Outside the main thread signal handlers cannot be installed and the
+    run proceeds unwrapped."""
     if threading.current_thread() is not threading.main_thread():
         yield
         return

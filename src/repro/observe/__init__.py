@@ -16,10 +16,8 @@ from .compare import (NEUTRAL_CYCLES, PE_EVENT_KINDS, SuiteDiff,
                       SuiteInvariantError, TimelineAlignmentError,
                       TimelineDiff, count_pe_events, diff_timelines)
 from .events import (COMMIT, COMPLETE, DECODE, EVENT_KINDS, EXTRACT, FETCH,
-                     FILL, ISSUE, JOB_DONE, JOB_FAILED, JOB_PENDING,
-                     JOB_RUNNING, JOB_STATES, JobEvent, MISPREDICT, MODE,
-                     MODE_NAMES, POLICY, PREFETCH, TraceEvent, filter_events,
-                     serialize_events)
+                     FILL, ISSUE, MISPREDICT, MODE, MODE_NAMES, POLICY,
+                     PREFETCH, TraceEvent, filter_events, serialize_events)
 from .render import (render_diff_svg, render_diff_text, render_report,
                      render_suite_report, render_suite_svg,
                      render_timeline_svg, render_timeline_text, sparkline)
@@ -30,8 +28,6 @@ __all__ = ["TraceEvent", "EVENT_KINDS", "MODE_NAMES", "filter_events",
            "serialize_events", "FETCH", "DECODE", "ISSUE", "COMPLETE",
            "COMMIT", "MISPREDICT", "MODE", "EXTRACT", "PREFETCH", "FILL",
            "POLICY",
-           "JobEvent", "JOB_STATES", "JOB_PENDING", "JOB_RUNNING",
-           "JOB_DONE", "JOB_FAILED",
            "IntervalSampler", "THREAD_NAMES", "JsonlStreamSink",
            "RingBufferSink", "TraceSink",
            "TimelineAlignmentError", "TimelineDiff", "diff_timelines",

@@ -67,42 +67,6 @@ class TraceEvent(NamedTuple):
                    d["trace_idx"], d["info"])
 
 
-#: Job lifecycle states, in forward order — the state machine of one
-#: ``repro serve`` job.  Shared constants so the serve journal, the wire
-#: protocol and the chaos tests all speak the same vocabulary.
-JOB_PENDING = "PENDING"    #: admitted, queued behind the worker fleet
-JOB_RUNNING = "RUNNING"    #: handed to the fleet (attempt in flight)
-JOB_DONE = "DONE"          #: result persisted in the shared cache
-JOB_FAILED = "FAILED"      #: retry budget exhausted; error recorded
-
-JOB_STATES = (JOB_PENDING, JOB_RUNNING, JOB_DONE, JOB_FAILED)
-
-
-class JobEvent(NamedTuple):
-    """One job-lifecycle happening on the serve daemon.
-
-    The serve counterpart of :class:`TraceEvent`: fixed shape, canonical
-    single-line JSON, deterministically ordered within a job (``seq`` is
-    the daemon's monotonic event counter).  ``detail`` carries the
-    transition-specific context — the dedup verdict, the worker error,
-    the re-adoption reason after a daemon restart.
-    """
-
-    seq: int
-    job: str
-    state: str
-    detail: str = ""
-
-    def to_json(self) -> str:
-        return (f'{{"seq":{self.seq},"job":"{self.job}",'
-                f'"state":"{self.state}","detail":{json.dumps(self.detail)}}}')
-
-    @classmethod
-    def from_json(cls, line: str) -> "JobEvent":
-        d = json.loads(line)
-        return cls(d["seq"], d["job"], d["state"], d["detail"])
-
-
 def serialize_events(events: Iterable[TraceEvent]) -> str:
     """Render an event stream as canonical JSONL (one event per line,
     trailing newline).  Byte-identical for identical streams."""

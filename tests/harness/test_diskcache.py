@@ -199,14 +199,6 @@ class TestGC:
         assert "evictions" not in cache.stats().get("results", {}) \
             or cache.stats()["results"]["evictions"] == 0
 
-    def test_protect_set_pins_entries_at_zero_budget(self, cache):
-        key, _ = self._plant(cache, "results", {"x": 1}, "pinned", 300)
-        self._plant(cache, "traces", {"x": 2}, "loose", 300)
-        report = cache.gc(0, protect={f"results/{key}"})
-        assert report["protected_kept"] == 1
-        assert cache.get_by_key("results", key) == "pinned"
-        assert report["removed"] == 1   # the unprotected trace went
-
     def test_identical_passes_make_identical_decisions(self, cache):
         for i in range(4):
             self._plant(cache, "results", {"x": i}, f"v{i}", 400 - i * 60)

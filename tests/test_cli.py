@@ -390,3 +390,40 @@ class TestFuzz:
     def test_bad_dials_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["fuzz", "run", "--count", "1", "--dials", "warp=9"])
+
+
+class TestCacheCommand:
+    @pytest.fixture
+    def cache_dir(self, tmp_path):
+        from repro.harness import DiskCache
+        cache = DiskCache(tmp_path / "cache")
+        cache.put("results", {"x": 1}, "a")
+        cache.put("results", {"x": 2}, "b")
+        cache.put("traces", {"x": 3}, list(range(100)))
+        return str(cache.root)
+
+    def test_stats_counts_entries_per_kind(self, capsys, cache_dir):
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"cache {cache_dir}"
+        rows = {line.split()[0]: int(line.split()[1]) for line in lines[2:]}
+        assert rows == {"results": 2, "traces": 1, "total": 3}
+
+    def test_gc_to_zero_budget_empties_the_cache(self, capsys, cache_dir):
+        assert main(["cache", "gc", "--budget", "0",
+                     "--cache-dir", cache_dir]) == 0
+        assert "removed 3" in capsys.readouterr().out
+        assert main(["cache", "gc", "--budget", "0",
+                     "--cache-dir", cache_dir]) == 0
+        assert "removed 0" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split()[1] == "0"
+
+    def test_gc_rejects_bad_budget(self, capsys, cache_dir):
+        assert main(["cache", "gc", "--budget", "junk",
+                     "--cache-dir", cache_dir]) == 2
+        assert "bad --budget" in capsys.readouterr().err
+
+    def test_stats_takes_no_no_cache_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["cache", "stats", "--no-cache"])
