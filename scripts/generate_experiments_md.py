@@ -33,10 +33,11 @@ Individual figures can also be regenerated directly — and much faster —
 via the parallel path (`python -m repro figure 6 --jobs 8`), which fans
 the workload × config matrix over worker processes and reuses the
 persistent artifact cache; the output is byte-identical to a serial run
-(see README § Performance).  The timing kernel is selectable with
-`--backend` (`reference` / `fast-forward` / `batched`); all backends are
-gated on byte-identical results, so figures and tables do not change
-with the backend — only wall-clock does.
+(see README § Performance).  Every figure and table runs on the
+reference timing kernel.  The fast-forward kernel and the batched
+latency sweep are gated on byte-identical results against it; the fuzz
+campaign cross-checks fast-forward on every generated program and the
+sweep on a sampled subset.
 
 Performance is measured by the repository benchmark under `bench/`
 (`python3 bench/run.py`; `bench/README.md` documents it, and

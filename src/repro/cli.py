@@ -46,11 +46,8 @@ fuzz show NAME       print a generated kernel's spec IR and sizes
 cache stats          per-kind on-disk cache accounting
 cache gc --budget N  LRU-evict entries until the cache fits the budget
 
-``run``, ``compare``, ``analyze``, ``trace``, ``report``, ``figure`` and
-``table`` accept ``--backend`` (timing kernel: ``reference``,
-``fast-forward``, or ``batched`` which also batches latency sweeps —
-every backend produces byte-identical results).  ``figure``, ``table``,
-``compare`` and ``report`` accept ``--jobs N`` (parallel cell
+Every verb simulates on the reference timing kernel.  ``figure``,
+``table``, ``compare`` and ``report`` accept ``--jobs N`` (parallel cell
 fan-out over processes, default usable-CPU count),
 ``--cache-dir``/``--no-cache``
 (persistent artifact cache, default ``~/.cache/repro`` or
@@ -70,11 +67,10 @@ from pathlib import Path
 
 from .core.configs import PAPER_CONFIGS, BASELINE
 from .harness import (Cell, DiskCache, ExecutionPolicy, ExperimentRunner,
-                      FatalCellError, RunJournal, RunReport, SWEEP_BACKEND,
-                      build_artifacts, cells_for, default_jobs,
-                      default_journal_dir, default_workloads, figure6,
-                      figure7, figure8, figure9, list_journals, run_cells,
-                      table1, table2, table3)
+                      FatalCellError, RunJournal, RunReport, cells_for,
+                      default_jobs, default_journal_dir, default_workloads,
+                      figure6, figure7, figure8, figure9, list_journals,
+                      run_cells, table1, table2, table3)
 from .harness.faults import FAULTS_ENV, FaultSpecError, active_faults
 from .observe import EVENT_KINDS, filter_events
 from .workloads import all_workload_names, get_workload
@@ -83,16 +79,6 @@ from .workloads import all_workload_names, get_workload
 def _add_scale(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=float, default=1.0,
                    help="scale every instruction budget (default 1.0)")
-
-
-def _add_backend(p: argparse.ArgumentParser) -> None:
-    from .pipeline import KERNEL_BACKENDS
-    p.add_argument("--backend", default=None,
-                   choices=list(KERNEL_BACKENDS) + [SWEEP_BACKEND],
-                   help="timing kernel (default reference; every backend "
-                        "is byte-identical to it — fast-forward skips "
-                        "provably idle cycles, batched additionally runs "
-                        "latency sweeps through one functional pass)")
 
 
 def _add_policy(p: argparse.ArgumentParser) -> None:
@@ -146,7 +132,6 @@ def _runner(args) -> ExperimentRunner:
                                                          False):
         cache = DiskCache(getattr(args, "cache_dir", None))
     return ExperimentRunner(instruction_scale=args.scale, cache=cache,
-                            backend=getattr(args, "backend", None),
                             policy=getattr(args, "policy", None))
 
 
@@ -172,7 +157,6 @@ def _run_matrix(runner: ExperimentRunner, experiment: str,
     """Fault-tolerant execution of one experiment's cell matrix, journaled
     under the run's content key."""
     cells = cells_for(experiment, workloads,
-                      backend=getattr(args, "backend", None),
                       policy=getattr(args, "policy", None))
     journal = RunJournal.for_run(experiment, cells, runner,
                                  root=_journal_dir(args))
@@ -418,8 +402,7 @@ def cmd_report(args) -> int:
     workloads = list(args.workloads) or list(EVAL_WORKLOADS)
     runner = _runner(args)
     spec = report_trace_spec(args.interval)
-    cells = report_cells(workloads, [baseline, model], spec,
-                         backend=getattr(args, "backend", None))
+    cells = report_cells(workloads, [baseline, model], spec)
     experiment = "report-suite" if args.suite else "report"
     journal = RunJournal.for_run(experiment, cells, runner,
                                  root=_journal_dir(args))
@@ -554,10 +537,6 @@ def cmd_table(args) -> int:
         print(table2().render())
         return 0
     if args.number == 1:
-        jobs = _jobs(args)
-        if jobs > 1:
-            from .harness.experiments import EVAL_WORKLOADS
-            build_artifacts(runner, args.workloads or EVAL_WORKLOADS, jobs)
         print(table1(runner, args.workloads or None).render())
         return 0
     workloads = args.workloads or None
@@ -596,8 +575,7 @@ def cmd_ablate_policy(args) -> int:
               f"{', '.join(bad_policies)}; known: {', '.join(POLICIES)}",
               file=sys.stderr)
         return 2
-    cells = ablate_policy_cells(workloads, policies=policies,
-                                backend=getattr(args, "backend", None))
+    cells = ablate_policy_cells(workloads, policies=policies)
     journal = RunJournal.for_run("ablate-policy", cells, runner,
                                  root=_journal_dir(args))
     try:
@@ -912,14 +890,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default="SPEAR-128",
                    help="machine model (default SPEAR-128)")
     _add_scale(p)
-    _add_backend(p)
     _add_policy(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("compare", help="baseline vs all SPEAR models")
     p.add_argument("workload")
     _add_scale(p)
-    _add_backend(p)
     _add_policy(p)
     _add_perf(p)
     p.set_defaults(fn=cmd_compare)
@@ -935,7 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling interval in cycles for --timeline "
                         "(default 1000)")
     _add_scale(p)
-    _add_backend(p)
     _add_policy(p)
     _add_cache(p)
     p.set_defaults(fn=cmd_analyze)
@@ -965,7 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(unbounded capture, no in-memory buffering; "
                         "only --kinds applies)")
     _add_scale(p)
-    _add_backend(p)
     _add_policy(p)
     _add_cache(p)
     p.set_defaults(fn=cmd_trace)
@@ -994,7 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the standalone figure SVG here "
                         "(diff panels, or the suite grid with --suite)")
     _add_scale(p)
-    _add_backend(p)
     _add_policy(p)
     _add_perf(p)
     p.set_defaults(fn=cmd_report)
@@ -1003,7 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("number", type=int)
     p.add_argument("workloads", nargs="*")
     _add_scale(p)
-    _add_backend(p)
     _add_policy(p)
     _add_perf(p)
     p.set_defaults(fn=cmd_figure)
@@ -1019,7 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="policy columns (default: fixed adaptive-epoch "
                         "adaptive-phase)")
     _add_scale(p)
-    _add_backend(p)
     _add_perf(p)
     p.set_defaults(fn=cmd_ablate_policy)
 
@@ -1027,7 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("number", type=int)
     p.add_argument("workloads", nargs="*")
     _add_scale(p)
-    _add_backend(p)
     _add_perf(p)
     p.set_defaults(fn=cmd_table)
 

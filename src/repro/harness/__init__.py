@@ -21,11 +21,9 @@ from .journal import (RunJournal, TornJournalWarning, default_journal_dir,
                       list_journals, read_jsonl)
 from .parallel import (Cell, CellFailure, ExecutionPolicy, FatalCellError,
                        PayloadRef, PayloadResolutionError, RunReport,
-                       build_artifacts, cells_for, compute_cell,
-                       default_jobs, default_workloads, report_cells,
-                       run_cells)
-from .runner import (SWEEP_BACKEND, ExperimentRunner, TracedRun, TraceSpec,
-                     WorkloadArtifacts)
+                       cells_for, compute_cell, default_jobs,
+                       default_workloads, report_cells, run_cells)
+from .runner import ExperimentRunner, TracedRun, TraceSpec, WorkloadArtifacts
 from .tables import TextTable, arithmetic_mean, geometric_mean
 
 __all__ = ["EVAL_WORKLOADS", "FIG9_WORKLOADS", "IRREGULAR_WORKLOADS",
@@ -37,12 +35,12 @@ __all__ = ["EVAL_WORKLOADS", "FIG9_WORKLOADS", "IRREGULAR_WORKLOADS",
            "ablate_policy_cells", "policy_ablation_workloads",
            "per_thread_table", "build_report", "build_suite_report",
            "report_trace_spec", "suite_diff", "suite_table",
-           "ExperimentRunner", "SWEEP_BACKEND", "TracedRun", "TraceSpec",
+           "ExperimentRunner", "TracedRun", "TraceSpec",
            "WorkloadArtifacts", "TextTable",
            "arithmetic_mean", "geometric_mean",
            "CACHE_DIR_ENV", "SCHEMA_VERSION", "DiskCache",
-           "default_cache_dir", "parse_bytes", "Cell", "build_artifacts",
-           "cells_for", "compute_cell",
+           "default_cache_dir", "parse_bytes", "Cell", "cells_for",
+           "compute_cell",
            "default_jobs", "default_workloads", "report_cells", "run_cells",
            "PayloadRef", "PayloadResolutionError",
            "CellFailure", "ExecutionPolicy", "FatalCellError", "RunReport",

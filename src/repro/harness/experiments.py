@@ -20,7 +20,7 @@ from ..observe.compare import (PE_EVENT_KINDS, SuiteDiff, TimelineDiff,
                                diff_timelines)
 from ..observe.render import render_report, render_suite_report
 from ..workloads.base import all_workload_names, get_workload
-from .runner import SWEEP_BACKEND, ExperimentRunner, TracedRun, TraceSpec
+from .runner import ExperimentRunner, TracedRun, TraceSpec
 from .tables import TextTable, arithmetic_mean, geometric_mean
 
 #: The 15 evaluated benchmarks, in Table 1 order (ll4 is excluded: it only
@@ -275,28 +275,15 @@ def figure9(runner: ExperimentRunner,
             workloads: list[str] | None = None,
             latencies: list[LatencyConfig] | None = None) -> LatencySweepResult:
     """Latency sweep over the paper's six benchmarks (paper: baseline loses
-    48.5%, SPEAR-128 39.7%, SPEAR-256 38.4% at the longest latency).
-
-    On a runner whose backend is ``"batched"``, each (workload, config)
-    row of the sweep goes through one
-    :meth:`~repro.harness.runner.ExperimentRunner.run_sweep` batch —
-    functional trace, flag walk and warmup paid once per row instead of
-    once per latency point — with byte-identical IPC values.
-    """
+    48.5%, SPEAR-128 39.7%, SPEAR-256 38.4% at the longest latency)."""
     latencies = latencies or FIG9_LATENCIES
     configs = [BASELINE, SPEAR_128, SPEAR_256]
-    batched = runner.backend == SWEEP_BACKEND
     result = LatencySweepResult(latencies, configs)
     for name in workloads or FIG9_WORKLOADS:
         series: dict[str, list[float]] = {c.name: [] for c in configs}
-        if batched:
+        for lat in latencies:
             for cfg in configs:
-                series[cfg.name] = [r.ipc for r in
-                                    runner.run_sweep(name, cfg, latencies)]
-        else:
-            for lat in latencies:
-                for cfg in configs:
-                    series[cfg.name].append(runner.run(name, cfg, lat).ipc)
+                series[cfg.name].append(runner.run(name, cfg, lat).ipc)
         result.ipc[name] = series
     return result
 
@@ -621,8 +608,7 @@ def ablate_policy_cells(workloads: list[str] | None = None,
                                                      "adaptive-epoch",
                                                      "adaptive-phase"),
                         config: MachineConfig = SPEAR_128,
-                        baseline: MachineConfig = BASELINE,
-                        backend: str | None = None) -> list:
+                        baseline: MachineConfig = BASELINE) -> list:
     """The parallel-engine cell matrix behind :func:`ablate_policy`:
     one baseline cell per workload plus one cell per (workload, policy).
     Running these through ``run_cells`` warms exactly the memo entries
@@ -631,7 +617,7 @@ def ablate_policy_cells(workloads: list[str] | None = None,
     names = workloads or policy_ablation_workloads()
     cells = []
     for n in names:
-        cells.append(Cell(n, baseline, backend=backend))
+        cells.append(Cell(n, baseline))
         for p in policies:
-            cells.append(Cell(n, config, backend=backend, policy=p))
+            cells.append(Cell(n, config, policy=p))
     return cells

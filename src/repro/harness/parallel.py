@@ -79,8 +79,8 @@ from ..core.configs import (BASELINE, BASELINE_NEXTLINE, BASELINE_STRIDE,
 from ..memory.hierarchy import FIG9_LATENCIES, LatencyConfig
 from . import faults
 from .diskcache import DiskCache
-from .journal import RunJournal, cell_key
-from .runner import SWEEP_BACKEND, ExperimentRunner, TracedRun, TraceSpec
+from .journal import RunJournal, cell_entry, cell_key
+from .runner import ExperimentRunner, TracedRun, TraceSpec
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,7 @@ class Cell:
     With ``trace`` set the cell is a *traced* run: the worker attaches a
     ring-buffer tracer and interval sampler per the spec, and the result
     is a :class:`~repro.harness.runner.TracedRun` instead of a plain
-    ``PipelineResult``.  ``backend`` picks the timing kernel (``None``
-    defers to the executing runner's default).
-
-    A *tuple* of latencies makes the cell a batched sweep: the worker
-    runs every point through one
-    :meth:`~repro.harness.runner.ExperimentRunner.run_sweep` pass and
-    the result is the list of per-point ``PipelineResult``s, merged into
-    the parent memo one latency at a time.
+    ``PipelineResult``.
 
     With ``fuzz`` set the cell is a differential-fuzzing evaluation: the
     worker rebuilds the generated workload from its ``fuzz:`` name, runs
@@ -109,17 +102,12 @@ class Cell:
 
     workload: str
     config: MachineConfig
-    latencies: LatencyConfig | tuple[LatencyConfig, ...] | None = None
+    latencies: LatencyConfig | None = None
     trace: TraceSpec | None = None
-    backend: str | None = None
     fuzz: object | None = None
     #: trigger policy name (``None`` defers to the executing runner's
     #: default; see :data:`~repro.policy.POLICIES`)
     policy: str | None = None
-
-    @property
-    def is_sweep(self) -> bool:
-        return isinstance(self.latencies, tuple)
 
 
 @dataclass(frozen=True)
@@ -176,31 +164,22 @@ def default_workloads(experiment: str) -> list[str]:
 
 def cells_for(experiment: str,
               workloads: list[str] | None = None,
-              backend: str | None = None,
               policy: str | None = None) -> list[Cell]:
     """Enumerate the cell matrix of one experiment, workload-major (so
     chunked submission keeps one workload's artifacts in one worker)."""
     configs = EXPERIMENT_CONFIGS[experiment]
     names = workloads or default_workloads(experiment)
     if experiment == "figure9":
-        if backend == SWEEP_BACKEND:
-            # One batched-sweep cell per matrix row: the worker pays the
-            # trace/flag/warmup fixed costs once for all latency points.
-            return [Cell(n, c, tuple(FIG9_LATENCIES), backend=backend,
-                         policy=policy)
-                    for n in names for c in configs]
-        return [Cell(n, c, lat, backend=backend, policy=policy)
+        return [Cell(n, c, lat, policy=policy)
                 for n in names for lat in FIG9_LATENCIES for c in configs]
-    return [Cell(n, c, backend=backend, policy=policy)
-            for n in names for c in configs]
+    return [Cell(n, c, policy=policy) for n in names for c in configs]
 
 
 def report_cells(workloads: list[str], configs: list[MachineConfig],
-                 spec: TraceSpec, backend: str | None = None,
-                 policy: str | None = None) -> list[Cell]:
+                 spec: TraceSpec, policy: str | None = None) -> list[Cell]:
     """Enumerate the traced-cell matrix of a (suite) report: every
     workload under every config, all captured under one trace spec."""
-    return [Cell(n, c, trace=spec, backend=backend, policy=policy)
+    return [Cell(n, c, trace=spec, policy=policy)
             for n in workloads for c in configs]
 
 
@@ -253,12 +232,8 @@ class CellFailure:
     error: str
 
     def describe(self) -> str:
-        if self.cell.is_sweep:
-            lat = f" sweep[{len(self.cell.latencies)}]"
-        elif self.cell.latencies is not None:
-            lat = f" mem={self.cell.latencies.memory}"
-        else:
-            lat = ""
+        lat = (f" mem={self.cell.latencies.memory}"
+               if self.cell.latencies is not None else "")
         return (f"{self.cell.workload}/{self.cell.config.name}{lat}: "
                 f"{self.kind} after {self.attempts} attempt(s) — {self.error}")
 
@@ -338,9 +313,7 @@ _WORKER_RUNNER: ExperimentRunner | None = None
 
 
 def _init_worker(slicer_config: SlicerConfig, scale: float,
-                 cache_dir: str | None,
-                 backend: str | None = None,
-                 policy: str | None = None) -> None:
+                 cache_dir: str | None, policy: str | None = None) -> None:
     global _WORKER_RUNNER
     faults.mark_worker()
     # Forked workers inherit the parent's signal handlers, including
@@ -367,7 +340,7 @@ def _init_worker(slicer_config: SlicerConfig, scale: float,
              if cache_dir is not None else None)
     _WORKER_RUNNER = ExperimentRunner(slicer_config=slicer_config,
                                       instruction_scale=scale, cache=cache,
-                                      backend=backend, policy=policy)
+                                      policy=policy)
 
 
 def compute_cell(runner: ExperimentRunner, cell: Cell, *,
@@ -379,15 +352,11 @@ def compute_cell(runner: ExperimentRunner, cell: Cell, *,
     result pipe."""
     if cell.fuzz is not None:
         return runner.run_fuzz(cell.workload, cell.fuzz)
-    if cell.is_sweep:
-        return runner.run_sweep(cell.workload, cell.config,
-                                list(cell.latencies), policy=cell.policy)
     if cell.trace is None:
         return runner.run(cell.workload, cell.config, cell.latencies,
-                          backend=cell.backend, policy=cell.policy)
+                          policy=cell.policy)
     traced = runner.run_traced(cell.workload, cell.config, cell.latencies,
-                               spec=cell.trace, backend=cell.backend,
-                               policy=cell.policy)
+                               spec=cell.trace, policy=cell.policy)
     return _spill(runner, cell, traced) if spill else traced
 
 
@@ -418,11 +387,9 @@ def _spill(runner: ExperimentRunner, cell: Cell, traced: TracedRun):
     """
     if runner.cache is None:
         return traced
-    config = runner.normalize_config(cell.config, cell.latencies)
-    payload = runner.traced_payload(cell.workload, config, cell.trace,
-                                    cell.backend, cell.policy)
-    key = runner.cache.key_for("traces", payload)
-    return PayloadRef("traces", key, runner.cache.entry_size("traces", key))
+    kind, payload = cell_entry(runner, cell)
+    key = runner.cache.key_for(kind, payload)
+    return PayloadRef(kind, key, runner.cache.entry_size(kind, key))
 
 
 def _resolve(runner: ExperimentRunner, value):
@@ -437,10 +404,6 @@ def _resolve(runner: ExperimentRunner, value):
         raise PayloadResolutionError(
             f"spilled payload {value.address} missing from cache")
     return resolved
-
-
-def _build_artifact(name: str):
-    return _WORKER_RUNNER.artifacts(name)
 
 
 # -- the supervisor --------------------------------------------------------
@@ -795,14 +758,10 @@ def _seed(runner: ExperimentRunner, cell: Cell, value) -> None:
         runner.seed_fuzz(cell.workload, cell.fuzz, value)
     elif cell.trace is not None:
         runner.seed_traced(cell.workload, cell.config, cell.latencies,
-                           cell.trace, value, cell.backend, cell.policy)
-    elif cell.is_sweep:
-        for lat, res in zip(cell.latencies, value):
-            runner.seed_result(cell.workload, cell.config, lat, res,
-                               cell.backend, cell.policy)
+                           cell.trace, value, cell.policy)
     else:
         runner.seed_result(cell.workload, cell.config, cell.latencies, value,
-                           cell.backend, cell.policy)
+                           cell.policy)
 
 
 def _memoized(runner: ExperimentRunner, cell: Cell) -> bool:
@@ -811,13 +770,9 @@ def _memoized(runner: ExperimentRunner, cell: Cell) -> bool:
         return runner.has_fuzz(cell.workload, cell.fuzz)
     if cell.trace is not None:
         return runner.has_traced(cell.workload, cell.config, cell.latencies,
-                                 cell.trace, cell.backend, cell.policy)
-    if cell.is_sweep:
-        return all(runner.has_result(cell.workload, cell.config, lat,
-                                     cell.backend, cell.policy)
-                   for lat in cell.latencies)
+                                 cell.trace, cell.policy)
     return runner.has_result(cell.workload, cell.config, cell.latencies,
-                             cell.backend, cell.policy)
+                             cell.policy)
 
 
 def _restore_resumed(runner: ExperimentRunner, unique: list[Cell],
@@ -826,8 +781,7 @@ def _restore_resumed(runner: ExperimentRunner, unique: list[Cell],
 
     A journaled ``ok`` is only trusted if the cache still holds the
     payload — anything evicted (or run without a cache) is recomputed.
-    Traced cells restore from the ``"traces"`` kind under their
-    spec-qualified key, plain cells from ``"results"``.
+    Each cell restores from the cache entry :func:`cell_entry` names.
     """
     done = journal.completed_keys()
     if not done:
@@ -836,30 +790,7 @@ def _restore_resumed(runner: ExperimentRunner, unique: list[Cell],
     for cell in unique:
         restored = None
         if cell_key(runner, cell) in done and runner.cache is not None:
-            if cell.fuzz is not None:
-                restored = runner.cache.get(
-                    "fuzz", runner.fuzz_payload(cell.workload, cell.fuzz))
-            elif cell.is_sweep:
-                points = [runner.cache.get(
-                    "results", runner.result_payload(
-                        cell.workload,
-                        runner.normalize_config(cell.config, lat),
-                        cell.backend, cell.policy))
-                    for lat in cell.latencies]
-                restored = points if all(p is not None for p in points) \
-                    else None   # any evicted point: recompute the sweep
-            elif cell.trace is not None:
-                config = runner.normalize_config(cell.config, cell.latencies)
-                restored = runner.cache.get(
-                    "traces",
-                    runner.traced_payload(cell.workload, config, cell.trace,
-                                          cell.backend, cell.policy))
-            else:
-                config = runner.normalize_config(cell.config, cell.latencies)
-                restored = runner.cache.get(
-                    "results", runner.result_payload(cell.workload, config,
-                                                     cell.backend,
-                                                     cell.policy))
+            restored = runner.cache.get(*cell_entry(runner, cell))
         if restored is not None:
             _seed(runner, cell, restored)
             report.resumed += 1
@@ -890,27 +821,9 @@ def _leaders_first(outstanding: dict[int, Cell]) -> list[int]:
     return leaders + followers
 
 
-def build_artifacts(runner: ExperimentRunner, names: list[str],
-                    jobs: int | None = None) -> ExperimentRunner:
-    """Build several workloads' artifacts in parallel (table 1/3 prep)."""
-    jobs = default_jobs() if jobs is None else jobs
-    missing = [n for n in dict.fromkeys(names) if not runner.has_artifact(n)]
-    if not missing:
-        return runner
-    if jobs <= 1 or len(missing) == 1:
-        for name in missing:
-            runner.artifacts(name)
-        return runner
-    with _pool(runner, min(jobs, len(missing))) as pool:
-        arts = list(pool.map(_build_artifact, missing))
-    for name, art in zip(missing, arts):
-        runner.seed_artifact(name, art)
-    return runner
-
-
 def _pool(runner: ExperimentRunner, workers: int) -> ProcessPoolExecutor:
     cache_dir = str(runner.cache.root) if runner.cache is not None else None
     return ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker,
         initargs=(runner.slicer_config, runner.instruction_scale, cache_dir,
-                  runner.backend, runner.policy))
+                  runner.policy))

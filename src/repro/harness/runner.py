@@ -25,14 +25,12 @@ from ..core.configs import MachineConfig
 from ..core.spear_binary import SpearBinary
 from ..functional.simulator import FunctionalSimulator
 from ..functional.trace import Trace
-from ..memory.hierarchy import FIG9_LATENCIES, LatencyConfig, MemoryHierarchy
+from ..memory.hierarchy import LatencyConfig, MemoryHierarchy
 from ..observe.events import TraceEvent
 from ..observe.sampler import IntervalSampler
 from ..observe.sinks import JsonlStreamSink, RingBufferSink
-from ..pipeline.fastforward import FastForwardSimulator
-from ..pipeline.kernel import DEFAULT_BACKEND, make_simulator, resolve_kernel
+from ..pipeline.smt import TimingSimulator
 from ..pipeline.stats import PipelineResult
-from ..pipeline.sweep import BatchedSweepSimulator
 from ..policy import DEFAULT_POLICY, make_policy, resolve_policy
 from ..workloads.base import Workload, get_workload
 from .diskcache import DiskCache
@@ -96,35 +94,24 @@ class WorkloadArtifacts:
     warmup_trace: Trace
 
 
-#: The sweep pseudo-backend: not a per-run kernel, but accepted wherever
-#: a backend knob appears — sweeps batch, single cells fall back to the
-#: sweep's inner kernel (results are byte-identical either way).
-SWEEP_BACKEND = BatchedSweepSimulator.backend
-
-
 class ExperimentRunner:
     """Caching façade over the compile → trace → simulate pipeline."""
 
     def __init__(self, *, slicer_config: SlicerConfig | None = None,
                  instruction_scale: float = 1.0,
                  cache: DiskCache | None = None,
-                 backend: str | None = None,
                  policy: str | None = None):
         """``instruction_scale`` scales every workload's instruction budget
         (useful to shrink CI runs or enlarge final ones).  ``cache`` is an
         optional persistent artifact cache shared across processes.
-        ``backend`` selects the timing kernel every simulation runs on
-        (any :data:`~repro.pipeline.kernel.KERNELS` name, or ``"batched"``
-        to additionally batch latency sweeps); per-call overrides win.
         ``policy`` selects the trigger policy (any
-        :data:`~repro.policy.POLICIES` name) the same way."""
+        :data:`~repro.policy.POLICIES` name); per-call overrides win.
+        Every simulation runs on the reference timing kernel,
+        :class:`~repro.pipeline.smt.TimingSimulator`."""
         self.slicer_config = slicer_config or SlicerConfig()
         self.instruction_scale = instruction_scale
         self.cache = cache
-        self.backend = DEFAULT_BACKEND if backend is None else backend
         self.policy = resolve_policy(policy)   # fail fast on unknown names
-        if self.backend != SWEEP_BACKEND:
-            resolve_kernel(self.backend)   # fail fast on unknown names
         self._artifacts: dict[str, WorkloadArtifacts] = {}
         self._results: dict[tuple, PipelineResult] = {}
         #: traced runs memoize separately: their results carry timelines
@@ -140,18 +127,6 @@ class ExperimentRunner:
         self.simulations = 0
 
     # -- cache keys -----------------------------------------------------------
-
-    def _kernel(self, backend: str | None) -> str:
-        """The per-run kernel name a backend choice resolves to.
-
-        ``None`` defers to the runner default; the ``batched`` sweep
-        pseudo-backend degrades to its inner kernel for single cells.
-        """
-        if backend is None:
-            backend = self.backend
-        if backend == SWEEP_BACKEND:
-            return FastForwardSimulator.backend
-        return backend
 
     def effective_policy(self, policy: str | None,
                          config: MachineConfig) -> str:
@@ -173,33 +148,26 @@ class ExperimentRunner:
                 "slicer": asdict(self.slicer_config)}
 
     def result_payload(self, name: str, config: MachineConfig,
-                       backend: str | None = None,
                        policy: str | None = None) -> dict:
         """Cache/journal key payload of one (workload, config) result.
 
-        Non-reference backends are tagged into the payload; the reference
-        kernel keeps the untagged (pre-backend) key, so existing caches
-        stay valid and cross-backend entries can never collide.  The same
-        rule covers policies: only a non-fixed *effective* policy is
-        tagged, so fixed-policy keys are byte-identical to pre-policy
-        ones and adaptive entries can never collide with them.
+        Only a non-fixed *effective* policy is tagged into the payload,
+        so fixed-policy keys are byte-identical to pre-policy ones and
+        adaptive entries can never collide with them.
         """
         payload = self._artifact_payload(name)
         payload["config"] = asdict(config)
-        kernel = self._kernel(backend)
-        if kernel != DEFAULT_BACKEND:
-            payload["backend"] = kernel
         pol = self.effective_policy(policy, config)
         if pol != DEFAULT_POLICY:
             payload["policy"] = pol
         return payload
 
     def traced_payload(self, name: str, config: MachineConfig,
-                       spec: TraceSpec, backend: str | None = None,
+                       spec: TraceSpec,
                        policy: str | None = None) -> dict:
         """Cache/journal key payload of one traced cell — the result key
         plus the trace parameters, under the ``"traces"`` kind."""
-        payload = self.result_payload(name, config, backend, policy)
+        payload = self.result_payload(name, config, policy)
         payload["trace"] = spec.payload()
         return payload
 
@@ -264,41 +232,39 @@ class ExperimentRunner:
 
     def run(self, name: str, config: MachineConfig,
             latencies: LatencyConfig | None = None, *,
-            backend: str | None = None,
             policy: str | None = None) -> PipelineResult:
         """Simulate one workload under one machine configuration.
 
         A non-fixed effective ``policy`` takes the adaptive path (its own
-        4-tuple memo key and policy-tagged cache payload); the fixed
+        3-tuple memo key and policy-tagged cache payload); the fixed
         policy is this exact pre-policy code path, unchanged.
         """
         config = self.normalize_config(config, latencies)
-        kernel = self._kernel(backend)
         pol = self.effective_policy(policy, config)
         if pol != DEFAULT_POLICY:
-            return self._run_adaptive(name, config, kernel, pol)
-        key = (name, config, kernel)
+            return self._run_adaptive(name, config, pol)
+        key = (name, config)
         result = self._results.get(key)
         if result is None:
             if self.cache is not None:
                 result = self.cache.get(
-                    "results", self.result_payload(name, config, kernel))
+                    "results", self.result_payload(name, config))
             if result is None:
                 art = self.artifacts(name)
                 memory = MemoryHierarchy(latencies=config.latencies)
-                sim = make_simulator(kernel, art.eval_trace, config,
-                                     art.binary.table, memory,
-                                     warmup=art.warmup_trace)
+                sim = TimingSimulator(art.eval_trace, config,
+                                      art.binary.table, memory,
+                                      warmup=art.warmup_trace)
                 result = sim.run()
                 self.simulations += 1
                 if self.cache is not None:
                     self.cache.put(
-                        "results", self.result_payload(name, config, kernel),
+                        "results", self.result_payload(name, config),
                         result)
             self._results[key] = result
         return result
 
-    def _run_adaptive(self, name: str, config: MachineConfig, kernel: str,
+    def _run_adaptive(self, name: str, config: MachineConfig,
                       pol: str) -> PipelineResult:
         """One cell under a non-fixed policy.
 
@@ -306,28 +272,28 @@ class ExperimentRunner:
         memoized under its ordinary key, so epochs are shared with — and
         epoch 0 *is* — the fixed result); ``adaptive-phase`` attaches a
         fresh in-run controller.  Either way the outcome memoizes under a
-        ``(name, config, kernel, policy)`` 4-tuple — a different tuple
-        length than fixed keys, so the two can never collide.
+        ``(name, config, policy)`` 3-tuple — a different tuple length
+        than fixed keys, so the two can never collide.
         """
-        key = (name, config, kernel, pol)
+        key = (name, config, pol)
         result = self._results.get(key)
         if result is None:
-            payload = self.result_payload(name, config, kernel, pol)
+            payload = self.result_payload(name, config, pol)
             if self.cache is not None:
                 result = self.cache.get("results", payload)
             if result is None:
                 policy_obj = make_policy(pol)
                 converged = policy_obj.converge(
-                    lambda cfg: self.run(name, cfg, backend=kernel,
-                                         policy=DEFAULT_POLICY), config)
+                    lambda cfg: self.run(name, cfg, policy=DEFAULT_POLICY),
+                    config)
                 if converged is not None:
                     result, _ = converged
                 else:
                     art = self.artifacts(name)
                     memory = MemoryHierarchy(latencies=config.latencies)
-                    sim = make_simulator(
-                        kernel, art.eval_trace, config, art.binary.table,
-                        memory, warmup=art.warmup_trace,
+                    sim = TimingSimulator(
+                        art.eval_trace, config, art.binary.table, memory,
+                        warmup=art.warmup_trace,
                         policy=policy_obj.make_controller(config))
                     result = sim.run()
                     self.simulations += 1
@@ -336,67 +302,11 @@ class ExperimentRunner:
             self._results[key] = result
         return result
 
-    def run_sweep(self, name: str, config: MachineConfig,
-                  latencies: list[LatencyConfig] | None = None, *,
-                  kernel: str | None = None,
-                  policy: str | None = None) -> list[PipelineResult]:
-        """Simulate one workload across a memory-latency sweep, batched.
-
-        All points missing from the memo and disk cache go through one
-        :class:`~repro.pipeline.sweep.BatchedSweepSimulator` pass, which
-        pays the trace-flag walk and warmup replay once instead of once
-        per point.  Results are byte-identical to independent runs, and
-        are memoized under the sweep's inner per-run ``kernel``
-        (fast-forward unless overridden) so later single-cell runs on
-        that kernel hit them.  Returns results in ``latencies`` order.
-        """
-        if latencies is None:
-            latencies = list(FIG9_LATENCIES)
-        kernel = self._kernel(SWEEP_BACKEND if kernel is None else kernel)
-        if self.effective_policy(policy, config) != DEFAULT_POLICY:
-            # A batched sweep shares one compile/trace pass across points
-            # but cannot thread per-point epoch loops or controllers, so
-            # adaptive sweeps degrade to independent per-point runs —
-            # same results, one trace walk per point instead of one total.
-            return [self.run(name, config, lat, backend=kernel,
-                             policy=policy) for lat in latencies]
-        keys, missing = [], []
-        for lat in latencies:
-            cfg = self.normalize_config(config, lat)
-            key = (name, cfg, kernel)
-            keys.append(key)
-            if key in self._results:
-                continue
-            cached = None
-            if self.cache is not None:
-                cached = self.cache.get(
-                    "results", self.result_payload(name, cfg, kernel))
-            if cached is not None:
-                self._results[key] = cached
-            else:
-                missing.append(lat)
-        if missing:
-            art = self.artifacts(name)
-            sweep = BatchedSweepSimulator(art.eval_trace, config, missing,
-                                          art.binary.table,
-                                          warmup=art.warmup_trace,
-                                          kernel=kernel)
-            for lat, result in zip(missing, sweep.run()):
-                self.simulations += 1
-                cfg = self.normalize_config(config, lat)
-                self._results[(name, cfg, kernel)] = result
-                if self.cache is not None:
-                    self.cache.put(
-                        "results", self.result_payload(name, cfg, kernel),
-                        result)
-        return [self._results[key] for key in keys]
-
     def run_traced(self, name: str, config: MachineConfig,
                    latencies: LatencyConfig | None = None, *,
                    interval: int = 1000, capacity: int | None = 65536,
                    kinds: tuple[str, ...] | None = None,
                    spec: TraceSpec | None = None,
-                   backend: str | None = None,
                    policy: str | None = None) -> TracedRun:
         """Simulate one cell with tracing and interval sampling attached.
 
@@ -419,13 +329,12 @@ class ExperimentRunner:
             spec = TraceSpec(interval, capacity,
                              tuple(kinds) if kinds is not None else None)
         config = self.normalize_config(config, latencies)
-        kernel = self._kernel(backend)
         pol = self.effective_policy(policy, config)
-        key = ((name, config, spec, kernel) if pol == DEFAULT_POLICY
-               else (name, config, spec, kernel, pol))
+        key = ((name, config, spec) if pol == DEFAULT_POLICY
+               else (name, config, spec, pol))
         traced = self._traced.get(key)
         if traced is None:
-            payload = self.traced_payload(name, config, spec, kernel, pol)
+            payload = self.traced_payload(name, config, spec, pol)
             if self.cache is not None:
                 traced = self.cache.get("traces", payload)
             if traced is None:
@@ -436,8 +345,7 @@ class ExperimentRunner:
                     controller = policy_obj.make_controller(config)
                     if controller is None:
                         # Epoch mode: trace the converged operating point.
-                        converged = self.run(name, config, backend=kernel,
-                                             policy=pol)
+                        converged = self.run(name, config, policy=pol)
                         epoch_summary = converged.policy
                         run_cfg = dataclasses.replace(
                             config,
@@ -448,11 +356,11 @@ class ExperimentRunner:
                 sink = RingBufferSink(spec.capacity, kinds=spec.kinds)
                 sampler = IntervalSampler(spec.interval)
                 memory = MemoryHierarchy(latencies=run_cfg.latencies)
-                sim = make_simulator(kernel, art.eval_trace, run_cfg,
-                                     art.binary.table, memory,
-                                     warmup=art.warmup_trace,
-                                     tracer=sink, sampler=sampler,
-                                     policy=controller)
+                sim = TimingSimulator(art.eval_trace, run_cfg,
+                                      art.binary.table, memory,
+                                      warmup=art.warmup_trace,
+                                      tracer=sink, sampler=sampler,
+                                      policy=controller)
                 result = sim.run()
                 self.simulations += 1
                 if epoch_summary is not None:
@@ -467,8 +375,7 @@ class ExperimentRunner:
     def run_streamed(self, name: str, config: MachineConfig,
                      target, latencies: LatencyConfig | None = None, *,
                      interval: int = 1000,
-                     kinds: tuple[str, ...] | None = None,
-                     backend: str | None = None
+                     kinds: tuple[str, ...] | None = None
                      ) -> tuple[PipelineResult, int]:
         """Simulate with every event streamed to ``target`` as JSONL.
 
@@ -484,10 +391,9 @@ class ExperimentRunner:
         try:
             sampler = IntervalSampler(interval)
             memory = MemoryHierarchy(latencies=config.latencies)
-            sim = make_simulator(self._kernel(backend), art.eval_trace,
-                                 config, art.binary.table, memory,
-                                 warmup=art.warmup_trace,
-                                 tracer=sink, sampler=sampler)
+            sim = TimingSimulator(art.eval_trace, config, art.binary.table,
+                                  memory, warmup=art.warmup_trace,
+                                  tracer=sink, sampler=sampler)
             result = sim.run()
             self.simulations += 1
         finally:
@@ -531,71 +437,57 @@ class ExperimentRunner:
 
     def _result_key(self, name: str, config: MachineConfig,
                     latencies: LatencyConfig | None,
-                    backend: str | None, policy: str | None) -> tuple:
+                    policy: str | None) -> tuple:
         """The memo key :meth:`run` uses — fixed keys keep the pre-policy
-        3-tuple shape, adaptive keys append the policy name (a 4-tuple),
+        2-tuple shape, adaptive keys append the policy name (a 3-tuple),
         so the two populations can never collide."""
         config = self.normalize_config(config, latencies)
-        kernel = self._kernel(backend)
         pol = self.effective_policy(policy, config)
         if pol == DEFAULT_POLICY:
-            return (name, config, kernel)
-        return (name, config, kernel, pol)
+            return (name, config)
+        return (name, config, pol)
 
     def seed_result(self, name: str, config: MachineConfig,
                     latencies: LatencyConfig | None,
                     result: PipelineResult,
-                    backend: str | None = None,
                     policy: str | None = None) -> None:
         """Adopt a result computed elsewhere (the parallel engine's merge)."""
-        self._results[self._result_key(name, config, latencies, backend,
+        self._results[self._result_key(name, config, latencies,
                                        policy)] = result
 
     def has_result(self, name: str, config: MachineConfig,
                    latencies: LatencyConfig | None = None,
-                   backend: str | None = None,
                    policy: str | None = None) -> bool:
         """Whether the memo already holds this cell's result — the one
         blessed membership check (parallel engine, journal resume)."""
-        return self._result_key(name, config, latencies, backend,
+        return self._result_key(name, config, latencies,
                                 policy) in self._results
 
     def _traced_key(self, name: str, config: MachineConfig,
                     latencies: LatencyConfig | None, spec: TraceSpec,
-                    backend: str | None, policy: str | None) -> tuple:
+                    policy: str | None) -> tuple:
         """The memo key :meth:`run_traced` uses (same shape rule as
         :meth:`_result_key`)."""
         config = self.normalize_config(config, latencies)
-        kernel = self._kernel(backend)
         pol = self.effective_policy(policy, config)
         if pol == DEFAULT_POLICY:
-            return (name, config, spec, kernel)
-        return (name, config, spec, kernel, pol)
+            return (name, config, spec)
+        return (name, config, spec, pol)
 
     def seed_traced(self, name: str, config: MachineConfig,
                     latencies: LatencyConfig | None, spec: TraceSpec,
-                    traced: TracedRun, backend: str | None = None,
-                    policy: str | None = None) -> None:
+                    traced: TracedRun, policy: str | None = None) -> None:
         """Adopt a traced run computed elsewhere (the parallel engine's
         merge resolves the spilled cache entry, then seeds it here)."""
         self._traced[self._traced_key(name, config, latencies, spec,
-                                      backend, policy)] = traced
+                                      policy)] = traced
 
     def has_traced(self, name: str, config: MachineConfig,
                    latencies: LatencyConfig | None, spec: TraceSpec,
-                   backend: str | None = None,
                    policy: str | None = None) -> bool:
         """Whether the memo already holds this traced cell."""
-        return self._traced_key(name, config, latencies, spec, backend,
+        return self._traced_key(name, config, latencies, spec,
                                 policy) in self._traced
-
-    def has_artifact(self, name: str) -> bool:
-        """Whether ``name``'s artifacts are already memoized in-process."""
-        return name in self._artifacts
-
-    def seed_artifact(self, name: str, artifacts: WorkloadArtifacts) -> None:
-        """Adopt artifacts built elsewhere (the parallel engine's merge)."""
-        self._artifacts[name] = artifacts
 
     def speedup(self, name: str, config: MachineConfig,
                 baseline: MachineConfig,

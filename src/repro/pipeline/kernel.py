@@ -57,7 +57,7 @@ KERNELS: dict[str, type[TimingSimulator]] = {
     FastForwardSimulator.backend: FastForwardSimulator,
 }
 
-#: Names accepted wherever a backend knob appears (CLI, runner, cells).
+#: Names :func:`make_simulator` accepts.
 KERNEL_BACKENDS = tuple(KERNELS)
 
 #: The backend used when none is requested.

@@ -1044,15 +1044,9 @@ def simulate(trace: Trace, config: MachineConfig,
              memory: MemoryHierarchy | None = None,
              tracer: TraceSink | None = None,
              sampler: IntervalSampler | None = None,
-             backend: str = "reference",
              policy=None) -> PipelineResult:
-    """Run ``trace`` through ``config`` and return the result.
-
-    ``backend`` selects the timing kernel (see
-    :mod:`repro.pipeline.kernel`); every backend is byte-identical to
-    ``reference``, so this is purely a wall-clock knob.  ``policy`` is an
-    optional in-run trigger-policy controller (see :mod:`repro.policy`).
-    """
-    from .kernel import make_simulator
-    return make_simulator(backend, trace, config, table, memory,
-                          tracer=tracer, sampler=sampler, policy=policy).run()
+    """Run ``trace`` through ``config`` on the reference kernel and return
+    the result.  ``policy`` is an optional in-run trigger-policy
+    controller (see :mod:`repro.policy`)."""
+    return TimingSimulator(trace, config, table, memory, tracer=tracer,
+                           sampler=sampler, policy=policy).run()

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
-from repro.core import BASELINE
+from repro.core import BASELINE, SPEAR_128
+from repro.fuzz.campaign import CampaignSpec, campaign_cells
 from repro.harness import (Cell, DiskCache, ExperimentRunner, RunJournal,
-                           cells_for, list_journals, run_cells)
+                           ablate_policy_cells, cells_for, list_journals,
+                           report_cells, report_trace_spec, run_cells)
 from repro.harness.journal import TornJournalWarning, cell_key, run_key
+from repro.memory.hierarchy import FIG9_LATENCIES
 
 
 def _runner(scale=0.05, cache=None):
@@ -123,6 +126,72 @@ class TestKeys:
         a = RunJournal.for_run("figure6", cells, runner, root=tmp_path)
         b = RunJournal.for_run("figure6", cells, runner, root=tmp_path)
         assert a.path == b.path
+
+
+#: ``cell_key`` values of mcf's cells at scale 0.2.  A warm cache and a
+#: ``--resume`` journal written by an earlier tree stay valid only while
+#: these hold, so a harness refactor must leave every one unchanged.
+PINNED_CELL_KEYS = {
+    "figure6/baseline":
+        "01137c2e59f5dffa836b10e85ebd765fcdebf35cb55261ee88b980be453eed69",
+    "figure6/SPEAR-128":
+        "b2529a5b8f903d901827ba1e450cf7382f901ad31425b6d796f5e2ac9be526a4",
+    "figure6/SPEAR-256":
+        "5212ce3bb093d7a8c52d4d68d63258926f550543c7fd64aced48def5fadd13d0",
+    "figure9/SPEAR-128/200":
+        "f063b66e42876a0035e0b4cce6757447fca6d761221f543dfe5b5cc8a6f07358",
+    "report/SPEAR-128":
+        "d39b7103f789ca63d09b55562eb59ff16fbb5545e25f6cc91b60e939bb9c43ed",
+    "ablate/baseline/None":
+        "01137c2e59f5dffa836b10e85ebd765fcdebf35cb55261ee88b980be453eed69",
+    "ablate/SPEAR-128/fixed":
+        "b2529a5b8f903d901827ba1e450cf7382f901ad31425b6d796f5e2ac9be526a4",
+    "ablate/SPEAR-128/adaptive-epoch":
+        "7705596373f04d93f3ecc5e9207185996b386227559dd4b254b83e7f36fb8358",
+    "ablate/SPEAR-128/adaptive-phase":
+        "413f8b345e8e0d13af0acc9c28e02faa23db3deae7190689c03dea4af6cccaac",
+    "fuzz:v1:2026:0":
+        "99ac61f7551b398ea6cdfeddc762b04c1891da22b4513c0a1f8bdab55b18cdb6",
+    "fuzz:v1:2026:1":
+        "26debc9e0207e1a461c30c98cc142faeca3fc5a73d6d7c042d93314f849f8f78",
+}
+
+PINNED_FIGURE6_RUN_KEY = \
+    "3d5f7a292bcdd700f779edaf4828c98aa7f36fe76c4307c4baf6d8c4f0575c17"
+
+
+def _pinned_cells() -> dict:
+    cells = {f"figure6/{c.config.name}": c
+             for c in cells_for("figure6", ["mcf"])}
+    longest = FIG9_LATENCIES[-1]
+    cells[f"figure9/SPEAR-128/{longest.memory}"] = next(
+        c for c in cells_for("figure9", ["mcf"])
+        if c.config == SPEAR_128 and c.latencies == longest)
+    traced = report_cells(["mcf"], [BASELINE, SPEAR_128],
+                          report_trace_spec())
+    cells["report/SPEAR-128"] = traced[1]
+    for c in ablate_policy_cells(["mcf"]):
+        cells[f"ablate/{c.config.name}/{c.policy}"] = c
+    for c in campaign_cells(CampaignSpec(seed=2026, count=2)):
+        cells[c.workload] = c
+    return cells
+
+
+class TestPinnedKeys:
+    """Cache and journal keys are part of the on-disk format."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_cell_keys_unchanged(self, tmp_path, cached):
+        cache = DiskCache(tmp_path / "c") if cached else None
+        runner = _runner(scale=0.2, cache=cache)
+        got = {label: cell_key(runner, cell)
+               for label, cell in _pinned_cells().items()}
+        assert got == PINNED_CELL_KEYS
+
+    def test_figure6_run_key_unchanged(self):
+        runner = _runner(scale=0.2)
+        assert run_key("figure6", cells_for("figure6", ["mcf"]),
+                       runner) == PINNED_FIGURE6_RUN_KEY
 
 
 class TestResume:

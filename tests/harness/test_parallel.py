@@ -6,8 +6,7 @@ import pytest
 
 from repro.core import BASELINE, SPEAR_128, SPEAR_256
 from repro.harness import (Cell, DiskCache, ExperimentRunner, RunJournal,
-                           build_artifacts, cells_for, default_jobs, figure6,
-                           run_cells)
+                           cells_for, default_jobs, figure6, run_cells)
 from repro.harness.parallel import _leaders_first
 from repro.memory import FIG9_LATENCIES
 
@@ -63,13 +62,6 @@ class TestSerialEquivalence:
         run_cells(runner, cells, jobs=1)
         again = run_cells(runner, cells, jobs=1)
         assert again.total == 0 and again.ok == 0
-
-    def test_build_artifacts_serial(self):
-        runner = ExperimentRunner(instruction_scale=0.05)
-        build_artifacts(runner, ["pointer"], jobs=1)
-        assert runner.builds == 1
-        build_artifacts(runner, ["pointer"], jobs=1)
-        assert runner.builds == 1
 
 
 class TestJobsDeterminism:
@@ -174,3 +166,9 @@ class TestJournal:
         assert len(elapsed) == len(cells)
         # Each worker runs one cell at a time inside the run's wall time.
         assert sum(elapsed) <= jobs * report.wall_time
+
+
+class TestDefaultJobs:
+    def test_default_jobs_positive(self):
+        jobs = default_jobs()
+        assert isinstance(jobs, int) and jobs >= 1

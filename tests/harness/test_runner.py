@@ -70,17 +70,6 @@ class TestRuns:
         assert runner.has_result("pointer", BASELINE, BASELINE.latencies)
         assert not runner.has_result("pointer", SPEAR_128)
 
-    def test_has_and_seed_artifact(self):
-        runner = ExperimentRunner(instruction_scale=0.05)
-        assert not runner.has_artifact("pointer")
-        art = runner.artifacts("pointer")
-        assert runner.has_artifact("pointer")
-        other = ExperimentRunner(instruction_scale=0.05)
-        other.seed_artifact("pointer", art)
-        assert other.has_artifact("pointer")
-        assert other.artifacts("pointer") is art
-        assert other.builds == 0
-
     def test_workload_name_on_result(self, runner):
         assert runner.run("pointer", BASELINE).workload == "pointer"
 

@@ -1,11 +1,11 @@
-"""Traced runs through the harness: caching, determinism (serial and with
-parallel artifact building), and tracer-off result identity."""
+"""Traced runs through the harness: caching, determinism (artifacts built
+in process or loaded from the disk cache), and tracer-off result
+identity."""
 
 import pytest
 
 from repro.core import SPEAR_128
 from repro.harness import DiskCache, ExperimentRunner, TracedRun
-from repro.harness.parallel import build_artifacts
 from repro.observe import serialize_events
 
 
@@ -68,14 +68,19 @@ class TestDiskCache:
 
 class TestDeterminism:
     """S4: the event stream is byte-identical however the inputs were
-    produced — serially or with artifacts built by a worker pool."""
+    produced — built in process, or loaded from the disk cache the way a
+    pool worker loads the artifacts its workload's leader cell wrote."""
 
-    def test_stream_identical_serial_vs_parallel_artifacts(self, runner):
+    def test_stream_identical_serial_vs_parallel_artifacts(self, runner,
+                                                           tmp_path):
         serial = runner.run_traced("pointer", SPEAR_128)
 
-        pooled = ExperimentRunner(instruction_scale=SCALE)
-        build_artifacts(pooled, ["pointer"], jobs=2)
-        parallel = pooled.run_traced("pointer", SPEAR_128)
+        cache = DiskCache(tmp_path / "c")
+        ExperimentRunner(instruction_scale=SCALE,
+                         cache=cache).artifacts("pointer")
+        loaded = ExperimentRunner(instruction_scale=SCALE, cache=cache)
+        parallel = loaded.run_traced("pointer", SPEAR_128)
+        assert loaded.builds == 0 and loaded.simulations == 1
 
         assert serialize_events(parallel.events) == \
             serialize_events(serial.events)

@@ -12,8 +12,10 @@ import pytest
 from repro.core.configs import BASELINE, SPEAR_128
 from repro.harness import ExperimentRunner, ablate_policy_cells
 from repro.harness.journal import cell_key
-from repro.memory.hierarchy import FIG9_LATENCIES
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.observe.events import POLICY
+from repro.pipeline import make_simulator
+from repro.policy import make_policy
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +110,25 @@ def test_phase_run_is_deterministic(runner):
 
 def test_phase_run_backends_byte_identical(runner):
     """The fast-forward kernel clamps skips to decision boundaries, so it
-    must reproduce the reference decision sequence exactly."""
+    must reproduce the reference decision sequence exactly — and both
+    kernels must equal the harness's adaptive-phase run."""
     for name in ("ll4", "mcf"):
-        ref = runner.run(name, SPEAR_128, backend="reference",
-                         policy="adaptive-phase")
-        ff = runner.run(name, SPEAR_128, backend="fast-forward",
-                        policy="adaptive-phase")
+        art = runner.artifacts(name)
+
+        def run_on(kernel):
+            controller = make_policy("adaptive-phase").make_controller(
+                SPEAR_128)
+            return make_simulator(
+                kernel, art.eval_trace, SPEAR_128, art.binary.table,
+                MemoryHierarchy(latencies=SPEAR_128.latencies),
+                warmup=art.warmup_trace, policy=controller).run()
+
+        ref, ff = run_on("reference"), run_on("fast-forward")
         assert _digest(ref) == _digest(ff), name
         assert ref.policy == ff.policy, name
+        harness = runner.run(name, SPEAR_128, policy="adaptive-phase")
+        assert _digest(harness) == _digest(ref), name
+        assert harness.policy == ref.policy, name
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +157,6 @@ def test_traced_fixed_run_has_no_policy_events(runner):
     tr = runner.run_traced("ll4", SPEAR_128, capacity=None)
     assert not any(e.kind == POLICY for e in tr.events)
     assert "policy" not in tr.result.timeline
-
-
-# ---------------------------------------------------------------------------
-# Sweeps
-# ---------------------------------------------------------------------------
-
-def test_sweep_under_adaptive_policy_matches_per_point_runs(runner):
-    lats = FIG9_LATENCIES[:2]
-    swept = runner.run_sweep("ll4", SPEAR_128, lats,
-                             policy="adaptive-epoch")
-    assert len(swept) == len(lats)
-    for lat, res in zip(lats, swept):
-        solo = runner.run("ll4", SPEAR_128, lat, policy="adaptive-epoch")
-        assert _digest(res) == _digest(solo)
 
 
 # ---------------------------------------------------------------------------

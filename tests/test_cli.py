@@ -294,6 +294,20 @@ class TestFiguresAndTables:
             main([])
 
 
+class TestNoBackendOption:
+    """Every verb runs the reference kernel; there is no kernel choice."""
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "9", "pointer", "--backend", "batched"],
+        ["run", "pointer", "--backend", "fast-forward"],
+    ], ids=["figure", "run"])
+    def test_backend_is_an_unrecognized_argument(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *SCALE])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
 class TestRobustnessFlags:
     def test_resume_rerun_restores_from_journal(self, capsys):
         assert main(["figure", "6", "pointer", *SCALE, "--jobs", "1"]) == 0
