@@ -153,11 +153,9 @@ def _journal_dir(args) -> Path:
 
 
 def _run_matrix(runner: ExperimentRunner, experiment: str,
-                workloads: list[str] | None, args) -> RunReport:
-    """Fault-tolerant execution of one experiment's cell matrix, journaled
-    under the run's content key."""
-    cells = cells_for(experiment, workloads,
-                      policy=getattr(args, "policy", None))
+                cells: list[Cell], args) -> RunReport:
+    """Fault-tolerant execution of one verb's cells, journaled under the
+    run's content key (``--resume`` restores its journaled-ok cells)."""
     journal = RunJournal.for_run(experiment, cells, runner,
                                  root=_journal_dir(args))
     return run_cells(runner, cells, _jobs(args), policy=_policy(args),
@@ -236,7 +234,9 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     runner = _runner(args)
     try:
-        report = _run_matrix(runner, "compare", [args.workload], args)
+        report = _run_matrix(runner, "compare",
+                             cells_for("compare", [args.workload],
+                                       policy=args.policy), args)
     except FatalCellError as exc:
         return _fatal(exc)
     if report.failures:
@@ -404,12 +404,8 @@ def cmd_report(args) -> int:
     spec = report_trace_spec(args.interval)
     cells = report_cells(workloads, [baseline, model], spec)
     experiment = "report-suite" if args.suite else "report"
-    journal = RunJournal.for_run(experiment, cells, runner,
-                                 root=_journal_dir(args))
     try:
-        run_report = run_cells(runner, cells, _jobs(args),
-                               policy=_policy(args), journal=journal,
-                               resume=getattr(args, "resume", False))
+        run_report = _run_matrix(runner, experiment, cells, args)
     except FatalCellError as exc:
         return _fatal(exc)
     bad = {f.cell.workload for f in run_report.failures}
@@ -508,7 +504,9 @@ def cmd_figure(args) -> int:
     workloads = args.workloads or None
     experiment = f"figure{args.number}"
     try:
-        report = _run_matrix(runner, experiment, workloads, args)
+        report = _run_matrix(
+            runner, experiment,
+            cells_for(experiment, workloads, policy=args.policy), args)
     except FatalCellError as exc:
         return _fatal(exc)
     keep = _surviving_workloads(experiment, workloads, report)
@@ -541,7 +539,8 @@ def cmd_table(args) -> int:
         return 0
     workloads = args.workloads or None
     try:
-        report = _run_matrix(runner, "table3", workloads, args)
+        report = _run_matrix(runner, "table3",
+                             cells_for("table3", workloads), args)
     except FatalCellError as exc:
         return _fatal(exc)
     keep = _surviving_workloads("table3", workloads, report)
@@ -576,12 +575,8 @@ def cmd_ablate_policy(args) -> int:
               file=sys.stderr)
         return 2
     cells = ablate_policy_cells(workloads, policies=policies)
-    journal = RunJournal.for_run("ablate-policy", cells, runner,
-                                 root=_journal_dir(args))
     try:
-        report = run_cells(runner, cells, _jobs(args), policy=_policy(args),
-                           journal=journal,
-                           resume=getattr(args, "resume", False))
+        report = _run_matrix(runner, "ablate-policy", cells, args)
     except FatalCellError as exc:
         return _fatal(exc)
     bad = {f.cell.workload for f in report.failures}

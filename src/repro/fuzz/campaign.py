@@ -1,7 +1,7 @@
 """Journaled, resumable fuzzing campaigns on the parallel engine.
 
 A campaign is ``count`` generated programs from one seed, each evaluated
-as a :class:`~repro.harness.parallel.Cell` with a
+as a :class:`~repro.harness.runner.Cell` with a
 :class:`~repro.fuzz.differential.FuzzCheckSpec` attached.  Determinism
 end to end:
 
@@ -98,8 +98,8 @@ def run_campaign(spec: CampaignSpec, runner: ExperimentRunner, *,
                            journal=journal, resume=resume)
     verdicts, failed = [], []
     for cell in cells:
-        if runner.has_fuzz(cell.workload, cell.fuzz):
-            verdicts.append(runner.run_fuzz(cell.workload, cell.fuzz))
+        if runner.has(cell):
+            verdicts.append(runner.get(cell))
         else:
             failed.append(cell.workload)
     return CampaignResult(spec=spec, verdicts=verdicts,

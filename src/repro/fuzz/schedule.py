@@ -435,8 +435,8 @@ def run_guided_campaign(spec: GuidedCampaignSpec, runner: ExperimentRunner,
         incomplete = False
         for cell, arm in zip(cells, plan):
             alloc[arm.name] = alloc.get(arm.name, 0) + 1
-            if runner.has_fuzz(cell.workload, cell.fuzz):
-                verdict = runner.run_fuzz(cell.workload, cell.fuzz)
+            if runner.has(cell):
+                verdict = runner.get(cell)
                 verdicts.append(verdict)
                 batch.append((arm.name, verdict))
             else:

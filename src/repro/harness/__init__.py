@@ -19,11 +19,12 @@ from .faults import (FAULTS_ENV, FaultClause, FaultSpecError, InjectedCrash,
                      render_faults)
 from .journal import (RunJournal, TornJournalWarning, default_journal_dir,
                       list_journals, read_jsonl)
-from .parallel import (Cell, CellFailure, ExecutionPolicy, FatalCellError,
+from .parallel import (CellFailure, ExecutionPolicy, FatalCellError,
                        PayloadRef, PayloadResolutionError, RunReport,
                        cells_for, compute_cell, default_jobs,
                        default_workloads, report_cells, run_cells)
-from .runner import ExperimentRunner, TracedRun, TraceSpec, WorkloadArtifacts
+from .runner import (Cell, ExperimentRunner, TracedRun, TraceSpec,
+                     WorkloadArtifacts)
 from .tables import TextTable, arithmetic_mean, geometric_mean
 
 __all__ = ["EVAL_WORKLOADS", "FIG9_WORKLOADS", "IRREGULAR_WORKLOADS",

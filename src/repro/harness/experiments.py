@@ -20,7 +20,7 @@ from ..observe.compare import (PE_EVENT_KINDS, SuiteDiff, TimelineDiff,
                                diff_timelines)
 from ..observe.render import render_report, render_suite_report
 from ..workloads.base import all_workload_names, get_workload
-from .runner import ExperimentRunner, TracedRun, TraceSpec
+from .runner import Cell, ExperimentRunner, TracedRun, TraceSpec
 from .tables import TextTable, arithmetic_mean, geometric_mean
 
 #: The 15 evaluated benchmarks, in Table 1 order (ll4 is excluded: it only
@@ -613,7 +613,6 @@ def ablate_policy_cells(workloads: list[str] | None = None,
     one baseline cell per workload plus one cell per (workload, policy).
     Running these through ``run_cells`` warms exactly the memo entries
     the table assembly reads."""
-    from .parallel import Cell
     names = workloads or policy_ablation_workloads()
     cells = []
     for n in names:

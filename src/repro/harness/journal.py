@@ -69,33 +69,16 @@ def default_journal_dir() -> Path:
     return default_cache_dir() / "journal"
 
 
-def cell_entry(runner, cell) -> tuple[str, dict]:
-    """Where one cell's payload is cached: its ``(kind, payload)``.
-
-    A fuzz cell's verdict lives under ``"fuzz"``, a traced cell's run
-    (``cell.trace`` set) under ``"traces"`` with the trace parameters
-    folded in, and every other cell's result under ``"results"``.  The
-    journal key, the worker's spill reference and ``--resume``'s cache
-    lookup all derive from this one answer."""
-    if cell.fuzz is not None:
-        return "fuzz", runner.fuzz_payload(cell.workload, cell.fuzz)
-    config = runner.normalize_config(cell.config, cell.latencies)
-    if cell.trace is not None:
-        return "traces", runner.traced_payload(cell.workload, config,
-                                               cell.trace, cell.policy)
-    return "results", runner.result_payload(cell.workload, config,
-                                            cell.policy)
-
-
 def cell_key(runner, cell) -> str:
     """Stable identity of one cell's result — exactly the key the
-    runner's cache stores it under (:func:`cell_entry`), so a journaled
-    ``ok`` always names the entry ``--resume`` verifies against
+    runner's cache stores it under
+    (:meth:`~repro.harness.runner.ExperimentRunner.entry`), so a
+    journaled ``ok`` always names the entry ``--resume`` verifies against
     (honoring a cache built with a non-default ``schema_version``).  The
     journal stores only this content-hash reference to a traced cell's
     spilled payload, never the payload itself.  Without a cache, falls
     back to the same derivation at the global :data:`SCHEMA_VERSION`."""
-    kind, payload = cell_entry(runner, cell)
+    kind, payload = runner.entry(cell)
     if runner.cache is not None:
         return runner.cache.key_for(kind, payload)
     return content_key({"schema": SCHEMA_VERSION, "kind": kind, **payload})

@@ -5,14 +5,17 @@ independent cells — the same embarrassing parallelism Prophet exploits for
 speculative threads, and the same fault model: a mis-speculated (crashed,
 hung, failing) cell is squashed and re-executed alone, never at the cost
 of the rest of the run.  This module enumerates those cells as picklable
-:class:`Cell` descriptors and runs them under one :class:`Supervisor`,
-which owns the process pool, the attempts in flight, retry backoff, the
-timeout clock, pool rebuilds and in-process degradation.
-:func:`run_cells` adds a run's cells and steps the supervisor on the
-calling thread until none is outstanding, then merges the results into
-the parent :class:`~repro.harness.runner.ExperimentRunner`'s memo **in
-index order**, so figures and tables render byte-identically regardless
-of job count.  With ``jobs <= 1`` or a single cell every attempt runs in
+:class:`~repro.harness.runner.Cell` descriptors and runs them under one
+:class:`Supervisor`, which owns the process pool, the attempts in
+flight, retry backoff, the timeout clock, pool rebuilds and in-process
+degradation.  Every attempt is one
+:meth:`~repro.harness.runner.ExperimentRunner.get` on the cell, in a
+worker or in process.  :func:`run_cells` adds a run's cells and steps
+the supervisor on the calling thread until none is outstanding, then
+seeds the results into the parent
+:class:`~repro.harness.runner.ExperimentRunner`'s memo **in index
+order**, so figures and tables render byte-identically regardless of
+job count.  With ``jobs <= 1`` or a single cell every attempt runs in
 process and no pool is made.
 
 The rules come from :class:`ExecutionPolicy`:
@@ -76,38 +79,11 @@ from ..compiler.slicer import SlicerConfig
 from ..core.configs import (BASELINE, BASELINE_NEXTLINE, BASELINE_STRIDE,
                             PAPER_CONFIGS, SPEAR_128, SPEAR_256, SPEAR_SF_128,
                             SPEAR_SF_256, MachineConfig)
-from ..memory.hierarchy import FIG9_LATENCIES, LatencyConfig
+from ..memory.hierarchy import FIG9_LATENCIES
 from . import faults
 from .diskcache import DiskCache
-from .journal import RunJournal, cell_entry, cell_key
-from .runner import ExperimentRunner, TracedRun, TraceSpec
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One picklable unit of work: simulate ``workload`` under ``config``.
-
-    With ``trace`` set the cell is a *traced* run: the worker attaches a
-    ring-buffer tracer and interval sampler per the spec, and the result
-    is a :class:`~repro.harness.runner.TracedRun` instead of a plain
-    ``PipelineResult``.
-
-    With ``fuzz`` set the cell is a differential-fuzzing evaluation: the
-    worker rebuilds the generated workload from its ``fuzz:`` name, runs
-    :meth:`~repro.harness.runner.ExperimentRunner.run_fuzz` under the
-    given check spec, and the result is one small picklable
-    :class:`~repro.fuzz.differential.FuzzVerdict` (``config`` is unused
-    — the check spec names the configs it compares).
-    """
-
-    workload: str
-    config: MachineConfig
-    latencies: LatencyConfig | None = None
-    trace: TraceSpec | None = None
-    fuzz: object | None = None
-    #: trigger policy name (``None`` defers to the executing runner's
-    #: default; see :data:`~repro.policy.POLICIES`)
-    policy: str | None = None
+from .journal import RunJournal, cell_key
+from .runner import Cell, ExperimentRunner, TraceSpec
 
 
 @dataclass(frozen=True)
@@ -346,18 +322,14 @@ def _init_worker(slicer_config: SlicerConfig, scale: float,
 def compute_cell(runner: ExperimentRunner, cell: Cell, *,
                  spill: bool = False):
     """Execute one cell's real work on ``runner`` (no fault injection):
-    the single dispatch shared by the pool workers and the in-process
-    serial path.  With ``spill`` (pool workers) a traced payload is
-    exchanged for its cache :class:`PayloadRef` instead of riding the
-    result pipe."""
-    if cell.fuzz is not None:
-        return runner.run_fuzz(cell.workload, cell.fuzz)
-    if cell.trace is None:
-        return runner.run(cell.workload, cell.config, cell.latencies,
-                          policy=cell.policy)
-    traced = runner.run_traced(cell.workload, cell.config, cell.latencies,
-                               spec=cell.trace, policy=cell.policy)
-    return _spill(runner, cell, traced) if spill else traced
+    :meth:`~repro.harness.runner.ExperimentRunner.get`, shared by the
+    pool workers and the in-process serial path.  With ``spill`` (pool
+    workers) a traced payload is exchanged for its cache
+    :class:`PayloadRef` instead of riding the result pipe."""
+    value = runner.get(cell)
+    if spill and cell.trace is not None:
+        return _spill(runner, cell, value)
+    return value
 
 
 def timed_cell(runner: ExperimentRunner, cell: Cell, *,
@@ -377,17 +349,17 @@ def _run_cell(cell: Cell, index: int = 0, attempt: int = 1):
     return timed_cell(_WORKER_RUNNER, cell, spill=True)
 
 
-def _spill(runner: ExperimentRunner, cell: Cell, traced: TracedRun):
+def _spill(runner: ExperimentRunner, cell: Cell, traced):
     """Exchange a heavy traced payload for its cache reference.
 
-    ``run_traced`` already wrote the payload through the worker's cache
+    ``runner.get`` already wrote the payload through the worker's cache
     view (or read it from there), so the entry exists on disk; without a
     cache there is nowhere to spill and the payload ships inline — the
     degraded but correct path.
     """
     if runner.cache is None:
         return traced
-    kind, payload = cell_entry(runner, cell)
+    kind, payload = runner.entry(cell)
     key = runner.cache.key_for(kind, payload)
     return PayloadRef(kind, key, runner.cache.entry_size(kind, key))
 
@@ -651,7 +623,7 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
     policy = policy or ExecutionPolicy()
     jobs = default_jobs() if jobs is None else jobs
     started = time.monotonic()
-    unique = [c for c in dict.fromkeys(cells) if not _memoized(runner, c)]
+    unique = [c for c in dict.fromkeys(cells) if not runner.has(c)]
     report = RunReport(total=len(unique))
     if journal is not None and unique:
         journal.record_start(len(unique))
@@ -720,7 +692,7 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
         # Merge in submission order so rendering is order-independent.
         for i, cell in enumerate(unique):
             if i in results:
-                _seed(runner, cell, results[i])
+                runner.seed(cell, results[i])
         report.wall_time = time.monotonic() - started
         if runner.cache is not None:
             report.cache_stats = runner.cache.stats()
@@ -752,36 +724,13 @@ def _graceful_term():
         signal.signal(signal.SIGTERM, previous)
 
 
-def _seed(runner: ExperimentRunner, cell: Cell, value) -> None:
-    """Seed one cell's computed or restored payload into the memo."""
-    if cell.fuzz is not None:
-        runner.seed_fuzz(cell.workload, cell.fuzz, value)
-    elif cell.trace is not None:
-        runner.seed_traced(cell.workload, cell.config, cell.latencies,
-                           cell.trace, value, cell.policy)
-    else:
-        runner.seed_result(cell.workload, cell.config, cell.latencies, value,
-                           cell.policy)
-
-
-def _memoized(runner: ExperimentRunner, cell: Cell) -> bool:
-    """Whether the runner's memo already holds this cell's payload."""
-    if cell.fuzz is not None:
-        return runner.has_fuzz(cell.workload, cell.fuzz)
-    if cell.trace is not None:
-        return runner.has_traced(cell.workload, cell.config, cell.latencies,
-                                 cell.trace, cell.policy)
-    return runner.has_result(cell.workload, cell.config, cell.latencies,
-                             cell.policy)
-
-
 def _restore_resumed(runner: ExperimentRunner, unique: list[Cell],
                      journal: RunJournal, report: RunReport) -> list[Cell]:
     """Seed journaled-ok cells from the disk cache; return the rest.
 
     A journaled ``ok`` is only trusted if the cache still holds the
     payload — anything evicted (or run without a cache) is recomputed.
-    Each cell restores from the cache entry :func:`cell_entry` names.
+    Each cell restores from the cache entry ``runner.entry`` names.
     """
     done = journal.completed_keys()
     if not done:
@@ -790,9 +739,9 @@ def _restore_resumed(runner: ExperimentRunner, unique: list[Cell],
     for cell in unique:
         restored = None
         if cell_key(runner, cell) in done and runner.cache is not None:
-            restored = runner.cache.get(*cell_entry(runner, cell))
+            restored = runner.cache.get(*runner.entry(cell))
         if restored is not None:
-            _seed(runner, cell, restored)
+            runner.seed(cell, restored)
             report.resumed += 1
         else:
             remaining.append(cell)

@@ -7,21 +7,25 @@ Ties the whole system together for the evaluation: for each workload it
 3. generates the evaluation committed-path trace, and
 4. replays that trace through any number of machine configurations.
 
-Traces, compiled binaries and results are memoized so a figure that needs
-the same (workload, config) pair as another figure pays nothing extra.
-With a :class:`~repro.harness.diskcache.DiskCache` attached the memo
-extends across processes and invocations: artifacts and results are read
-through from disk and written through on build, so a warm rerun of any
-figure pays neither compilation, tracing nor simulation.
+Each simulation the evaluation needs is one :class:`Cell`: a plain
+result, a traced run or a fuzz verdict.  Every cell takes one path,
+:meth:`ExperimentRunner.get`: the in-memory memo (keyed by the
+normalized cell), then the :class:`~repro.harness.diskcache.DiskCache`
+entry :meth:`ExperimentRunner.entry` names, then the computation, whose
+value is written through to both.  A figure that needs the same cell as
+another figure pays nothing extra, and with a cache attached the memo
+extends across processes and invocations: artifacts and values are read
+through from disk, so a warm rerun of any figure pays neither
+compilation, tracing nor simulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 from ..compiler.driver import CompileReport, compile_spear
 from ..compiler.slicer import SlicerConfig
-from ..core.configs import MachineConfig
+from ..core.configs import BASELINE, MachineConfig
 from ..core.spear_binary import SpearBinary
 from ..functional.simulator import FunctionalSimulator
 from ..functional.trace import Trace
@@ -55,10 +59,10 @@ class TracedRun:
 class TraceSpec:
     """The trace parameters that identify one traced-run cell.
 
-    Hashable and picklable so it can ride on a parallel-engine
-    :class:`~repro.harness.parallel.Cell`; ``kinds`` is normalized to a
-    sorted tuple so equal filters always produce equal cache keys.  None
-    keeps every kind; an empty ``kinds`` would keep none and is rejected.
+    Hashable and picklable so it can ride on a :class:`Cell`; ``kinds``
+    is normalized to a sorted tuple so equal filters always produce equal
+    cache keys.  None keeps every kind; an empty ``kinds`` would keep
+    none and is rejected.
     """
 
     interval: int = 1000
@@ -77,6 +81,34 @@ class TraceSpec:
         kinds = list(self.kinds) if self.kinds is not None else None
         return {"interval": self.interval, "capacity": self.capacity,
                 "kinds": kinds}
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One picklable unit of work: simulate ``workload`` under ``config``.
+
+    With ``trace`` set the cell is a *traced* run: a ring-buffer tracer
+    and an interval sampler are attached per the spec, and the value is
+    a :class:`TracedRun` instead of a plain ``PipelineResult``.
+
+    With ``fuzz`` set the cell is a differential-fuzzing evaluation: the
+    generated workload is rebuilt from its ``fuzz:`` name and checked
+    under the given spec, and the value is one small picklable
+    :class:`~repro.fuzz.differential.FuzzVerdict` (``config`` is unused
+    — the check spec names the configs it compares).
+
+    :meth:`ExperimentRunner.get` computes any cell, the parallel engine
+    ships cells to its workers, and the run journal keys them.
+    """
+
+    workload: str
+    config: MachineConfig
+    latencies: LatencyConfig | None = None
+    trace: TraceSpec | None = None
+    fuzz: object | None = None
+    #: trigger policy name (``None`` defers to the executing runner's
+    #: default; see :data:`~repro.policy.POLICIES`)
+    policy: str | None = None
 
 
 @dataclass
@@ -113,20 +145,14 @@ class ExperimentRunner:
         self.cache = cache
         self.policy = resolve_policy(policy)   # fail fast on unknown names
         self._artifacts: dict[str, WorkloadArtifacts] = {}
-        self._results: dict[tuple, PipelineResult] = {}
-        #: traced runs memoize separately: their results carry timelines
-        #: and must never masquerade as plain "results" cache entries.
-        self._traced: dict[tuple, TracedRun] = {}
-        #: fuzz verdicts memoize under their own kind too — a verdict is
-        #: the outcome of many runs plus the differential checks, not a
-        #: ``PipelineResult``.
-        self._fuzz: dict[tuple, object] = {}
+        #: every cell's value, keyed by the normalized cell
+        self._memo: dict[Cell, object] = {}
         #: artifact builds actually executed (cache hits don't count)
         self.builds = 0
         #: timing simulations actually executed (memo/cache hits don't count)
         self.simulations = 0
 
-    # -- cache keys -----------------------------------------------------------
+    # -- cell identity --------------------------------------------------------
 
     def effective_policy(self, policy: str | None,
                          config: MachineConfig) -> str:
@@ -147,47 +173,137 @@ class ExperimentRunner:
                 "scale": self.instruction_scale,
                 "slicer": asdict(self.slicer_config)}
 
-    def result_payload(self, name: str, config: MachineConfig,
-                       policy: str | None = None) -> dict:
-        """Cache/journal key payload of one (workload, config) result.
+    def _normalize(self, cell: Cell) -> Cell:
+        """The memo identity of ``cell``.
 
-        Only a non-fixed *effective* policy is tagged into the payload,
-        so fixed-policy keys are byte-identical to pre-policy ones and
-        adaptive entries can never collide with them.
+        A fuzz cell keeps only its workload and check spec.  Any other
+        cell folds a latency override into its config — keeping the same
+        config object when the override is a no-op, so figure 9's latency
+        sweep dedupes against the plain cells — and carries its
+        :meth:`effective_policy`.  Plain, traced and fuzz cells differ in
+        ``trace`` and ``fuzz``, fixed and adaptive ones in ``policy``, so
+        no two of them share a memo entry.
         """
-        payload = self._artifact_payload(name)
-        payload["config"] = asdict(config)
-        pol = self.effective_policy(policy, config)
-        if pol != DEFAULT_POLICY:
-            payload["policy"] = pol
-        return payload
+        if cell.fuzz is not None:
+            return Cell(cell.workload, BASELINE, fuzz=cell.fuzz)
+        config = cell.config
+        if cell.latencies is not None and cell.latencies != config.latencies:
+            config = config.with_latencies(cell.latencies)
+        return Cell(cell.workload, config, trace=cell.trace,
+                    policy=self.effective_policy(cell.policy, config))
 
-    def traced_payload(self, name: str, config: MachineConfig,
-                       spec: TraceSpec,
-                       policy: str | None = None) -> dict:
-        """Cache/journal key payload of one traced cell — the result key
-        plus the trace parameters, under the ``"traces"`` kind."""
-        payload = self.result_payload(name, config, policy)
-        payload["trace"] = spec.payload()
-        return payload
+    def entry(self, cell: Cell) -> tuple[str, dict]:
+        """Where ``cell``'s value is cached: its ``(kind, payload)``.
 
-    def fuzz_payload(self, name: str, check) -> dict:
-        """Cache/journal key payload of one fuzz cell: the workload name
-        (which fully encodes the generated program), the runner knobs
-        that change evaluation, and every differential-check knob."""
-        payload = self._artifact_payload(name)
-        payload["fuzz"] = check.payload()
-        return payload
+        A fuzz verdict lives under ``"fuzz"`` with every check knob in
+        its payload.  A traced run lives under ``"traces"`` and any other
+        result under ``"results"``, keyed by the config, by the effective
+        policy only when it is not fixed (so fixed keys are
+        byte-identical to pre-policy ones and adaptive entries never
+        collide with them) and, for a traced run, by the trace
+        parameters.  The disk cache, the journal's cell key, a worker's
+        spill reference and ``--resume``'s lookup all use this answer.
+        """
+        cell = self._normalize(cell)
+        payload = self._artifact_payload(cell.workload)
+        if cell.fuzz is not None:
+            payload["fuzz"] = cell.fuzz.payload()
+            return "fuzz", payload
+        payload["config"] = asdict(cell.config)
+        if cell.policy != DEFAULT_POLICY:
+            payload["policy"] = cell.policy
+        if cell.trace is None:
+            return "results", payload
+        payload["trace"] = cell.trace.payload()
+        return "traces", payload
 
-    @staticmethod
-    def normalize_config(config: MachineConfig,
-                         latencies: LatencyConfig | None) -> MachineConfig:
-        """Fold a latency override into the config — without allocating a
-        fresh (but equal) ``MachineConfig`` when the override is a no-op,
-        so memo keys dedupe across e.g. figure 9's latency sweep."""
-        if latencies is not None and latencies != config.latencies:
-            config = config.with_latencies(latencies)
-        return config
+    # -- the cell path --------------------------------------------------------
+
+    def has(self, cell: Cell) -> bool:
+        """Whether the memo already holds ``cell``'s value."""
+        return self._normalize(cell) in self._memo
+
+    def seed(self, cell: Cell, value) -> None:
+        """Adopt a value computed elsewhere (the parallel engine's merge,
+        ``--resume``'s restore)."""
+        self._memo[self._normalize(cell)] = value
+
+    def get(self, cell: Cell):
+        """``cell``'s value: from the memo, else from the disk cache,
+        else computed and written through to the cache.
+
+        The one path every cell takes, and the only place a cell's value
+        is read from or written to the disk cache.
+        """
+        cell = self._normalize(cell)
+        value = self._memo.get(cell)
+        if value is not None:
+            return value
+        entry = self.entry(cell) if self.cache is not None else None
+        if entry is not None:
+            value = self.cache.get(*entry)
+        if value is None:
+            value = self._compute(cell)
+            if entry is not None:
+                self.cache.put(*entry, value)
+        self._memo[cell] = value
+        return value
+
+    def _compute(self, cell: Cell):
+        """Compute one normalized cell's value, bypassing memo and cache.
+
+        ``adaptive-epoch`` converges through plain fixed runs, each one
+        a cell of its own (so epochs are shared with, and epoch 0 *is*,
+        the fixed result); traced, it traces one run at the converged
+        operating point.  ``adaptive-phase`` attaches a fresh in-run
+        controller, so a traced run records its decisions.
+        """
+        name = cell.workload
+        if cell.fuzz is not None:
+            from ..fuzz.differential import evaluate_workload
+            verdict = evaluate_workload(
+                get_workload(name), cell.fuzz,
+                slicer_config=self.slicer_config,
+                scale=self.instruction_scale)
+            self.simulations += (len(cell.fuzz.configs)
+                                 * len(cell.fuzz.backends))
+            return verdict
+        config, policy = cell.config, make_policy(cell.policy)
+        controller = policy.make_controller(config)
+        if cell.trace is None:
+            converged = policy.converge(
+                lambda cfg: self.run(name, cfg, policy=DEFAULT_POLICY),
+                config)
+            if converged is not None:
+                return converged[0]
+            return self._simulate(name, config, policy=controller)
+        summary = None
+        if controller is None and cell.policy != DEFAULT_POLICY:
+            summary = self.run(name, config, policy=cell.policy).policy
+            config = replace(
+                config,
+                trigger_occupancy_fraction=summary["final_fraction"],
+                chaining=summary["final_chaining"])
+        sink = RingBufferSink(cell.trace.capacity, kinds=cell.trace.kinds)
+        result = self._simulate(name, config, sink,
+                                IntervalSampler(cell.trace.interval),
+                                controller)
+        if summary is not None:
+            result = replace(result, policy=summary)
+        return TracedRun(result, sink.events(), sink.emitted, sink.dropped)
+
+    def _simulate(self, name: str, config: MachineConfig, tracer=None,
+                  sampler=None, policy=None) -> PipelineResult:
+        """One timing simulation of ``name``'s measured window, after
+        replaying its warmup prefix."""
+        art = self.artifacts(name)
+        sim = TimingSimulator(art.eval_trace, config, art.binary.table,
+                              MemoryHierarchy(latencies=config.latencies),
+                              warmup=art.warmup_trace, tracer=tracer,
+                              sampler=sampler, policy=policy)
+        result = sim.run()
+        self.simulations += 1
+        return result
 
     # -- artifact construction ------------------------------------------------
 
@@ -233,74 +349,9 @@ class ExperimentRunner:
     def run(self, name: str, config: MachineConfig,
             latencies: LatencyConfig | None = None, *,
             policy: str | None = None) -> PipelineResult:
-        """Simulate one workload under one machine configuration.
-
-        A non-fixed effective ``policy`` takes the adaptive path (its own
-        3-tuple memo key and policy-tagged cache payload); the fixed
-        policy is this exact pre-policy code path, unchanged.
-        """
-        config = self.normalize_config(config, latencies)
-        pol = self.effective_policy(policy, config)
-        if pol != DEFAULT_POLICY:
-            return self._run_adaptive(name, config, pol)
-        key = (name, config)
-        result = self._results.get(key)
-        if result is None:
-            if self.cache is not None:
-                result = self.cache.get(
-                    "results", self.result_payload(name, config))
-            if result is None:
-                art = self.artifacts(name)
-                memory = MemoryHierarchy(latencies=config.latencies)
-                sim = TimingSimulator(art.eval_trace, config,
-                                      art.binary.table, memory,
-                                      warmup=art.warmup_trace)
-                result = sim.run()
-                self.simulations += 1
-                if self.cache is not None:
-                    self.cache.put(
-                        "results", self.result_payload(name, config),
-                        result)
-            self._results[key] = result
-        return result
-
-    def _run_adaptive(self, name: str, config: MachineConfig,
-                      pol: str) -> PipelineResult:
-        """One cell under a non-fixed policy.
-
-        ``adaptive-epoch`` converges through plain fixed runs (each one
-        memoized under its ordinary key, so epochs are shared with — and
-        epoch 0 *is* — the fixed result); ``adaptive-phase`` attaches a
-        fresh in-run controller.  Either way the outcome memoizes under a
-        ``(name, config, policy)`` 3-tuple — a different tuple length
-        than fixed keys, so the two can never collide.
-        """
-        key = (name, config, pol)
-        result = self._results.get(key)
-        if result is None:
-            payload = self.result_payload(name, config, pol)
-            if self.cache is not None:
-                result = self.cache.get("results", payload)
-            if result is None:
-                policy_obj = make_policy(pol)
-                converged = policy_obj.converge(
-                    lambda cfg: self.run(name, cfg, policy=DEFAULT_POLICY),
-                    config)
-                if converged is not None:
-                    result, _ = converged
-                else:
-                    art = self.artifacts(name)
-                    memory = MemoryHierarchy(latencies=config.latencies)
-                    sim = TimingSimulator(
-                        art.eval_trace, config, art.binary.table, memory,
-                        warmup=art.warmup_trace,
-                        policy=policy_obj.make_controller(config))
-                    result = sim.run()
-                    self.simulations += 1
-                if self.cache is not None:
-                    self.cache.put("results", payload, result)
-            self._results[key] = result
-        return result
+        """Simulate one workload under one machine configuration: the
+        plain cell's value (see :meth:`get`)."""
+        return self.get(Cell(name, config, latencies, policy=policy))
 
     def run_traced(self, name: str, config: MachineConfig,
                    latencies: LatencyConfig | None = None, *,
@@ -328,49 +379,8 @@ class ExperimentRunner:
         if spec is None:
             spec = TraceSpec(interval, capacity,
                              tuple(kinds) if kinds is not None else None)
-        config = self.normalize_config(config, latencies)
-        pol = self.effective_policy(policy, config)
-        key = ((name, config, spec) if pol == DEFAULT_POLICY
-               else (name, config, spec, pol))
-        traced = self._traced.get(key)
-        if traced is None:
-            payload = self.traced_payload(name, config, spec, pol)
-            if self.cache is not None:
-                traced = self.cache.get("traces", payload)
-            if traced is None:
-                import dataclasses
-                run_cfg, controller, epoch_summary = config, None, None
-                if pol != DEFAULT_POLICY:
-                    policy_obj = make_policy(pol)
-                    controller = policy_obj.make_controller(config)
-                    if controller is None:
-                        # Epoch mode: trace the converged operating point.
-                        converged = self.run(name, config, policy=pol)
-                        epoch_summary = converged.policy
-                        run_cfg = dataclasses.replace(
-                            config,
-                            trigger_occupancy_fraction=epoch_summary[
-                                "final_fraction"],
-                            chaining=epoch_summary["final_chaining"])
-                art = self.artifacts(name)
-                sink = RingBufferSink(spec.capacity, kinds=spec.kinds)
-                sampler = IntervalSampler(spec.interval)
-                memory = MemoryHierarchy(latencies=run_cfg.latencies)
-                sim = TimingSimulator(art.eval_trace, run_cfg,
-                                      art.binary.table, memory,
-                                      warmup=art.warmup_trace,
-                                      tracer=sink, sampler=sampler,
-                                      policy=controller)
-                result = sim.run()
-                self.simulations += 1
-                if epoch_summary is not None:
-                    result = dataclasses.replace(result, policy=epoch_summary)
-                traced = TracedRun(result, sink.events(), sink.emitted,
-                                   sink.dropped)
-                if self.cache is not None:
-                    self.cache.put("traces", payload, traced)
-            self._traced[key] = traced
-        return traced
+        return self.get(Cell(name, config, latencies, trace=spec,
+                             policy=policy))
 
     def run_streamed(self, name: str, config: MachineConfig,
                      target, latencies: LatencyConfig | None = None, *,
@@ -385,17 +395,12 @@ class ExperimentRunner:
         nothing is cached — the stream itself is the artifact.  Returns
         the (timeline-carrying) result and the emitted-event count.
         """
-        config = self.normalize_config(config, latencies)
-        art = self.artifacts(name)
+        config = self._normalize(Cell(name, config, latencies)).config
+        self.artifacts(name)       # a bad workload fails before the stream
         sink = JsonlStreamSink(target, kinds=kinds)
         try:
-            sampler = IntervalSampler(interval)
-            memory = MemoryHierarchy(latencies=config.latencies)
-            sim = TimingSimulator(art.eval_trace, config, art.binary.table,
-                                  memory, warmup=art.warmup_trace,
-                                  tracer=sink, sampler=sampler)
-            result = sim.run()
-            self.simulations += 1
+            result = self._simulate(name, config, sink,
+                                    IntervalSampler(interval))
         finally:
             sink.close()
         return result, sink.emitted
@@ -408,86 +413,7 @@ class ExperimentRunner:
         caches under the ``"fuzz"`` kind, so campaigns resume and rerun
         for free exactly like figures do.
         """
-        from ..fuzz.differential import evaluate_workload
-        key = (name, check)
-        verdict = self._fuzz.get(key)
-        if verdict is None:
-            if self.cache is not None:
-                verdict = self.cache.get("fuzz", self.fuzz_payload(name,
-                                                                   check))
-            if verdict is None:
-                workload = get_workload(name)
-                verdict = evaluate_workload(
-                    workload, check, slicer_config=self.slicer_config,
-                    scale=self.instruction_scale)
-                self.simulations += len(check.configs) * len(check.backends)
-                if self.cache is not None:
-                    self.cache.put("fuzz", self.fuzz_payload(name, check),
-                                   verdict)
-            self._fuzz[key] = verdict
-        return verdict
-
-    def seed_fuzz(self, name: str, check, verdict) -> None:
-        """Adopt a verdict computed elsewhere (parallel engine merge)."""
-        self._fuzz[(name, check)] = verdict
-
-    def has_fuzz(self, name: str, check) -> bool:
-        """Whether the memo already holds this fuzz cell's verdict."""
-        return (name, check) in self._fuzz
-
-    def _result_key(self, name: str, config: MachineConfig,
-                    latencies: LatencyConfig | None,
-                    policy: str | None) -> tuple:
-        """The memo key :meth:`run` uses — fixed keys keep the pre-policy
-        2-tuple shape, adaptive keys append the policy name (a 3-tuple),
-        so the two populations can never collide."""
-        config = self.normalize_config(config, latencies)
-        pol = self.effective_policy(policy, config)
-        if pol == DEFAULT_POLICY:
-            return (name, config)
-        return (name, config, pol)
-
-    def seed_result(self, name: str, config: MachineConfig,
-                    latencies: LatencyConfig | None,
-                    result: PipelineResult,
-                    policy: str | None = None) -> None:
-        """Adopt a result computed elsewhere (the parallel engine's merge)."""
-        self._results[self._result_key(name, config, latencies,
-                                       policy)] = result
-
-    def has_result(self, name: str, config: MachineConfig,
-                   latencies: LatencyConfig | None = None,
-                   policy: str | None = None) -> bool:
-        """Whether the memo already holds this cell's result — the one
-        blessed membership check (parallel engine, journal resume)."""
-        return self._result_key(name, config, latencies,
-                                policy) in self._results
-
-    def _traced_key(self, name: str, config: MachineConfig,
-                    latencies: LatencyConfig | None, spec: TraceSpec,
-                    policy: str | None) -> tuple:
-        """The memo key :meth:`run_traced` uses (same shape rule as
-        :meth:`_result_key`)."""
-        config = self.normalize_config(config, latencies)
-        pol = self.effective_policy(policy, config)
-        if pol == DEFAULT_POLICY:
-            return (name, config, spec)
-        return (name, config, spec, pol)
-
-    def seed_traced(self, name: str, config: MachineConfig,
-                    latencies: LatencyConfig | None, spec: TraceSpec,
-                    traced: TracedRun, policy: str | None = None) -> None:
-        """Adopt a traced run computed elsewhere (the parallel engine's
-        merge resolves the spilled cache entry, then seeds it here)."""
-        self._traced[self._traced_key(name, config, latencies, spec,
-                                      policy)] = traced
-
-    def has_traced(self, name: str, config: MachineConfig,
-                   latencies: LatencyConfig | None, spec: TraceSpec,
-                   policy: str | None = None) -> bool:
-        """Whether the memo already holds this traced cell."""
-        return self._traced_key(name, config, latencies, spec,
-                                policy) in self._traced
+        return self.get(Cell(name, BASELINE, fuzz=check))
 
     def speedup(self, name: str, config: MachineConfig,
                 baseline: MachineConfig,
@@ -500,8 +426,6 @@ class ExperimentRunner:
         """Drop every memo and reset the work counters, so a cleared
         runner reports as if freshly constructed."""
         self._artifacts.clear()
-        self._results.clear()
-        self._traced.clear()
-        self._fuzz.clear()
+        self._memo.clear()
         self.builds = 0
         self.simulations = 0

@@ -83,8 +83,7 @@ class TestResume:
         # Same workload, different check spec -> different identity, so a
         # journal written under one check never satisfies the other.
         assert ka != kb
-        assert ka == runner.cache.key_for(
-            "fuzz", runner.fuzz_payload(a.workload, a.fuzz))
+        assert ka == runner.cache.key_for("fuzz", runner.entry(a)[1])
 
 
 class TestTriage:

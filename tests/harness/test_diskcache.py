@@ -6,8 +6,8 @@ import pytest
 
 from repro.compiler import SlicerConfig
 from repro.core import BASELINE, SPEAR_128
-from repro.harness import (DiskCache, ExperimentRunner, default_cache_dir,
-                           figure6)
+from repro.harness import (Cell, DiskCache, ExperimentRunner,
+                           default_cache_dir, figure6)
 from repro.harness import diskcache as diskcache_mod
 from repro.harness.runner import TraceSpec
 
@@ -86,9 +86,9 @@ class TestInvalidation:
 
     def test_config_in_result_key(self, cache):
         r = ExperimentRunner(instruction_scale=0.05, cache=cache)
-        assert (cache.key_for("results", r.result_payload("pointer", BASELINE))
+        assert (cache.key_for("results", r.entry(Cell("pointer", BASELINE))[1])
                 != cache.key_for("results",
-                                 r.result_payload("pointer", SPEAR_128)))
+                                 r.entry(Cell("pointer", SPEAR_128))[1]))
 
 
 class TestCorruption:
@@ -312,7 +312,7 @@ class TestRunnerIntegration:
         runner = ExperimentRunner(instruction_scale=0.05, cache=cache)
         runner.run("pointer", SPEAR_128)
         key = cache.key_for("results",
-                            runner.result_payload("pointer", SPEAR_128))
+                            runner.entry(Cell("pointer", SPEAR_128))[1])
         with open(cache.path_for("results", key), "rb") as fh:
             result = pickle.load(fh)
         assert result.workload == "pointer"

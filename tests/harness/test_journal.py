@@ -115,8 +115,7 @@ class TestKeys:
         cache = DiskCache(tmp_path / "c", schema_version=7)
         runner = _runner(cache=cache)
         cell = Cell("pointer", BASELINE)
-        config = runner.normalize_config(cell.config, cell.latencies)
-        payload = runner.result_payload(cell.workload, config)
+        _, payload = runner.entry(cell)
         assert cell_key(runner, cell) == cache.key_for("results", payload)
         assert cell_key(_runner(), cell) != cell_key(runner, cell)
 
@@ -159,6 +158,20 @@ PINNED_CELL_KEYS = {
 PINNED_FIGURE6_RUN_KEY = \
     "3d5f7a292bcdd700f779edaf4828c98aa7f36fe76c4307c4baf6d8c4f0575c17"
 
+#: ``cell_key`` values of mcf's traced report cells at scale 0.2 under
+#: each adaptive policy: the payload that carries both ``trace`` and
+#: ``policy``.  A baseline resolves to the fixed policy under either.
+PINNED_TRACED_POLICY_KEYS = {
+    "adaptive-epoch/baseline":
+        "7325b1a97b0fe277df6a312c1d0e0922515d2edee66b55afb97423ea7dbefbe0",
+    "adaptive-epoch/SPEAR-128":
+        "2d7e12b0c8ed2a3d06f03fb794bf3f05426c77531b41b12ef5ff409216d0359e",
+    "adaptive-phase/baseline":
+        "7325b1a97b0fe277df6a312c1d0e0922515d2edee66b55afb97423ea7dbefbe0",
+    "adaptive-phase/SPEAR-128":
+        "48648859608be36263eac8e92615a1daaf141766b5c8b7eb01ac193e2f143441",
+}
+
 
 def _pinned_cells() -> dict:
     cells = {f"figure6/{c.config.name}": c
@@ -193,6 +206,20 @@ class TestPinnedKeys:
         assert run_key("figure6", cells_for("figure6", ["mcf"]),
                        runner) == PINNED_FIGURE6_RUN_KEY
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_traced_policy_cell_keys_unchanged(self, tmp_path, cached):
+        cache = DiskCache(tmp_path / "c") if cached else None
+        runner = _runner(scale=0.2, cache=cache)
+        spec = report_trace_spec()
+        got = {f"{p}/{c.config.name}": cell_key(runner, c)
+               for p in ("adaptive-epoch", "adaptive-phase")
+               for c in report_cells(["mcf"], [BASELINE, SPEAR_128], spec,
+                                     policy=p)}
+        assert got == PINNED_TRACED_POLICY_KEYS
+        fixed = report_cells(["mcf"], [BASELINE], spec)[0]
+        assert (cell_key(runner, fixed)
+                == PINNED_TRACED_POLICY_KEYS["adaptive-epoch/baseline"])
+
 
 class TestResume:
     def test_resume_skips_journaled_cells(self, tmp_path):
@@ -208,7 +235,7 @@ class TestResume:
                            resume=True)
         assert report.resumed == len(cells) and report.ok == 0
         assert second.simulations == 0
-        assert second.has_result("pointer", BASELINE)
+        assert second.has(Cell("pointer", BASELINE))
 
     def test_resume_without_cache_recomputes(self, tmp_path):
         cells = cells_for("figure6", ["pointer"])

@@ -100,13 +100,13 @@ class TestLeadersFirst:
         runner = ExperimentRunner(instruction_scale=0.05)
         cells = cells_for("figure6", ["pointer", "update"])
         seeded = []
-        seed_result = runner.seed_result
+        seed = runner.seed
 
-        def record(name, config, *args):
-            seeded.append((name, config.name))
-            seed_result(name, config, *args)
+        def record(cell, value):
+            seeded.append((cell.workload, cell.config.name))
+            seed(cell, value)
 
-        monkeypatch.setattr(runner, "seed_result", record)
+        monkeypatch.setattr(runner, "seed", record)
         run_cells(runner, cells, jobs=2)
         assert seeded == [(c.workload, c.config.name) for c in cells]
 

@@ -10,7 +10,7 @@ honors the same retry/keep-going semantics as the pool.
 import pytest
 
 from repro.core import BASELINE, SPEAR_128
-from repro.harness import (DiskCache, ExecutionPolicy, ExperimentRunner,
+from repro.harness import (Cell, DiskCache, ExecutionPolicy, ExperimentRunner,
                            FatalCellError, RunJournal, cells_for, figure6,
                            run_cells)
 
@@ -35,8 +35,8 @@ class TestCrashRecovery:
         report = run_cells(runner, _cells(), jobs=2, policy=FAST)
         assert report.completed and report.ok == 3
         assert report.pool_rebuilds >= 1
-        assert runner.has_result("pointer", BASELINE)
-        assert runner.has_result("pointer", SPEAR_128)
+        assert runner.has(Cell("pointer", BASELINE))
+        assert runner.has(Cell("pointer", SPEAR_128))
 
     def test_persistent_crash_degrades_to_serial_keep_going(self,
                                                             monkeypatch):
@@ -51,8 +51,8 @@ class TestCrashRecovery:
         assert report.degraded
         assert report.ok == 2 and report.failed == 1
         assert report.failures[0].cell.config.name == "SPEAR-128"
-        assert runner.has_result("pointer", BASELINE)
-        assert not runner.has_result("pointer", SPEAR_128)
+        assert runner.has(Cell("pointer", BASELINE))
+        assert not runner.has(Cell("pointer", SPEAR_128))
 
 
     def test_crash_does_not_consume_retry_budget(self, monkeypatch):

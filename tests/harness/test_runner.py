@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import BASELINE, SPEAR_128
-from repro.harness import ExperimentRunner
+from repro.fuzz.campaign import CampaignSpec, campaign_cells
+from repro.harness import (Cell, DiskCache, ExperimentRunner,
+                           report_trace_spec)
 from repro.memory import LatencyConfig
 
 
@@ -52,7 +54,7 @@ class TestRuns:
     def test_clear(self, runner):
         runner.run("pointer", BASELINE)
         runner.clear()
-        assert not runner._artifacts and not runner._results
+        assert not runner._artifacts and not runner._memo
 
     def test_clear_resets_counters(self):
         runner = ExperimentRunner(instruction_scale=0.05)
@@ -63,15 +65,55 @@ class TestRuns:
 
     def test_has_result_membership(self):
         runner = ExperimentRunner(instruction_scale=0.05)
-        assert not runner.has_result("pointer", BASELINE)
+        assert not runner.has(Cell("pointer", BASELINE))
         runner.run("pointer", BASELINE)
-        assert runner.has_result("pointer", BASELINE)
+        assert runner.has(Cell("pointer", BASELINE))
         # Normalization: the config's own latencies are not a new cell.
-        assert runner.has_result("pointer", BASELINE, BASELINE.latencies)
-        assert not runner.has_result("pointer", SPEAR_128)
+        assert runner.has(Cell("pointer", BASELINE, BASELINE.latencies))
+        assert not runner.has(Cell("pointer", SPEAR_128))
 
     def test_workload_name_on_result(self, runner):
         assert runner.run("pointer", BASELINE).workload == "pointer"
+
+
+_SPEC = report_trace_spec()
+
+#: One cell of every shape the harness runs, with the cache kind that
+#: holds its value.
+CELL_SHAPES = {
+    "plain": (Cell("pointer", SPEAR_128), "results"),
+    "baseline-epoch": (Cell("pointer", BASELINE, policy="adaptive-epoch"),
+                       "results"),
+    "epoch": (Cell("pointer", SPEAR_128, policy="adaptive-epoch"),
+              "results"),
+    "phase": (Cell("pointer", SPEAR_128, policy="adaptive-phase"),
+              "results"),
+    "traced": (Cell("pointer", SPEAR_128, trace=_SPEC), "traces"),
+    "traced-epoch": (Cell("pointer", SPEAR_128, trace=_SPEC,
+                          policy="adaptive-epoch"), "traces"),
+    "traced-phase": (Cell("pointer", SPEAR_128, trace=_SPEC,
+                          policy="adaptive-phase"), "traces"),
+    "fuzz": (campaign_cells(CampaignSpec(seed=2026, count=1))[0], "fuzz"),
+}
+
+
+class TestReadThrough:
+    @pytest.mark.parametrize("shape", list(CELL_SHAPES))
+    def test_warm_runner_reads_cell_from_cache(self, tmp_path, shape):
+        # A new runner on a warm cache serves the cell from its one
+        # entry: no build, no simulation, nothing missed or stored.
+        cell, kind = CELL_SHAPES[shape]
+        cold = ExperimentRunner(instruction_scale=0.05,
+                                cache=DiskCache(tmp_path))
+        value = cold.get(cell)
+        cache = DiskCache(tmp_path)
+        warm = ExperimentRunner(instruction_scale=0.05, cache=cache)
+        assert warm.get(cell) == value
+        assert warm.simulations == 0 and warm.builds == 0
+        stats = cache.stats()
+        assert list(stats) == [kind]
+        assert (stats[kind]["hits"], stats[kind]["misses"],
+                stats[kind]["stores"]) == (1, 0, 0)
 
 
 class TestQuickRun:

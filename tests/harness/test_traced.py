@@ -48,7 +48,7 @@ class TestRunTraced:
         r = ExperimentRunner(instruction_scale=0.05)
         r.run_traced("pointer", SPEAR_128)
         r.clear()
-        assert not r._traced
+        assert not r._memo
 
 
 class TestDiskCache:

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.core.configs import BASELINE, SPEAR_128
-from repro.harness import ExperimentRunner, ablate_policy_cells
+from repro.harness import Cell, ExperimentRunner, ablate_policy_cells
 from repro.harness.journal import cell_key
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.observe.events import POLICY
@@ -49,14 +49,14 @@ def test_effective_policy_resolution(runner):
 
 def test_policy_memo_keys_are_separate(runner):
     runner.run("ll4", SPEAR_128)
-    assert runner.has_result("ll4", SPEAR_128)
-    assert runner.has_result("ll4", SPEAR_128, policy="fixed")
-    assert not runner.has_result("ll4", SPEAR_128, policy="adaptive-phase")
+    assert runner.has(Cell("ll4", SPEAR_128))
+    assert runner.has(Cell("ll4", SPEAR_128, policy="fixed"))
+    assert not runner.has(Cell("ll4", SPEAR_128, policy="adaptive-phase"))
 
     runner.run("ll4", SPEAR_128, policy="adaptive-phase")
-    assert runner.has_result("ll4", SPEAR_128, policy="adaptive-phase")
+    assert runner.has(Cell("ll4", SPEAR_128, policy="adaptive-phase"))
     # the fixed entry is untouched
-    assert runner.has_result("ll4", SPEAR_128, policy="fixed")
+    assert runner.has(Cell("ll4", SPEAR_128, policy="fixed"))
 
 
 def test_baseline_adaptive_request_shares_the_fixed_memo(runner):
