@@ -10,8 +10,7 @@ own cell).
 
 import os
 
-from repro.fuzz import (CampaignSpec, GuidedCampaignSpec, coverage_map,
-                        run_campaign, run_guided_campaign)
+from repro.fuzz import GuidedCampaignSpec, coverage_map, run_guided_campaign
 
 from .conftest import emit, once
 
@@ -19,9 +18,9 @@ COUNT = int(os.environ.get("FUZZ_BENCH_COUNT", "200"))
 
 
 def test_fuzz_campaign_triage(benchmark, runner, out_dir):
-    spec = CampaignSpec(seed=0, count=COUNT)
-    result = once(benchmark, lambda: run_campaign(spec, runner,
-                                                  journaled=False))
+    spec = GuidedCampaignSpec(seed=0, count=COUNT, arms=("default",))
+    result = once(benchmark, lambda: run_guided_campaign(spec, runner,
+                                                         journaled=False))
     assert result.failed == []
     assert result.report.counts["divergence"] == 0
     assert result.report.total == COUNT
@@ -34,12 +33,13 @@ def test_fuzz_guided_vs_blind_coverage(benchmark, runner, out_dir):
     """Equal-budget coverage comparison: the scheduled arm palette must
     hit strictly more distinct behaviour bins than the blind
     default-dials campaign (the point of coverage guidance)."""
-    blind_spec = CampaignSpec(seed=0, count=COUNT, sweep_every=0)
+    blind_spec = GuidedCampaignSpec(seed=0, count=COUNT, arms=("default",),
+                                    sweep_every=0)
     guided_spec = GuidedCampaignSpec(seed=0, count=COUNT, batch=25,
                                      sweep_every=0)
 
     def run_both():
-        blind = run_campaign(blind_spec, runner, journaled=False)
+        blind = run_guided_campaign(blind_spec, runner, journaled=False)
         guided = run_guided_campaign(guided_spec, runner, journaled=False)
         return blind, guided
 

@@ -28,10 +28,10 @@ figure {6,7,8,9}     regenerate a figure of the paper
 table {1,2,3}        regenerate a table of the paper
 journal show [RUN]   list run journals, or dump one run's JSONL events
 fuzz run             run a seeded differential-fuzzing campaign (triage
-                     text on stdout is byte-deterministic at any --jobs;
-                     --strict exits 1 on any divergence; --guided
-                     schedules batches over dial/mutation arms by
-                     coverage novelty)
+                     text and arm table on stdout are byte-deterministic
+                     at any --jobs; --strict exits 1 on any divergence;
+                     --guided schedules batches over dial/mutation arms
+                     by coverage novelty)
 fuzz triage          the same campaign's triage as JSON (cached verdicts
                      make this cheap after a run)
 fuzz coverage        the campaign's behaviour-coverage map (per-dimension
@@ -645,115 +645,71 @@ def _parse_dials(text: str | None):
 
 
 def _campaign(args):
-    runner = _runner(args)
-    if getattr(args, "guided", False):
-        from .fuzz import GuidedCampaignSpec, run_guided_campaign
+    """Run (or replay from the cache) the campaign ``args`` describe: the
+    guided arm palette with ``--guided``, else one arm at ``--dials``."""
+    from .fuzz import DEFAULT_ARMS, Arm, GuidedCampaignSpec, \
+        run_guided_campaign
+    if args.guided:
         if args.dials:
             raise SystemExit("--dials applies to blind campaigns; "
                              "--guided arms carry their own dials")
-        spec = GuidedCampaignSpec(seed=args.seed, count=args.count,
-                                  batch=args.batch,
-                                  sweep_every=args.sweep_every)
-        return run_guided_campaign(spec, runner, jobs=_jobs(args),
-                                   policy=_policy(args),
-                                   journal_root=_journal_dir(args),
-                                   resume=getattr(args, "resume", False))
-    from .fuzz import CampaignSpec, run_campaign
-    spec = CampaignSpec(seed=args.seed, count=args.count,
-                        dials=_parse_dials(args.dials),
-                        sweep_every=args.sweep_every)
-    result = run_campaign(spec, runner, jobs=_jobs(args),
-                          policy=_policy(args),
-                          journal_root=_journal_dir(args),
-                          resume=getattr(args, "resume", False))
-    return result
+        arms = DEFAULT_ARMS
+    else:
+        arms = (Arm(args.dials or "default", dials=_parse_dials(args.dials)),)
+    spec = GuidedCampaignSpec(seed=args.seed, count=args.count,
+                              batch=args.batch, arms=arms,
+                              sweep_every=args.sweep_every)
+    return run_guided_campaign(spec, _runner(args), jobs=_jobs(args),
+                               policy=_policy(args),
+                               journal_root=_journal_dir(args),
+                               resume=args.resume)
 
 
-def _campaign_coverage(result):
-    """The campaign's coverage map (guided carries one, blind derives)."""
-    from .fuzz import coverage_map
-    return getattr(result, "coverage", None) or coverage_map(result.verdicts)
-
-
-def _campaign_exit(args, result) -> int:
-    reports = getattr(result, "run_reports", None)
-    if reports is None:
-        reports = [result.run_report]
-    for report in reports:
-        print(report.render(), file=sys.stderr)
-    for name in result.failed:
-        print(f"  NO VERDICT (evaluator failed): {name}", file=sys.stderr)
-    if getattr(args, "coverage_out", None):
-        Path(args.coverage_out).write_text(
-            _campaign_coverage(result).to_json() + "\n")
-        print(f"wrote {args.coverage_out}", file=sys.stderr)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(result.report.to_json() + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    completed = (result.completed if hasattr(result, "completed")
-                 else result.run_report.completed)
-    if args.strict and (result.report.counts["divergence"]
-                        or result.failed
-                        or not completed):
-        return 1
-    return 0
-
-
-def cmd_fuzz_run(args) -> int:
-    """Run a campaign; the triage text on stdout is byte-deterministic
-    for a given seed/count/dials at any ``--jobs`` (wall-clock and cache
-    chatter go to stderr)."""
-    try:
-        result = _campaign(args)
-    except FatalCellError as exc:
-        return _fatal(exc)
-    print(result.report.render())
-    if hasattr(result, "render_allocations"):
-        print(result.render_allocations())
-    return _campaign_exit(args, result)
-
-
-def cmd_fuzz_triage(args) -> int:
-    """Re-triage a campaign as JSON (cached verdicts make this cheap)."""
-    try:
-        result = _campaign(args)
-    except FatalCellError as exc:
-        return _fatal(exc)
-    print(result.report.to_json())
-    return _campaign_exit(args, result)
-
-
-def cmd_fuzz_coverage(args) -> int:
-    """Render a campaign's behaviour-coverage map (byte-deterministic;
-    cheap on a warm cache since verdicts replay from the disk cache)."""
-    try:
-        result = _campaign(args)
-    except FatalCellError as exc:
-        return _fatal(exc)
-    print(_campaign_coverage(result).render())
-    return _campaign_exit(args, result)
-
-
-def cmd_fuzz_distill(args) -> int:
-    """Distill a campaign into a minimal pinned corpus (greedy facet
-    set-cover over the clean verdicts; see ``repro.fuzz.distill``)."""
+def cmd_fuzz_campaign(args) -> int:
+    """``fuzz run|triage|coverage|distill``: run one campaign, then print
+    the view the action names.  stdout is byte-deterministic for a given
+    campaign at any ``--jobs``, and cheap on a warm cache since verdicts
+    replay from the disk cache; wall-clock and cache chatter go to
+    stderr."""
     from .fuzz import corpus_to_json, distill
     try:
         result = _campaign(args)
     except FatalCellError as exc:
         return _fatal(exc)
-    entries = distill(result.verdicts)
-    source = {"experiment": result.spec.experiment, "seed": args.seed,
-              "count": args.count,
-              "guided": getattr(args, "guided", False)}
-    text = corpus_to_json(entries, source=source)
-    if args.corpus_out:
-        Path(args.corpus_out).write_text(text + "\n")
-        print(f"wrote {args.corpus_out} ({len(entries)} entries)",
-              file=sys.stderr)
+    if args.action == "run":
+        print(result.report.render())
+        print(result.render_allocations())
+    elif args.action == "triage":
+        print(result.report.to_json())
+    elif args.action == "coverage":
+        print(result.coverage.render())
     else:
-        print(text)
-    return _campaign_exit(args, result)
+        # Greedy facet set-cover over the clean verdicts (see
+        # ``repro.fuzz.distill``).
+        entries = distill(result.verdicts)
+        source = {"experiment": result.spec.experiment, "seed": args.seed,
+                  "count": args.count, "guided": args.guided}
+        text = corpus_to_json(entries, source=source)
+        if args.corpus_out:
+            Path(args.corpus_out).write_text(text + "\n")
+            print(f"wrote {args.corpus_out} ({len(entries)} entries)",
+                  file=sys.stderr)
+        else:
+            print(text)
+    for report in result.run_reports:
+        print(report.render(), file=sys.stderr)
+    for name in result.failed:
+        print(f"  NO VERDICT (evaluator failed): {name}", file=sys.stderr)
+    if args.coverage_out:
+        Path(args.coverage_out).write_text(result.coverage.to_json() + "\n")
+        print(f"wrote {args.coverage_out}", file=sys.stderr)
+    if args.output:
+        Path(args.output).write_text(result.report.to_json() + "\n")
+        print(f"wrote {args.output}", file=sys.stderr)
+    if args.strict and (result.report.counts["divergence"]
+                        or not result.completed):
+        return 1
+    return 0
 
 
 def cmd_fuzz_corpus(args) -> int:
@@ -1038,27 +994,19 @@ def build_parser() -> argparse.ArgumentParser:
         _add_scale(pf)
         _add_perf(pf)
 
-    pf = fsub.add_parser(
-        "run", help="run a seeded campaign (deterministic triage on stdout)")
-    _add_campaign(pf)
-    pf.set_defaults(fn=cmd_fuzz_run)
-
-    pf = fsub.add_parser(
-        "triage", help="campaign triage as JSON (cheap on a warm cache)")
-    _add_campaign(pf)
-    pf.set_defaults(fn=cmd_fuzz_triage)
-
-    pf = fsub.add_parser(
-        "coverage", help="render a campaign's behaviour-coverage map")
-    _add_campaign(pf)
-    pf.set_defaults(fn=cmd_fuzz_coverage)
-
-    pf = fsub.add_parser(
-        "distill", help="distill a campaign into a minimal pinned corpus")
-    _add_campaign(pf)
-    pf.add_argument("--corpus-out", default=None, metavar="FILE",
-                    help="write the corpus JSON here (default stdout)")
-    pf.set_defaults(fn=cmd_fuzz_distill)
+    for action, help_ in (
+            ("run", "run a seeded campaign (deterministic triage on "
+                    "stdout)"),
+            ("triage", "campaign triage as JSON (cheap on a warm cache)"),
+            ("coverage", "render a campaign's behaviour-coverage map"),
+            ("distill", "distill a campaign into a minimal pinned corpus")):
+        pf = fsub.add_parser(action, help=help_)
+        _add_campaign(pf)
+        if action == "distill":
+            pf.add_argument("--corpus-out", default=None, metavar="FILE",
+                            help="write the corpus JSON here "
+                                 "(default stdout)")
+        pf.set_defaults(fn=cmd_fuzz_campaign)
 
     pf = fsub.add_parser(
         "corpus", help="re-run a pinned corpus in strict differential mode")

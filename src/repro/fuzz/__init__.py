@@ -1,6 +1,6 @@
 """Differential fuzzing of the SPEAR pipeline over random kernels.
 
-The campaign machinery has four layers:
+The campaign machinery has five layers:
 
 * :mod:`~repro.fuzz.generator` — a seeded random-kernel generator on top
   of :class:`~repro.isa.builder.ProgramBuilder`: basic-block DAGs built
@@ -18,24 +18,23 @@ The campaign machinery has four layers:
   vs functional state, commit conservation, cross-backend byte drift,
   the fill-partition invariant and slicer sanity, folded into one
   picklable :class:`~repro.fuzz.differential.FuzzVerdict`.
-* :mod:`~repro.fuzz.triage` / :mod:`~repro.fuzz.shrink` /
-  :mod:`~repro.fuzz.campaign` — classification + deterministic
-  reporting, delta-debugging reduction of failing specs, and the
-  journaled, resumable campaign driver running verdict cells through
-  the fault-tolerant parallel engine.
+* :mod:`~repro.fuzz.triage` / :mod:`~repro.fuzz.shrink` —
+  classification + deterministic reporting, and delta-debugging
+  reduction of failing specs.
 * :mod:`~repro.fuzz.coverage` / :mod:`~repro.fuzz.schedule` /
-  :mod:`~repro.fuzz.distill` — the coverage-guided loop: every verdict
-  bands into a :class:`~repro.fuzz.coverage.BehaviorVector` and a
-  content-hashed :class:`~repro.fuzz.coverage.CoverageMap`; the guided
-  campaign apportions each batch's budget over dial arms and spec-IR
-  mutation arms by recent first-hit novelty (integer arithmetic, so
-  byte-identical at any ``--jobs`` and across ``--resume``); and
-  greedy set-cover distillation pins a minimal corpus under
-  ``tests/regress/corpus/`` that CI re-checks strictly.
+  :mod:`~repro.fuzz.distill` — the campaign loop.  Every verdict bands
+  into a :class:`~repro.fuzz.coverage.BehaviorVector` and a
+  content-hashed :class:`~repro.fuzz.coverage.CoverageMap`.  The one
+  campaign driver runs verdict cells through the fault-tolerant
+  parallel engine, journaled and resumable.  A guided campaign
+  apportions each batch's budget over dial arms and spec-IR mutation
+  arms by recent first-hit novelty (integer arithmetic, so
+  byte-identical at any ``--jobs`` and across ``--resume``); a blind
+  campaign is one dial arm in one batch.  Greedy set-cover distillation
+  pins a minimal corpus under ``tests/regress/corpus/`` that CI
+  re-checks strictly.
 """
 
-from .campaign import (CampaignResult, CampaignSpec, campaign_cells,
-                       run_campaign)
 from .coverage import (BehaviorVector, CoverageMap, coverage_map, vector_of)
 from .differential import FuzzCheckSpec, FuzzVerdict, evaluate_workload
 from .distill import (CorpusEntry, check_corpus, corpus_from_json,
@@ -52,7 +51,6 @@ from .shrink import shrink
 from .triage import TriageReport, triage
 
 __all__ = [
-    "CampaignResult", "CampaignSpec", "campaign_cells", "run_campaign",
     "BehaviorVector", "CoverageMap", "coverage_map", "vector_of",
     "FuzzCheckSpec", "FuzzVerdict", "evaluate_workload",
     "CorpusEntry", "check_corpus", "corpus_from_json", "corpus_to_json",

@@ -1,30 +1,35 @@
-"""Coverage-guided campaign scheduling: dial arms + spec mutation.
+"""Fuzz campaigns: one driver for blind and coverage-guided campaigns.
 
-The blind PR 8 campaign draws every program from one ``KernelDials``
-point; this module closes the Revizor-style loop.  A campaign becomes a
-sequence of batches.  Each batch's generation budget is apportioned
-over a palette of *arms* — preset dial points plus mutation arms that
-perturb the KernelSpec IR exported by hand-built workloads
-(``Workload.spec_of``) — and after every batch the scheduler re-scores
-arms by the new or rare coverage bins their programs just hit
-(:mod:`repro.fuzz.coverage`).
+A campaign is ``count`` generated programs from one seed, drawn from a
+palette of *arms*: preset dial points, plus mutation arms that perturb
+the KernelSpec IR exported by hand-built workloads
+(``Workload.spec_of``).  A guided campaign is a sequence of batches.
+Each batch's budget is apportioned over the arms, and after every batch
+the scheduler re-scores arms by the new or rare coverage bins their
+programs just hit (:mod:`repro.fuzz.coverage`), the Revizor-style
+loop.  A *blind* campaign is one generation arm at one dial point.
+With one arm no plan can depend on what a batch observed, so the whole
+campaign runs as one batch: one pool and one journal.
 
-Everything is deterministic by construction, which is what keeps the
+Everything is deterministic by construction, which is what keeps a
 campaign byte-identical at any ``--jobs`` and across crash+``--resume``:
 
 * a program's full identity lives in its cell name —
   ``fuzz:v1:<seed>:<i>[:<dials>]`` for generation arms,
   ``fuzzmut:v1:<seed>:<i>:<base>`` for mutation arms — so workers and
   caches rebuild it from the string alone;
-* the scheduler is pure integer arithmetic (largest-remainder
-  apportionment with fixed tie-breaks) over verdicts that merge in
+* every verdict is a pure function of its cell, and verdicts merge in
   submission order;
+* the scheduler is pure integer arithmetic (largest-remainder
+  apportionment with fixed tie-breaks) over those verdicts;
 * mutation is a seeded walk over the spec IR emitting only grammar the
   oracle and shrinker already interpret.
 
 A crash mid-batch stops scheduling (later plans would depend on the
 missing observations); ``--resume`` replays completed batches from the
-journal + cache and re-derives the identical plan.
+journal + cache and re-derives the identical plan.  Every
+``sweep_every``-th program, by campaign index, also cross-checks the
+batched latency sweep against independent runs.
 """
 
 from __future__ import annotations
@@ -289,11 +294,12 @@ class ArmScheduler:
     MIN_OBS = 3      #: observations per arm before ranking kicks in
     SHARES = (14, 8, 4)  #: weights for the top-ranked arms (rest get 1)
 
-    def __init__(self, arms: tuple[str, ...] = DEFAULT_ARMS):
+    def __init__(self, arms: tuple[str | Arm, ...] = DEFAULT_ARMS):
         if not arms:
             raise ValueError("need at least one arm")
-        self.arms = tuple(arms)
-        self.resolved = tuple(resolve_arm(a) for a in self.arms)
+        self.resolved = tuple(a if isinstance(a, Arm) else resolve_arm(a)
+                              for a in arms)
+        self.arms = tuple(a.name for a in self.resolved)
         self.scores = {a: 1 for a in self.arms}
         self.seen = CoverageMap()
         self.allocated = {a: 0 for a in self.arms}
@@ -342,18 +348,20 @@ class ArmScheduler:
             for a in self.arms}
 
 
-# -- the guided campaign driver ---------------------------------------------
+# -- the campaign driver ----------------------------------------------------
 
 @dataclass(frozen=True)
 class GuidedCampaignSpec:
-    """A coverage-guided campaign's identity."""
+    """A campaign's identity.  ``arms`` holds preset arm names (see
+    :data:`DEFAULT_ARMS`) or :class:`Arm`\\ s; a blind campaign holds one
+    generation :class:`Arm` at its dial point."""
 
     seed: int
     count: int
     batch: int = 25                      #: programs per scheduling round
-    arms: tuple[str, ...] = DEFAULT_ARMS
+    arms: tuple[str | Arm, ...] = DEFAULT_ARMS
     check: FuzzCheckSpec = FuzzCheckSpec()
-    sweep_every: int = 50                #: by *global* index, like blind
+    sweep_every: int = 50                #: by campaign index
     sweep_points: int = 2
 
     @property
@@ -365,10 +373,15 @@ class GuidedCampaignSpec:
             return replace(self.check, sweep_points=self.sweep_points)
         return self.check
 
+    def cell(self, arm: Arm, index: int) -> Cell:
+        """Program ``index`` of the campaign, drawn from ``arm``."""
+        return Cell(arm.cell_name(self.seed, index), BASELINE,
+                    fuzz=self.check_for(index))
+
 
 @dataclass
 class GuidedCampaignResult:
-    """Everything a guided campaign produced."""
+    """Everything a campaign produced."""
 
     spec: GuidedCampaignSpec
     verdicts: list[FuzzVerdict]
@@ -388,8 +401,7 @@ class GuidedCampaignResult:
     def render_allocations(self) -> str:
         """Deterministic arm table for stdout."""
         lines = [f"arm allocation — {len(self.allocations)} batch(es):"]
-        for arm in self.spec.arms:
-            s = self.arm_stats.get(arm, {"allocated": 0, "new_bins": 0})
+        for arm, s in self.arm_stats.items():
             lines.append(f"  {arm:<12} {s['allocated']:5d} program(s)  "
                          f"{s['new_bins']:4d} first-hit bin(s)")
         return "\n".join(lines)
@@ -401,15 +413,17 @@ def run_guided_campaign(spec: GuidedCampaignSpec, runner: ExperimentRunner,
                         journaled: bool = True,
                         journal_root=None,
                         resume: bool = False) -> GuidedCampaignResult:
-    """Run (or resume) one coverage-guided campaign.
+    """Run (or resume) one campaign.
 
     Batches run sequentially through the parallel engine, each under its
     own journal (``<experiment>-b<k>``); within a batch cells run at
-    ``--jobs`` parallelism.  The final coverage map is recomputed from
-    the verdicts in submission order, never carried incrementally — so
-    a resumed campaign converges to the clean run's bytes.
+    ``--jobs`` parallelism.  One arm runs the whole count as one batch.
+    The final coverage map is recomputed from the verdicts in submission
+    order, never carried incrementally — so a resumed campaign converges
+    to the clean run's bytes.
     """
     scheduler = ArmScheduler(spec.arms)
+    batch_size = spec.batch if len(scheduler.arms) > 1 else spec.count
     verdicts: list[FuzzVerdict] = []
     failed: list = []
     run_reports: list[RunReport] = []
@@ -418,12 +432,9 @@ def run_guided_campaign(spec: GuidedCampaignSpec, runner: ExperimentRunner,
     batch_no = 0
     remaining = spec.count
     while remaining > 0:
-        plan = scheduler.plan(min(spec.batch, remaining))
-        cells = []
-        for arm in plan:
-            cells.append(Cell(arm.cell_name(spec.seed, index), BASELINE,
-                              fuzz=spec.check_for(index)))
-            index += 1
+        plan = scheduler.plan(min(batch_size, remaining))
+        cells = [spec.cell(arm, index + k) for k, arm in enumerate(plan)]
+        index += len(plan)
         journal = None
         if journaled:
             journal = RunJournal.for_run(f"{spec.experiment}-b{batch_no}",

@@ -311,6 +311,20 @@ class DiskCache:
     def stats(self) -> dict:
         return {kind: c.snapshot() for kind, c in sorted(self.counters.items())}
 
+    def take_stats(self) -> dict:
+        """:meth:`stats`, then reset every counter to zero."""
+        stats = self.stats()
+        self.counters.clear()
+        return stats
+
+    def add_stats(self, stats: dict) -> None:
+        """Add another view's :meth:`stats` (a pool worker's) to these
+        counters."""
+        for kind, counts in stats.items():
+            counter = self._counter(kind)
+            for name, n in counts.items():
+                setattr(counter, name, getattr(counter, name) + n)
+
     def clear(self) -> int:
         """Delete every entry under the cache root; returns files removed."""
         removed = 0

@@ -344,9 +344,14 @@ def timed_cell(runner: ExperimentRunner, cell: Cell, *,
 
 def _run_cell(cell: Cell, index: int = 0, attempt: int = 1):
     """Pool-worker entry: cell-level fault injection, then
-    :func:`timed_cell`."""
+    :func:`timed_cell`.  Returns ``(value, elapsed, cache_stats)``:
+    ``cache_stats`` takes the worker cache's counters since its last
+    finished attempt, so the parent's run report counts the workers'
+    cache traffic too."""
     faults.inject_cell_faults(index, attempt)
-    return timed_cell(_WORKER_RUNNER, cell, spill=True)
+    value, elapsed = timed_cell(_WORKER_RUNNER, cell, spill=True)
+    cache = _WORKER_RUNNER.cache
+    return value, elapsed, cache.take_stats() if cache is not None else {}
 
 
 def _spill(runner: ExperimentRunner, cell: Cell, traced):
@@ -402,7 +407,8 @@ class Supervisor:
     says whether the cell goes back in after its backoff; a callback may
     raise to abort the caller's loop.
 
-    Pool attempts run :func:`_run_cell` in a worker, and a spilled
+    Pool attempts run :func:`_run_cell` in a worker.  The worker's cache
+    counters are added to ``runner.cache``'s, and a spilled
     :class:`PayloadRef` is loaded before ``on_ok`` sees it.  Attempts in
     process, with ``workers=0`` or in degraded mode, apply the cell
     faults and call :func:`timed_cell` on ``runner``.
@@ -505,7 +511,9 @@ class Supervisor:
         for fut in done:
             key = self._running.pop(fut)
             try:
-                value, elapsed = fut.result()
+                value, elapsed, cache_stats = fut.result()
+                if self.runner.cache is not None:
+                    self.runner.cache.add_stats(cache_stats)
                 value = _resolve(self.runner, value)
             except BrokenProcessPool:
                 # Collateral or culprit — indistinguishable, and neither

@@ -405,16 +405,6 @@ class ExperimentRunner:
             sink.close()
         return result, sink.emitted
 
-    def run_fuzz(self, name: str, check):
-        """Evaluate one generated kernel differentially (memo/cached).
-
-        ``name`` must be a ``fuzz:`` workload name; the verdict — a
-        small picklable :class:`~repro.fuzz.differential.FuzzVerdict` —
-        caches under the ``"fuzz"`` kind, so campaigns resume and rerun
-        for free exactly like figures do.
-        """
-        return self.get(Cell(name, BASELINE, fuzz=check))
-
     def speedup(self, name: str, config: MachineConfig,
                 baseline: MachineConfig,
                 latencies: LatencyConfig | None = None) -> float:

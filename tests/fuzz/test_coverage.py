@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.fuzz import CoverageMap, coverage_map, run_campaign, vector_of
+from repro.fuzz import (CoverageMap, coverage_map, run_guided_campaign,
+                        vector_of)
 from repro.fuzz.coverage import (DIMENSIONS, UNMEASURED, _log_band,
                                  _ratio_band)
 from repro.fuzz.differential import BEHAVIOR_FIELDS, FuzzVerdict
@@ -131,17 +132,17 @@ class TestCoverageMap:
 class TestCampaignCoverage:
     def test_map_is_independent_of_jobs(self, tmp_path):
         spec = _spec()
-        serial = run_campaign(spec, _runner(tmp_path, "c1"), jobs=1,
-                              policy=FAST, journaled=False)
-        parallel = run_campaign(spec, _runner(tmp_path, "c2"), jobs=2,
-                                policy=FAST, journaled=False)
+        serial = run_guided_campaign(spec, _runner(tmp_path, "c1"), jobs=1,
+                                     policy=FAST, journaled=False)
+        parallel = run_guided_campaign(spec, _runner(tmp_path, "c2"), jobs=2,
+                                       policy=FAST, journaled=False)
         a, b = coverage_map(serial.verdicts), coverage_map(parallel.verdicts)
         assert a.to_json() == b.to_json()
         assert a.content_hash() == b.content_hash()
 
     def test_real_verdicts_produce_measured_vectors(self, tmp_path):
-        result = run_campaign(_spec(count=2), _runner(tmp_path), jobs=1,
-                              policy=FAST, journaled=False)
+        result = run_guided_campaign(_spec(count=2), _runner(tmp_path), jobs=1,
+                                     policy=FAST, journaled=False)
         for v in result.verdicts:
             assert v.behavior is not None
             bands = dict(vector_of(v).bands)

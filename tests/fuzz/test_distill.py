@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.fuzz import (check_corpus, corpus_from_json, corpus_to_json,
-                        distill, run_campaign, vector_of)
+                        distill, run_guided_campaign, vector_of)
 
 from .test_campaign import FAST, _runner, _spec
 
@@ -14,8 +14,8 @@ from .test_campaign import FAST, _runner, _spec
 def campaign(tmp_path_factory):
     """One small blind campaign every distillation test shares."""
     tmp = tmp_path_factory.mktemp("distill")
-    return run_campaign(_spec(count=6, seed=23), _runner(tmp), jobs=2,
-                        policy=FAST, journaled=False)
+    return run_guided_campaign(_spec(count=6, seed=23), _runner(tmp), jobs=2,
+                               policy=FAST, journaled=False)
 
 
 @pytest.fixture(scope="module")

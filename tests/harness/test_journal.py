@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core import BASELINE, SPEAR_128
-from repro.fuzz.campaign import CampaignSpec, campaign_cells
+from repro.fuzz.schedule import GuidedCampaignSpec, resolve_arm
 from repro.harness import (Cell, DiskCache, ExperimentRunner, RunJournal,
                            ablate_policy_cells, cells_for, list_journals,
                            report_cells, report_trace_spec, run_cells)
@@ -185,7 +185,8 @@ def _pinned_cells() -> dict:
     cells["report/SPEAR-128"] = traced[1]
     for c in ablate_policy_cells(["mcf"]):
         cells[f"ablate/{c.config.name}/{c.policy}"] = c
-    for c in campaign_cells(CampaignSpec(seed=2026, count=2)):
+    spec = GuidedCampaignSpec(seed=2026, count=2)
+    for c in (spec.cell(resolve_arm("default"), i) for i in range(2)):
         cells[c.workload] = c
     return cells
 

@@ -152,6 +152,18 @@ class TestLeadersFirst:
             serial_table
 
 
+class TestCacheStats:
+    def test_pooled_run_counts_worker_cache_traffic(self, tmp_path):
+        # Every cell runs in a worker, so every result is missed and
+        # stored by a worker cache; the parent's report counts them.
+        runner = ExperimentRunner(instruction_scale=0.05,
+                                  cache=DiskCache(tmp_path / "cache"))
+        report = run_cells(runner, cells_for("figure6", ["pointer"]), jobs=2)
+        results = report.cache_stats["results"]
+        assert (results["hits"], results["misses"],
+                results["stores"]) == (0, 3, 3)
+
+
 class TestJournal:
     def test_elapsed_is_execution_time_not_queue_wait(self, tmp_path):
         jobs = 2

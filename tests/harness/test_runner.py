@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BASELINE, SPEAR_128
-from repro.fuzz.campaign import CampaignSpec, campaign_cells
+from repro.fuzz.schedule import GuidedCampaignSpec, resolve_arm
 from repro.harness import (Cell, DiskCache, ExperimentRunner,
                            report_trace_spec)
 from repro.memory import LatencyConfig
@@ -93,7 +93,8 @@ CELL_SHAPES = {
                           policy="adaptive-epoch"), "traces"),
     "traced-phase": (Cell("pointer", SPEAR_128, trace=_SPEC,
                           policy="adaptive-phase"), "traces"),
-    "fuzz": (campaign_cells(CampaignSpec(seed=2026, count=1))[0], "fuzz"),
+    "fuzz": (GuidedCampaignSpec(seed=2026, count=1).cell(
+        resolve_arm("default"), 0), "fuzz"),
 }
 
 

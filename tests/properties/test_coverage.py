@@ -27,8 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fuzz import (CampaignSpec, FuzzCheckSpec, coverage_map, distill,
-                        evaluate_workload, run_campaign, vector_of)
+from repro.fuzz import (Arm, FuzzCheckSpec, GuidedCampaignSpec, coverage_map,
+                        distill, evaluate_workload, run_guided_campaign,
+                        vector_of)
 from repro.fuzz.differential import BEHAVIOR_FIELDS
 from repro.fuzz.generator import (KernelDials, encode_name,
                                   fuzz_workload_from_name)
@@ -64,12 +65,14 @@ def test_vector_is_backend_independent(seed):
 @given(seed=st.integers(0, 50))
 def test_map_is_job_count_independent(seed, tmp_path_factory):
     base = tmp_path_factory.mktemp("cov") / str(next(_dirs))
-    spec = CampaignSpec(seed=seed, count=2, dials=SMALL, sweep_every=0)
+    spec = GuidedCampaignSpec(seed=seed, count=2,
+                              arms=(Arm("small", dials=SMALL),),
+                              sweep_every=0)
     maps = []
     for jobs in (1, 2):
         runner = ExperimentRunner(cache=DiskCache(base / f"j{jobs}"))
-        result = run_campaign(spec, runner, jobs=jobs, policy=FAST,
-                              journaled=False)
+        result = run_guided_campaign(spec, runner, jobs=jobs, policy=FAST,
+                                     journaled=False)
         maps.append(coverage_map(result.verdicts))
     assert maps[0].to_json() == maps[1].to_json()
     assert maps[0].content_hash() == maps[1].content_hash()
