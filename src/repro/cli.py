@@ -656,9 +656,12 @@ def _campaign(args):
         arms = DEFAULT_ARMS
     else:
         arms = (Arm(args.dials or "default", dials=_parse_dials(args.dials)),)
-    spec = GuidedCampaignSpec(seed=args.seed, count=args.count,
-                              batch=args.batch, arms=arms,
-                              sweep_every=args.sweep_every)
+    try:
+        spec = GuidedCampaignSpec(seed=args.seed, count=args.count,
+                                  batch=args.batch, arms=arms,
+                                  sweep_every=args.sweep_every)
+    except ValueError as exc:
+        raise SystemExit(f"fuzz: {exc}") from None
     return run_guided_campaign(spec, _runner(args), jobs=_jobs(args),
                                policy=_policy(args),
                                journal_root=_journal_dir(args),

@@ -364,6 +364,12 @@ class GuidedCampaignSpec:
     sweep_every: int = 50                #: by campaign index
     sweep_points: int = 2
 
+    def __post_init__(self) -> None:
+        # A batch plans at least one program, or the campaign never ends.
+        if self.batch < 1:
+            raise ValueError(
+                f"campaign batch must be at least 1, got {self.batch}")
+
     @property
     def experiment(self) -> str:
         return f"fuzz-guided-{self.seed}-{self.count}"

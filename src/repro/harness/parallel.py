@@ -228,6 +228,7 @@ class RunReport:
     interrupted: bool = False  #: cut short by SIGINT/SIGTERM (clean exit)
     wall_time: float = 0.0
     failures: list[CellFailure] = field(default_factory=list)
+    #: per-kind cache counters since the cache's previous run report
     cache_stats: dict = field(default_factory=dict)
 
     @property
@@ -703,7 +704,11 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
                 runner.seed(cell, results[i])
         report.wall_time = time.monotonic() - started
         if runner.cache is not None:
-            report.cache_stats = runner.cache.stats()
+            # Only the traffic since this cache's previous report (or
+            # since it was opened, so the startup tmp sweep shows in the
+            # first one): a verb that runs several batches on one runner
+            # reports each batch's own traffic once.
+            report.cache_stats = runner.cache.take_stats()
         if journal is not None and report.total:
             journal.record_end(report.summary())
     return report

@@ -10,7 +10,7 @@ for hit/miss behaviour while staying fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _is_pow2(v: int) -> bool:
@@ -72,99 +72,84 @@ class Cache:
 
     ``probe``/``install`` are split so the hierarchy can model non-inclusive
     fills; ``access`` is the common probe-then-fill path.
+
+    Each set is a list of the block ids it holds in recency order, least
+    recent first, so a hit moves its block to the end and a full set
+    evicts index 0.  The 4-way sets of Table 2 make ``in`` and
+    ``list.remove`` C-level scans of at most four items, and a miss
+    raises nothing.  The dirty blocks of every set share one Python
+    ``set``: a block id is unique across the cache.
     """
 
-    __slots__ = ("config", "_block_bits", "_set_mask", "_tags", "_stamp",
-                 "_dirty", "_clock", "stats")
+    __slots__ = ("config", "_block_bits", "_set_mask", "_ways", "_sets",
+                 "_dirty", "stats")
 
     def __init__(self, config: CacheConfig):
         self.config = config
         self._block_bits = config.block_bits
         self._set_mask = config.set_mask
-        # Per-set way arrays.  Plain Python lists beat numpy for 4-way
-        # scans (no per-access array overhead).
-        self._tags: list[list[int]] = [[-1] * config.ways for _ in range(config.sets)]
-        self._stamp: list[list[int]] = [[0] * config.ways for _ in range(config.sets)]
-        self._dirty: list[list[bool]] = [[False] * config.ways for _ in range(config.sets)]
-        self._clock = 0
-        self.stats = CacheStats()
+        self._ways = config.ways
+        self.reset()
 
     def block_of(self, addr: int) -> int:
         """Global block id for an address."""
         return addr >> self._block_bits
 
     def reset(self) -> None:
-        cfg = self.config
-        self._tags = [[-1] * cfg.ways for _ in range(cfg.sets)]
-        self._stamp = [[0] * cfg.ways for _ in range(cfg.sets)]
-        self._dirty = [[False] * cfg.ways for _ in range(cfg.sets)]
-        self._clock = 0
+        self._sets: list[list[int]] = [[] for _ in range(self.config.sets)]
+        self._dirty: set[int] = set()
         self.stats = CacheStats()
 
     # -- core operations -----------------------------------------------------
 
     def probe(self, addr: int, *, is_write: bool = False,
               update_lru: bool = True, count: bool = True) -> bool:
-        """Check for presence; touches LRU on hit.  Returns hit/miss.
-
-        The way scan uses ``list.index`` — a C-level search that beats a
-        Python ``enumerate`` loop for the 4-way sets of Table 2.
-        """
+        """Check for presence; touches LRU on hit.  Returns hit/miss."""
         block = addr >> self._block_bits
-        set_idx = block & self._set_mask
-        tags = self._tags[set_idx]
-        stats = self.stats
-        if count:
-            stats.accesses += 1
-        try:
-            way = tags.index(block)
-        except ValueError:
+        blocks = self._sets[block & self._set_mask]
+        if block not in blocks:
             if count:
+                stats = self.stats
+                stats.accesses += 1
                 stats.misses += 1
             return False
         if count:
+            stats = self.stats
+            stats.accesses += 1
             stats.hits += 1
-        if update_lru:
-            self._clock += 1
-            self._stamp[set_idx][way] = self._clock
+        if update_lru and blocks[-1] != block:
+            blocks.remove(block)
+            blocks.append(block)
         if is_write:
-            self._dirty[set_idx][way] = True
+            self._dirty.add(block)
         return True
 
     def install(self, addr: int, *, is_write: bool = False) -> int:
         """Fill the block, evicting LRU if needed.
 
-        Returns the evicted block id, or -1 when an invalid way was used.
+        Returns the evicted block id, or -1 when the set had room.
         """
         block = addr >> self._block_bits
-        set_idx = block & self._set_mask
-        tags = self._tags[set_idx]
-        stamps = self._stamp[set_idx]
-        dirty = self._dirty[set_idx]
-        self._clock += 1
-
-        try:
-            way = tags.index(block)  # already present (racing install)
-        except ValueError:
-            pass
-        else:
-            stamps[way] = self._clock
+        blocks = self._sets[block & self._set_mask]
+        if block in blocks:  # already present (racing install)
+            if blocks[-1] != block:
+                blocks.remove(block)
+                blocks.append(block)
             if is_write:
-                dirty[way] = True
+                self._dirty.add(block)
             return -1
-        try:
-            victim = tags.index(-1)
-        except ValueError:
-            victim = min(range(len(stamps)), key=stamps.__getitem__)
-
-        evicted = tags[victim]
-        if evicted != -1:
-            self.stats.evictions += 1
-            if dirty[victim]:
-                self.stats.writebacks += 1
-        tags[victim] = block
-        stamps[victim] = self._clock
-        dirty[victim] = is_write
+        evicted = -1
+        if len(blocks) >= self._ways:
+            evicted = blocks.pop(0)
+            stats = self.stats
+            stats.evictions += 1
+            dirty = self._dirty
+            if evicted in dirty:
+                dirty.remove(evicted)
+                stats.writebacks += 1
+        blocks.append(block)
+        if is_write:
+            self._dirty.add(block)
         return evicted
 
     def access(self, addr: int, *, is_write: bool = False) -> bool:
@@ -176,9 +161,10 @@ class Cache:
 
     def contains(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
-        return self.probe(addr, update_lru=False, count=False)
+        block = addr >> self._block_bits
+        return block in self._sets[block & self._set_mask]
 
     def utilization(self) -> float:
         """Fraction of ways currently holding a valid block."""
-        valid = sum(1 for s in self._tags for t in s if t != -1)
+        valid = sum(map(len, self._sets))
         return valid / (self.config.sets * self.config.ways)

@@ -26,8 +26,7 @@ numbers, which a jump does not reinterpret.
 
 from __future__ import annotations
 
-from .dyninst import MAIN_THREAD
-from .smt import TimingSimulator, _COPY, _DRAIN, _IDLE
+from .smt import MAIN_THREAD, TimingSimulator, _COPY, _DRAIN, _IDLE
 
 
 class FastForwardSimulator(TimingSimulator):
@@ -55,8 +54,7 @@ class FastForwardSimulator(TimingSimulator):
         events = self._events
         if cycle in events:
             return None                      # completions fire this cycle
-        rob = self._main_rob
-        if rob and rob[0].done:
+        if self._done[self._committed]:
             return None                      # commit has work
         if self._main_ready or self._pt_ready:
             return None                      # issue has work
@@ -68,8 +66,9 @@ class FastForwardSimulator(TimingSimulator):
         # 0 = no counter, 1 = decode_stall_empty_ifq, 2 = decode_stall_
         # ruu_full.  Order matches the reference: the RUU-full check comes
         # before the barrier/bubble head checks (which bump nothing).
+        ruu = self._decoded - self._committed
         if ifq_slots:
-            if len(rob) >= cfg.ruu_size:
+            if ruu >= cfg.ruu_size:
                 decode_stat = 2
             else:
                 head = ifq_slots[0]
@@ -173,7 +172,6 @@ class FastForwardSimulator(TimingSimulator):
             stats.spear.extraction_stall_ruu_full += delta
 
         occ = len(ifq_slots)
-        ruu = len(rob)
         in_mode = 1 if mode != _IDLE else 0
         sampler = self._sampler
         if sampler is not None:

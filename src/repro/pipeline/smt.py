@@ -23,16 +23,23 @@ Pre-execution sequencing (paper §3.2):
 5. extracted instances execute as thread 1 with issue priority, touching
    only the data cache;
 6. when the triggering d-load instance completes, the mode ends.
+
+An in-flight instruction is an int.  The main thread decodes trace index
+``i`` as instance ``i``; the p-thread instance of the same entry is
+``n + i`` (``n`` trace entries), unique because the PE never extracts an
+index twice.  Per-instance state lives in run-long arrays indexed by that
+int (outstanding producer count, done flag, consumer list).  The main
+thread decodes and commits in trace order, so its ROB is the window of
+indices ``[_committed, _decoded)``.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from ..branch.predictors import make_predictor
 from ..core.configs import MachineConfig, OP_LATENCY
 from ..core.pthread import PThreadTable
 from ..functional.trace import Trace
+from ..isa import NUM_REGS
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.prefetcher import make_prefetcher
 from ..observe.events import (COMMIT, COMPLETE, DECODE, EXTRACT, FETCH, FILL,
@@ -40,10 +47,14 @@ from ..observe.events import (COMMIT, COMPLETE, DECODE, EXTRACT, FETCH, FILL,
                               TraceEvent)
 from ..observe.sampler import IntervalSampler
 from ..observe.sinks import TraceSink, kind_sinks
-from .dyninst import DynInstr, MAIN_THREAD, P_THREAD
 from .funits import FU_OF_CLASS, FUPool
 from .ifq import IFQSlot, InstructionFetchQueue
 from .stats import PipelineResult, PipelineStats
+
+#: Thread ids: trace events, memory accounting and the sampler's
+#: per-thread series use them.
+MAIN_THREAD = 0
+P_THREAD = 1
 
 # Pre-execution mode states.
 _IDLE, _DRAIN, _COPY, _ACTIVE = range(4)
@@ -157,15 +168,28 @@ class TimingSimulator:
         #: real entries fetched past the current barrier (reconverge mode).
         self._wrong_path_real = 0
 
-        # Back end state.
-        self._main_rob: deque[DynInstr] = deque()
-        self._main_ready: list[DynInstr] = []
-        self._pt_ready: list[DynInstr] = []
+        # Back end state; instances are ints (see the module docstring).
+        n = len(trace.entries)
+        self._n = n
+        #: outstanding producers per instance, set at decode or extract
+        self._deps = [0] * (2 * n)
+        #: completed instances; the extra last byte is set, so the
+        #: "no producer" id -1 reads as done
+        self._done = bytearray(2 * n + 1)
+        self._done[-1] = 1
+        #: instances waiting on each in-flight instance, made on its first
+        #: consumer and dropped when it completes
+        self._consumers: list[list[int] | None] = [None] * (2 * n)
+        #: the main thread's ROB is the window [_committed, _decoded)
+        self._decoded = 0
+        self._main_ready: list[int] = []
+        self._pt_ready: list[int] = []
         self._pt_inflight = 0
-        self._events: dict[int, list[DynInstr]] = {}
-        self._last_writer: dict[int, DynInstr] = {}
-        self._store_map: dict[int, DynInstr] = {}
-        self._next_seq = 0
+        self._events: dict[int, list[int]] = {}
+        #: register -> its last decoded main-thread writer, or -1
+        self._last_writer = [-1] * NUM_REGS
+        #: memory word -> its last decoded main-thread store
+        self._store_map: dict[int, int] = {}
 
         self._fu_main = FUPool(config.fu)
         self._fu_pt = FUPool(config.fu) if config.separate_fu else self._fu_main
@@ -174,11 +198,15 @@ class TimingSimulator:
         self._mode = _IDLE
         self._trigger_trace_idx = -1
         self._trigger_extracted = False
-        self._drain_seq = -1
-        self._drain_producers: list[DynInstr] = []
+        #: the p-thread instance of the trigger d-load; its completion
+        #: ends the mode
+        self._trigger_pid = -1
+        #: last main-thread index decoded when the mode triggered
+        self._drain_idx = -1
+        self._drain_producers: list[int] = []
         self._copy_remaining = 0
         self._pe_seq = 0
-        self._pt_last_writer: dict[int, DynInstr] = {}
+        self._pt_last_writer = [-1] * NUM_REGS
 
         self._cycle = 0
         self._committed = 0
@@ -287,7 +315,9 @@ class TimingSimulator:
         ruu_size = cfg.ruu_size
         wp_mode = cfg.wrong_path
         events = self._events
-        rob = self._main_rob
+        deps = self._deps
+        done = self._done
+        consumers = self._consumers
         ifq = self.ifq
         ifq_slots = ifq._slots
         ifq_size = ifq.size
@@ -317,14 +347,13 @@ class TimingSimulator:
         ifq_occ_sum = stats.ifq_occupancy_sum
         ruu_occ_sum = stats.ruu_occupancy_sum
         mode_cycles = sstats.cycles_in_mode
-        decoded_total = stats.decoded
         fetched_total = stats.fetched
         while self._committed < n:
             cycle = self._cycle
             if cycle >= stop:
                 break
             if (ff and cycle not in events and not main_ready
-                    and not self._pt_ready and not (rob and rob[0].done)):
+                    and not self._pt_ready and not done[self._committed]):
                 # Fast-forward hook (no-op on the reference kernel): when
                 # the whole machine is provably idle this cycle, jump to
                 # the next cycle anything can change, updating the idle-
@@ -341,7 +370,9 @@ class TimingSimulator:
             finished = events.pop(cycle, None)
             if finished is not None:
                 self._complete(finished)
-            if rob and rob[0].done:
+            # The ROB head is the oldest uncommitted index; only a decoded
+            # instance can be done.
+            if done[self._committed]:
                 self._commit()
             mode = self._mode
             if mode == _IDLE:
@@ -369,9 +400,9 @@ class TimingSimulator:
             if ifq_slots:
                 budget = decode_width - extracted
                 barrier_seq = self._barrier_seq
-                next_seq = self._next_seq
+                decoded = self._decoded
                 # Counted down per decoded instruction, this cycle only.
-                ruu_room = ruu_size - len(rob)
+                ruu_room = ruu_size - (decoded - self._committed)
                 # The trigger d-load the main thread must not reach while
                 # its mode is still pending (not yet extracted); -1: none.
                 pending = (self._trigger_trace_idx
@@ -394,46 +425,55 @@ class TimingSimulator:
                         # the occupancy the trigger logic sees realistic)
                         # until the branch resolves and flushes them.
                         break
-                    slot = ifq_slots.popleft()
-                    trace_idx = slot.trace_idx
-                    if trace_idx == pending:
+                    # Decode runs in trace order: the head's trace index
+                    # is ``decoded``, which also names its instance.
+                    ifq_slots.popleft()
+                    if decoded == pending:
                         # Main thread caught up with an untriggered or
                         # still-pending pre-execution target: pre-executing
                         # it would be pointless.  Ending the mode may
                         # retrigger on a younger d-load, so re-read.
                         sstats.modes_aborted += 1
+                        self._decoded = decoded
                         self._end_mode()
                         pending = (self._trigger_trace_idx
                                    if self._mode != _IDLE
                                    and not self._trigger_extracted else -1)
-                    entry = entries[trace_idx]
-                    instr = DynInstr(next_seq, MAIN_THREAD, trace_idx,
-                                     entry, cycle)
-                    next_seq += 1
+                    entry = entries[decoded]
+                    d = 0
                     for r in entry.srcs:
-                        prod = last_writer.get(r)
-                        if prod is not None and not prod.done:
-                            instr.deps += 1
-                            prod.consumers.append(instr)
+                        prod = last_writer[r]
+                        if not done[prod]:
+                            d += 1
+                            waiting = consumers[prod]
+                            if waiting is None:
+                                consumers[prod] = [decoded]
+                            else:
+                                waiting.append(decoded)
                     if entry.is_load:
-                        st = store_map.get(entry.addr >> 3)
-                        if st is not None and not st.done:
-                            instr.deps += 1
-                            st.consumers.append(instr)
+                        prod = store_map.get(entry.addr >> 3, -1)
+                        if not done[prod]:
+                            d += 1
+                            waiting = consumers[prod]
+                            if waiting is None:
+                                consumers[prod] = [decoded]
+                            else:
+                                waiting.append(decoded)
                     if entry.dst >= 0:
-                        last_writer[entry.dst] = instr
+                        last_writer[entry.dst] = decoded
                     if entry.is_store:
-                        store_map[entry.addr >> 3] = instr
-                    rob.append(instr)
-                    ruu_room -= 1
-                    decoded_total += 1
+                        store_map[entry.addr >> 3] = decoded
                     if decode_sink is not None:
                         decode_sink.emit(TraceEvent(cycle, DECODE, MAIN_THREAD,
-                                                    entry.pc, trace_idx))
-                    if instr.deps == 0:
-                        main_ready.append(instr)
+                                                    entry.pc, decoded))
+                    if d:
+                        deps[decoded] = d
+                    else:
+                        main_ready.append(decoded)
+                    decoded += 1
+                    ruu_room -= 1
                     budget -= 1
-                self._next_seq = next_seq
+                self._decoded = decoded
             elif extracted == 0:
                 stats.decode_stall_empty_ifq += 1
             else:
@@ -513,7 +553,7 @@ class TimingSimulator:
                 fetched_total += fetched
 
             ifq_occ_sum += len(ifq_slots)
-            ruu_occ_sum += len(rob)
+            ruu_occ_sum += self._decoded - self._committed
             if self._mode != _IDLE:
                 mode_cycles += 1
             self._cycle = cycle + 1
@@ -534,7 +574,7 @@ class TimingSimulator:
                              per_thread=self._thread_counters())
         stats.ifq_occupancy_sum = ifq_occ_sum
         stats.ruu_occupancy_sum = ruu_occ_sum
-        stats.decoded = decoded_total
+        stats.decoded = self._decoded
         stats.fetched = fetched_total
         sstats.cycles_in_mode = mode_cycles
         if self._committed < n and self._cycle >= max_cycles:
@@ -606,9 +646,10 @@ class TimingSimulator:
     # Completion / wakeup
     # ------------------------------------------------------------------
 
-    def _complete(self, finished: list[DynInstr]) -> None:
-        """Process the instructions whose completion event is this cycle
+    def _complete(self, finished: list[int]) -> None:
+        """Process the instances whose completion event is this cycle
         (the run loop pops the event list and skips the call when empty)."""
+        n = self._n
         main_ready = self._main_ready
         pt_ready = self._pt_ready
         sink = self._sinks[COMPLETE]
@@ -616,23 +657,35 @@ class TimingSimulator:
             # Pre-pass keeps the completion loop itself branch-free for
             # the (default) untraced run.
             cycle = self._cycle
-            for instr in finished:
-                sink.emit(TraceEvent(cycle, COMPLETE, instr.thread,
-                                     instr.entry.pc, instr.trace_idx))
+            entries = self._entries
+            for iid in finished:
+                thread, idx = (P_THREAD, iid - n) if iid >= n \
+                    else (MAIN_THREAD, iid)
+                sink.emit(TraceEvent(cycle, COMPLETE, thread,
+                                     entries[idx].pc, idx))
         completed_by_thread = self._completed_by_thread
-        for instr in finished:
-            instr.done = True
-            completed_by_thread[instr.thread] += 1
-            for cons in instr.consumers:
-                cons.deps -= 1
-                if cons.deps == 0 and not cons.issued:
-                    (pt_ready if cons.thread else main_ready).append(cons)
-            if instr.thread == P_THREAD:
+        done = self._done
+        deps = self._deps
+        consumers = self._consumers
+        for iid in finished:
+            done[iid] = 1
+            waiting = consumers[iid]
+            if waiting is not None:
+                consumers[iid] = None
+                for cons in waiting:
+                    d = deps[cons] - 1
+                    deps[cons] = d
+                    if not d:
+                        (pt_ready if cons >= n else main_ready).append(cons)
+            if iid >= n:
+                completed_by_thread[P_THREAD] += 1
                 self._pt_inflight -= 1
-                if instr.is_trigger_dload and self._mode == _ACTIVE:
+                if iid == self._trigger_pid and self._mode == _ACTIVE:
                     self.stats.spear.modes_completed += 1
                     self._end_mode()
-            elif instr.trace_idx == self._await_branch_idx:
+                continue
+            completed_by_thread[MAIN_THREAD] += 1
+            if iid == self._await_branch_idx:
                 self._await_branch_idx = -1
                 self._fetch_resume_cycle = (
                     self._cycle + self.config.mispredict_redirect_penalty)
@@ -642,7 +695,7 @@ class TimingSimulator:
                     # state left by any p-thread extraction survives.
                     flushed = self.ifq.flush_after(self._barrier_seq)
                     self.stats.wrong_path_flushed += flushed
-                    self._fetch_idx = instr.trace_idx + 1
+                    self._fetch_idx = iid + 1
                     self._barrier_seq = -1
                 else:
                     self.stats.wrong_path_flushed += self.ifq.flush_bubbles()
@@ -652,26 +705,22 @@ class TimingSimulator:
     # ------------------------------------------------------------------
 
     def _commit(self) -> None:
-        rob = self._main_rob
-        budget = self.config.commit_width
-        last_writer = self._last_writer
-        store_map = self._store_map
+        """Retire done instances from the ROB head, in order.  A committed
+        index stays in ``_last_writer`` and ``_store_map`` until overwritten:
+        it is done, so decode treats it as no producer."""
+        first = committed = self._committed
+        end = min(committed + self.config.commit_width, self._decoded)
+        done = self._done
+        while committed < end and done[committed]:
+            committed += 1
+        self._committed = committed
         sink = self._sinks[COMMIT]
-        cycle = self._cycle
-        while budget and rob and rob[0].done:
-            instr = rob.popleft()
-            e = instr.entry
-            if sink is not None:
-                sink.emit(TraceEvent(cycle, COMMIT, MAIN_THREAD, e.pc,
-                                     instr.trace_idx))
-            if e.dst >= 0 and last_writer.get(e.dst) is instr:
-                del last_writer[e.dst]
-            if e.is_store:
-                w = e.addr >> 3
-                if store_map.get(w) is instr:
-                    del store_map[w]
-            self._committed += 1
-            budget -= 1
+        if sink is not None:
+            cycle = self._cycle
+            entries = self._entries
+            for idx in range(first, committed):
+                sink.emit(TraceEvent(cycle, COMMIT, MAIN_THREAD,
+                                     entries[idx].pc, idx))
 
     # ------------------------------------------------------------------
     # SPEAR mode state machine
@@ -711,10 +760,9 @@ class TimingSimulator:
         # p-thread instances must wait for it.  Without this seeding, a
         # loop-carried slice (pointer chase, fft index mixing) would
         # "teleport" to oracle future values at every trigger and overstate
-        # pre-execution by the whole IFQ depth.
-        self._pt_last_writer = {
-            r: prod for r, prod in self._last_writer.items()
-            if not prod.done}
+        # pre-execution by the whole IFQ depth.  A copied producer that is
+        # already done reads as no producer.
+        self._pt_last_writer = self._last_writer[:]
         self._trigger_extracted = False
 
     def _drain_satisfied(self) -> bool:
@@ -722,12 +770,12 @@ class TimingSimulator:
         policy = self.config.drain_policy
         if policy == "livein":
             producers = self._drain_producers
-            while producers and producers[-1].done:
+            done = self._done
+            while producers and done[producers[-1]]:
                 producers.pop()
             return not producers
         if policy == "full":
-            rob = self._main_rob
-            return not rob or rob[0].seq > self._drain_seq
+            return self._committed > self._drain_idx
         return True  # "none"
 
     def _begin_trigger(self, trace_idx: int, slot_seq: int) -> None:
@@ -739,12 +787,12 @@ class TimingSimulator:
             self._emit_mode(_IDLE, _DRAIN)
         self._trigger_trace_idx = trace_idx
         self._trigger_extracted = False
-        self._drain_seq = self._main_rob[-1].seq if self._main_rob else -1
+        self._drain_idx = self._decoded - 1
         if self.config.drain_policy == "livein":
             lw = self._last_writer
+            done = self._done
             self._drain_producers = [
-                p for p in (lw.get(r) for r in pthread.live_ins)
-                if p is not None and not p.done]
+                p for p in (lw[r] for r in pthread.live_ins) if not done[p]]
         self._copy_remaining = (len(pthread.live_ins)
                                 * self.config.livein_copy_cycles)
         self._pe_seq = max(self._pe_seq, self.ifq.head_seq)
@@ -834,32 +882,40 @@ class TimingSimulator:
 
     def _spawn_pthread_instr(self, trace_idx: int) -> None:
         entry = self._entries[trace_idx]
-        instr = DynInstr(self._next_seq, P_THREAD, trace_idx, entry,
-                         self._cycle)
-        self._next_seq += 1
+        pid = self._n + trace_idx
         ptlw = self._pt_last_writer
+        done = self._done
+        consumers = self._consumers
+        d = 0
         for r in entry.srcs:
-            prod = ptlw.get(r)
-            if prod is not None and not prod.done:
-                instr.deps += 1
-                prod.consumers.append(instr)
+            prod = ptlw[r]
+            if not done[prod]:
+                d += 1
+                waiting = consumers[prod]
+                if waiting is None:
+                    consumers[prod] = [pid]
+                else:
+                    waiting.append(pid)
         if entry.dst >= 0:
-            ptlw[entry.dst] = instr
-        if trace_idx == self._trigger_trace_idx:
-            instr.is_trigger_dload = True
+            ptlw[entry.dst] = pid
+        is_trigger = trace_idx == self._trigger_trace_idx
+        if is_trigger:
+            self._trigger_pid = pid
         sink = self._sinks[EXTRACT]
         if sink is not None:
             sink.emit(TraceEvent(
                 self._cycle, EXTRACT, P_THREAD, entry.pc, trace_idx,
-                "trigger" if instr.is_trigger_dload else ""))
+                "trigger" if is_trigger else ""))
         self._pt_inflight += 1
         sstats = self.stats.spear
         sstats.pthread_instrs += 1
         sstats.extracted += 1
         if entry.is_load:
             sstats.pthread_loads += 1
-        if instr.deps == 0:
-            self._pt_ready.append(instr)
+        if d:
+            self._deps[pid] = d
+        else:
+            self._pt_ready.append(pid)
 
     # ------------------------------------------------------------------
     # Issue / execute
@@ -882,29 +938,35 @@ class TimingSimulator:
         issued_by_thread = self._issued_by_thread
         if self._pt_ready and cfg.pthread_priority:
             used = self._issue_from(self._pt_ready, fu_pt, pt_budget,
-                                    decode_before=self._cycle)
+                                    P_THREAD)
             issued_by_thread[P_THREAD] += used
             if not cfg.separate_fu:
                 budget -= used
         if budget > 0 and self._main_ready:
             issued_by_thread[MAIN_THREAD] += self._issue_from(
-                self._main_ready, fu_main, budget, decode_before=self._cycle)
+                self._main_ready, fu_main, budget, MAIN_THREAD)
         if self._pt_ready and not cfg.pthread_priority and budget > 0:
             # Ablation path: p-thread competes after the main thread.
             issued_by_thread[P_THREAD] += self._issue_from(
-                self._pt_ready, fu_pt, pt_budget, decode_before=self._cycle)
+                self._pt_ready, fu_pt, pt_budget, P_THREAD)
 
-    def _issue_from(self, ready: list[DynInstr], pool: FUPool, budget: int,
-                    decode_before: int) -> int:
-        """Issue up to ``budget`` ready instructions; returns count issued.
+    def _issue_from(self, ready: list[int], pool: FUPool, budget: int,
+                    thread: int) -> int:
+        """Issue up to ``budget`` of ``thread``'s ready instances; returns
+        count issued.
 
         Claims units from ``pool``'s availability list directly (what
-        :meth:`FUPool.take` does, without a call per instruction).
+        :meth:`FUPool.take` does, without a call per instruction).  Every
+        ready instance was decoded or extracted in an earlier cycle: issue
+        runs before extract and decode within a cycle.
         """
         if budget <= 0 or not ready:
             return 0
         issued = 0
-        leftovers: list[DynInstr] = []
+        leftovers: list[int] = []
+        # Instance id minus this offset is the trace index.
+        offset = self._n if thread else 0
+        entries = self._entries
         events = self._events
         cycle = self._cycle
         mem = self.mem
@@ -915,30 +977,27 @@ class TimingSimulator:
         prefetch_active = self._prefetch_active
         sinks = self._sinks
         issue_sink = sinks[ISSUE]
-        for idx, instr in enumerate(ready):
+        for idx, iid in enumerate(ready):
             if issued >= budget:
                 leftovers.extend(ready[idx:])
                 break
-            # Instructions decoded this very cycle issue next cycle.
-            if instr.decode_cycle >= decode_before:
-                leftovers.append(instr)
-                continue
-            e = instr.entry
+            trace_idx = iid - offset
+            e = entries[trace_idx]
             kind = fu_kind[e.op_class]
             if not avail[kind]:
                 pool.conflicts[kind] += 1
                 stats.issue_fu_conflicts += 1
-                leftovers.append(instr)
+                leftovers.append(iid)
                 continue
             avail[kind] -= 1
             if e.is_load:
-                lat = mem.access(e.addr, thread=instr.thread, now=cycle)
+                lat = mem.access(e.addr, thread=thread, now=cycle)
                 comp = cycle + (lat if lat > 1 else 1)
                 if issue_sink is not None:
-                    issue_sink.emit(TraceEvent(cycle, ISSUE, instr.thread,
-                                               e.pc, instr.trace_idx,
+                    issue_sink.emit(TraceEvent(cycle, ISSUE, thread,
+                                               e.pc, trace_idx,
                                                f"load:{lat}"))
-                if prefetch_active and instr.thread == MAIN_THREAD:
+                if prefetch_active and thread == MAIN_THREAD:
                     prefetch_sink = sinks[PREFETCH]
                     fill_sink = sinks[FILL]
                     for target in self.prefetcher.observe(
@@ -946,31 +1005,29 @@ class TimingSimulator:
                         if prefetch_sink is not None:
                             prefetch_sink.emit(TraceEvent(
                                 cycle, PREFETCH, MAIN_THREAD, e.pc,
-                                instr.trace_idx, f"{target:#x}"))
+                                trace_idx, f"{target:#x}"))
                         if mem.prefetch(target, now=cycle):
                             self.prefetcher.stats.useful_hint += 1
                             if fill_sink is not None:
                                 fill_sink.emit(TraceEvent(
                                     cycle, FILL, MAIN_THREAD, e.pc,
-                                    instr.trace_idx, f"{target:#x}"))
+                                    trace_idx, f"{target:#x}"))
             elif e.is_store:
-                mem.access(e.addr, is_write=True, thread=instr.thread,
-                           now=cycle)
+                mem.access(e.addr, is_write=True, thread=thread, now=cycle)
                 comp = cycle + 1
                 if issue_sink is not None:
-                    issue_sink.emit(TraceEvent(cycle, ISSUE, instr.thread,
-                                               e.pc, instr.trace_idx, "store"))
+                    issue_sink.emit(TraceEvent(cycle, ISSUE, thread,
+                                               e.pc, trace_idx, "store"))
             else:
                 comp = cycle + latency[e.op_class]
                 if issue_sink is not None:
-                    issue_sink.emit(TraceEvent(cycle, ISSUE, instr.thread,
-                                               e.pc, instr.trace_idx))
-            instr.issued = True
+                    issue_sink.emit(TraceEvent(cycle, ISSUE, thread,
+                                               e.pc, trace_idx))
             lst = events.get(comp)
             if lst is None:
-                events[comp] = [instr]
+                events[comp] = [iid]
             else:
-                lst.append(instr)
+                lst.append(iid)
             issued += 1
         ready[:] = leftovers
         stats.issued += issued

@@ -1,8 +1,14 @@
 """Guided campaigns: mutation, arm scheduling, resume byte-identity."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.fuzz import (ArmScheduler, GuidedCampaignSpec, encode_mut_name,
                         mut_workload_from_name, mutate_spec, parse_mut_name,
                         run_guided_campaign)
@@ -207,3 +213,22 @@ class TestGuidedCampaign:
         assert all(sum(a.values()) == 4 for a in result.allocations)
         total = sum(s["allocated"] for s in result.arm_stats.values())
         assert total == 8
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_batch_below_one_rejected(self, batch):
+        with pytest.raises(ValueError, match="batch must be at least 1"):
+            _gspec(batch=batch)
+
+    def test_cli_batch_zero_exits_with_a_message(self, tmp_path):
+        """``plan(0)`` plans nothing, so a zero batch once looped forever;
+        the command must now fail fast instead of hanging."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "fuzz", "run", "--guided",
+             "--batch", "0", "--seed", "1", "--count", "2", "--jobs", "1",
+             "--cache-dir", str(tmp_path / "cache")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "batch must be at least 1, got 0" in proc.stderr
+        assert proc.stdout == ""

@@ -163,6 +163,32 @@ class TestCacheStats:
         assert (results["hits"], results["misses"],
                 results["stores"]) == (0, 3, 3)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_back_to_back_runs_report_their_own_traffic(self, tmp_path,
+                                                         jobs):
+        # Two runs on one runner (a guided campaign runs one per batch):
+        # the second report and its journal end record count only the
+        # second run's cells, not the first run's again.
+        runner = ExperimentRunner(instruction_scale=0.05,
+                                  cache=DiskCache(tmp_path / "cache"))
+        first = run_cells(runner, cells_for("figure6", ["pointer"]),
+                          jobs=jobs)
+        cells = cells_for("figure6", ["update"])
+        journal = RunJournal.for_run("figure6", cells, runner,
+                                     root=tmp_path / "journal")
+        second = run_cells(runner, cells, jobs=jobs, journal=journal)
+        for report in (first, second):
+            assert report.completed
+            results = report.cache_stats["results"]
+            assert (results["hits"], results["misses"],
+                    results["stores"]) == (0, 3, 3)
+        end = journal.entries()[-1]
+        assert end["event"] == "end"
+        assert end["report"]["cache"] == second.cache_stats
+        # A run that touches nothing reports no kind at all.
+        again = run_cells(runner, cells, jobs=jobs)
+        assert again.total == 0 and again.cache_stats == {}
+
 
 class TestJournal:
     def test_elapsed_is_execution_time_not_queue_wait(self, tmp_path):

@@ -12,7 +12,6 @@ from repro.branch.predictors import (AlwaysTakenPredictor, BimodalPredictor,
 from repro.core.configs import BASELINE
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.dyninst import DynInstr, MAIN_THREAD
 from repro.pipeline.funits import FUPool
 from repro.pipeline.ifq import IFQSlot, InstructionFetchQueue
 
@@ -38,13 +37,6 @@ def test_no_instance_dict(obj):
     assert not hasattr(obj, "__dict__"), (
         f"{type(obj).__name__} grew a __dict__ — check __slots__ on it "
         f"and every base class")
-
-
-def test_dyninst_is_slotted():
-    class FakeEntry:
-        pc = 0
-    instr = DynInstr(0, MAIN_THREAD, 0, FakeEntry(), 0)
-    assert not hasattr(instr, "__dict__")
 
 
 def test_slots_reject_unknown_attributes():
