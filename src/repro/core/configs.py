@@ -134,6 +134,8 @@ class MachineConfig:
             raise ValueError(f"unknown wrong_path mode {self.wrong_path!r}")
         if self.prefetcher not in ("none", "nextline", "stride"):
             raise ValueError(f"unknown prefetcher {self.prefetcher!r}")
+        if self.ifq_size < 1:
+            raise ValueError("IFQ size must be positive")
         if self.ifq_size < self.fetch_width:
             raise ValueError("IFQ must hold at least one fetch group")
 

@@ -365,6 +365,10 @@ class GuidedCampaignSpec:
     sweep_points: int = 2
 
     def __post_init__(self) -> None:
+        # A campaign of no programs would pass any check with nothing run.
+        if self.count < 1:
+            raise ValueError(
+                f"campaign count must be at least 1, got {self.count}")
         # A batch plans at least one program, or the campaign never ends.
         if self.batch < 1:
             raise ValueError(

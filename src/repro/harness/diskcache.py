@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
 import tempfile
@@ -64,12 +65,14 @@ def parse_bytes(text: str) -> int:
             scale = factor
             break
     try:
-        value = float(s)
+        value = float(s) * scale
     except ValueError:
         raise ValueError(f"unparseable byte budget {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite byte budget {text!r}")
     if value < 0:
         raise ValueError(f"negative byte budget {text!r}")
-    return int(value * scale)
+    return int(value)
 
 
 def content_key(payload: dict) -> str:

@@ -2,7 +2,6 @@
 
 from .fastforward import FastForwardSimulator
 from .funits import FU_OF_CLASS, FUKind, FUPool
-from .ifq import IFQSlot, InstructionFetchQueue
 from .kernel import (DEFAULT_BACKEND, KERNEL_BACKENDS, KERNELS, TimingKernel,
                      make_simulator, resolve_kernel)
 from .smt import (MAIN_THREAD, P_THREAD, TimingSimulator, simulate,
@@ -11,8 +10,7 @@ from .stats import PipelineResult, PipelineStats, SpearStats
 from .sweep import BatchedSweepSimulator
 
 __all__ = ["MAIN_THREAD", "P_THREAD", "FU_OF_CLASS", "FUKind", "FUPool",
-           "IFQSlot", "InstructionFetchQueue", "TimingSimulator",
-           "FastForwardSimulator", "BatchedSweepSimulator", "TimingKernel",
-           "KERNELS", "KERNEL_BACKENDS", "DEFAULT_BACKEND", "resolve_kernel",
+           "TimingSimulator", "FastForwardSimulator", "BatchedSweepSimulator",
+           "TimingKernel", "KERNELS", "KERNEL_BACKENDS", "DEFAULT_BACKEND", "resolve_kernel",
            "make_simulator", "simulate", "trace_flags", "PipelineResult",
            "PipelineStats", "SpearStats"]

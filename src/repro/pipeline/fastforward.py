@@ -59,23 +59,22 @@ class FastForwardSimulator(TimingSimulator):
         if self._main_ready or self._pt_ready:
             return None                      # issue has work
         cfg = self.config
-        ifq = self.ifq
-        ifq_slots = ifq._slots
+        decoded = self._decoded
+        fetch_idx = self._fetch_idx
+        occ = fetch_idx - decoded + self._bubbles
 
         # ---- decode: would the main decoder consume anything? ----------
         # 0 = no counter, 1 = decode_stall_empty_ifq, 2 = decode_stall_
         # ruu_full.  Order matches the reference: the RUU-full check comes
         # before the barrier/bubble head checks (which bump nothing).
-        ruu = self._decoded - self._committed
-        if ifq_slots:
+        ruu = decoded - self._committed
+        if occ:
             if ruu >= cfg.ruu_size:
                 decode_stat = 2
+            elif decoded < fetch_idx and not (
+                    decoded > self._await_branch_idx >= 0):
+                return None                  # head is decodable
             else:
-                head = ifq_slots[0]
-                if not ((self._barrier_seq >= 0
-                         and head.seq > self._barrier_seq)
-                        or head.trace_idx < 0):
-                    return None              # head is decodable
                 decode_stat = 0
         else:
             decode_stat = 1                  # empty IFQ (and nothing to
@@ -86,19 +85,19 @@ class FastForwardSimulator(TimingSimulator):
         # ifq_full.  ``fetch_resume`` carries the redirect cycle as an
         # extra horizon candidate.
         n = len(self._entries)
-        ifq_full = len(ifq_slots) >= ifq.size
+        ifq_full = occ >= cfg.ifq_size
         fetch_stat = 0
         fetch_resume = 0
         if self._await_branch_idx >= 0:
             wp = cfg.wrong_path
             if not ifq_full and (wp == "bubbles" or
-                                 (wp == "reconverge" and self._fetch_idx < n)):
+                                 (wp == "reconverge" and fetch_idx < n)):
                 return None                  # wrong-path fetch has work
             fetch_stat = 1
         elif cycle < self._fetch_resume_cycle:
             fetch_stat = 1
             fetch_resume = self._fetch_resume_cycle
-        elif self._fetch_idx < n:
+        elif fetch_idx < n:
             if not ifq_full:
                 return None                  # normal fetch has work
             fetch_stat = 2
@@ -106,6 +105,7 @@ class FastForwardSimulator(TimingSimulator):
 
         # ---- SPEAR mode machinery ---------------------------------------
         mode = self._mode
+        marked = self._marked
         drain_stall = extract_stall = False
         if mode == _COPY:
             return None                      # live-in copy counts down
@@ -117,18 +117,19 @@ class FastForwardSimulator(TimingSimulator):
             # ``_chaining``/``_trigger_occ`` are the *live* operating
             # point (an adaptive-phase controller may have moved them),
             # mirroring the reference loop's hoisted locals exactly.
-            if (cfg.spear_enabled and ifq.marked_queue
-                    and (self._chaining
-                         or len(ifq_slots) >= self._trigger_occ)
-                    and self._retrigger_candidate() is not None):
+            if (cfg.spear_enabled and marked
+                    and (self._chaining or occ >= self._trigger_occ)
+                    and self._retrigger_candidate()):
                 return None                  # a dormant d-load would fire
         else:  # _ACTIVE
-            if not self._trigger_extracted and ifq.marked_queue:
-                if self._extract_candidate() is not None:
-                    if self._pt_inflight >= cfg.pthread_ruu_size:
-                        extract_stall = True
-                    else:
-                        return None          # the PE would extract
+            # The PE has a candidate when a marked entry lies at or past
+            # both its head pointer and the IFQ head.
+            if (not self._trigger_extracted and marked
+                    and marked[-1] >= max(self._pe_idx, decoded)):
+                if self._pt_inflight >= cfg.pthread_ruu_size:
+                    extract_stall = True
+                else:
+                    return None              # the PE would extract
 
         # ---- provably idle: jump to the horizon -------------------------
         horizon = cfg.max_cycles
@@ -171,7 +172,6 @@ class FastForwardSimulator(TimingSimulator):
         if extract_stall:
             stats.spear.extraction_stall_ruu_full += delta
 
-        occ = len(ifq_slots)
         in_mode = 1 if mode != _IDLE else 0
         sampler = self._sampler
         if sampler is not None:
@@ -189,47 +189,14 @@ class FastForwardSimulator(TimingSimulator):
         return (horizon, ifq_occ_sum + delta * occ,
                 ruu_occ_sum + delta * ruu, mode_cycles + delta * in_mode)
 
-    # -- side-effect-free replicas of the PE scans ------------------------
-
-    def _retrigger_candidate(self):
-        """The slot ``_try_retrigger`` would fire on, without mutating.
-
-        ``prune_marked`` drops the maximal *prefix* of consumed/unmarked
-        entries before the tail-first scan; a decoded-but-still-marked
-        d-load deeper in the queue survives the prune, so the prefix must
-        be replicated exactly — skipping stale entries per-slot would
-        find candidates the reference never sees.
-        """
-        mq = self.ifq.marked_queue
-        head = self.ifq.head_seq
-        drop = 0
-        for s in mq:
-            if s.seq < head or not s.marked:
-                drop += 1
-            else:
-                break
-        pe_seq = self._pe_seq
-        idx = len(mq)
-        for s in reversed(mq):
-            idx -= 1
-            if idx < drop:
-                break
-            if s.seq >= pe_seq and s.marked and s.is_dload:
-                return s
-        return None
-
-    def _extract_candidate(self):
-        """The slot ``_extract`` would pick this cycle, without mutating
-        (same prefix-prune emulation, head-first scan, no d-load bit)."""
-        mq = self.ifq.marked_queue
-        head = self.ifq.head_seq
-        pe_seq = self._pe_seq
-        dropping = True
-        for s in mq:
-            if dropping:
-                if s.seq < head or not s.marked:
-                    continue
-                dropping = False
-            if s.seq >= pe_seq and s.marked:
-                return s
-        return None
+    def _retrigger_candidate(self) -> bool:
+        """Whether ``_try_retrigger`` would find a dormant d-load, without
+        pruning: the same tail-first scan, stopped at the stale entries."""
+        low = max(self._pe_idx, self._decoded)
+        dload_flags = self._dload_flags
+        for idx in reversed(self._marked):
+            if idx < low:
+                return False
+            if dload_flags[idx]:
+                return True
+        return False

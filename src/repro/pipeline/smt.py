@@ -31,9 +31,25 @@ index twice.  Per-instance state lives in run-long arrays indexed by that
 int (outstanding producer count, done flag, consumer list).  The main
 thread decodes and commits in trace order, so its ROB is the window of
 indices ``[_committed, _decoded)``.
+
+The paper's IFQ is a circular FIFO whose entries carry a one-bit
+*p-thread indicator*, set at pre-decode.  The main thread's decoder
+consumes entries from the head; the P-thread Extractor (PE) *copies*
+marked entries out from its own head pointer, leaving them in place for
+the main thread, and clears their indicators so nothing is pre-executed
+twice.  Decode consumes in trace order, and resolving a mispredict
+squashes everything fetched past the branch, so the IFQ is an index
+window too: the trace indices ``[_decoded, _fetch_idx)`` followed by
+``_bubbles`` wrong-path placeholders.  The PE head pointer ``_pe_idx`` is
+a trace index as well, so the buffer's circularity never needs to be
+modelled.  A resident entry's indicator is set exactly when its pc is
+marked and it lies at or past that pointer, so the indicators are a
+deque of marked trace indices, pruned below ``max(_pe_idx, head)``.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from ..branch.predictors import make_predictor
 from ..core.configs import MachineConfig, OP_LATENCY
@@ -48,7 +64,6 @@ from ..observe.events import (COMMIT, COMPLETE, DECODE, EXTRACT, FETCH, FILL,
 from ..observe.sampler import IntervalSampler
 from ..observe.sinks import TraceSink, kind_sinks
 from .funits import FU_OF_CLASS, FUPool
-from .ifq import IFQSlot, InstructionFetchQueue
 from .stats import PipelineResult, PipelineStats
 
 #: Thread ids: trace events, memory accounting and the sampler's
@@ -154,14 +169,19 @@ class TimingSimulator:
             predictor.stats = type(predictor.stats)()
         self.stats = PipelineStats()
 
-        # Front end state.
-        self.ifq = InstructionFetchQueue(config.ifq_size)
+        # Front end state; the IFQ is an index window (see the module
+        # docstring) with its head at ``_decoded``.
+        #: next trace index to fetch: the IFQ's real entries end here
         self._fetch_idx = 0
-        self._await_branch_idx = -1   # trace idx of unresolved mispredict
+        #: wrong-path placeholders behind the real entries
+        self._bubbles = 0
+        #: fetched marked trace indices, increasing; entries below
+        #: ``max(_pe_idx, head)`` are stale and pruned lazily
+        self._marked: deque[int] = deque()
+        #: trace idx of the unresolved mispredict; decode may not pass it,
+        #: and its resolution squashes everything fetched after it
+        self._await_branch_idx = -1
         self._fetch_resume_cycle = 0
-        #: reconverge mode: IFQ seq of the unresolved mispredicted branch;
-        #: decode may not pass it, and resolution flushes everything younger.
-        self._barrier_seq = -1
         #: highest trace index ever extracted (suppresses duplicate
         #: p-thread instances after a wrong-path flush re-fetch).
         self._max_extracted_idx = -1
@@ -205,7 +225,9 @@ class TimingSimulator:
         self._drain_idx = -1
         self._drain_producers: list[int] = []
         self._copy_remaining = 0
-        self._pe_seq = 0
+        #: the PE head pointer, a trace index: marked entries below it have
+        #: had their indicators cleared
+        self._pe_idx = 0
         self._pt_last_writer = [-1] * NUM_REGS
 
         self._cycle = 0
@@ -318,10 +340,8 @@ class TimingSimulator:
         deps = self._deps
         done = self._done
         consumers = self._consumers
-        ifq = self.ifq
-        ifq_slots = ifq._slots
-        ifq_size = ifq.size
-        marked_queue = ifq.marked_queue
+        ifq_size = cfg.ifq_size
+        marked = self._marked
         spear = cfg.spear_enabled
         chaining = self._chaining
         trigger_occ = self._trigger_occ
@@ -376,13 +396,14 @@ class TimingSimulator:
                 self._commit()
             mode = self._mode
             if mode == _IDLE:
-                if spear and marked_queue and (
-                        chaining or len(ifq_slots) >= trigger_occ):
+                if spear and marked and (
+                        chaining or self._fetch_idx - self._decoded
+                        + self._bubbles >= trigger_occ):
                     # With chaining triggers the occupancy requirement is
                     # waived (see _try_retrigger), so the fast-path guard
                     # must not swallow low-occupancy retriggers under that
                     # config.
-                    self._try_retrigger()
+                    self._try_retrigger(self._decoded)
                     mode = self._mode
             elif mode != _ACTIVE:
                 # DRAIN or COPY: the mode tick has nothing to do in ACTIVE.
@@ -391,16 +412,18 @@ class TimingSimulator:
             if self._pt_ready or main_ready:
                 self._issue()
             if (mode == _ACTIVE and not self._trigger_extracted
-                    and marked_queue):
+                    and marked):
                 extracted = self._extract()
             else:
                 extracted = 0
 
             # ---- decode / rename (inlined _decode) -----------------------
-            if ifq_slots:
+            decoded = self._decoded
+            fetch_idx = self._fetch_idx
+            bubbles = self._bubbles
+            if decoded < fetch_idx or bubbles:
                 budget = decode_width - extracted
-                barrier_seq = self._barrier_seq
-                decoded = self._decoded
+                barrier = self._await_branch_idx
                 # Counted down per decoded instruction, this cycle only.
                 ruu_room = ruu_size - (decoded - self._committed)
                 # The trigger d-load the main thread must not reach while
@@ -409,33 +432,30 @@ class TimingSimulator:
                            if self._mode != _IDLE
                            and not self._trigger_extracted else -1)
                 while budget > 0:
-                    if not ifq_slots:
+                    if decoded == fetch_idx and not bubbles:
                         stats.decode_stall_empty_ifq += 1
                         break
                     if ruu_room <= 0:
                         stats.decode_stall_ruu_full += 1
                         break
-                    head = ifq_slots[0]
-                    if barrier_seq >= 0 and head.seq > barrier_seq:
-                        # Entries past an unresolved mispredicted branch are
-                        # speculative wrong-path content: not decodable.
+                    if decoded == fetch_idx or decoded > barrier >= 0:
+                        # The head is a bubble, or lies past an unresolved
+                        # mispredicted branch: wrong-path content that sits
+                        # in the IFQ (keeping the occupancy the trigger
+                        # logic sees realistic) until the branch resolves
+                        # and squashes it.
                         break
-                    if head.trace_idx < 0:
-                        # Wrong-path region: bubbles sit in the IFQ (keeping
-                        # the occupancy the trigger logic sees realistic)
-                        # until the branch resolves and flushes them.
-                        break
-                    # Decode runs in trace order: the head's trace index
-                    # is ``decoded``, which also names its instance.
-                    ifq_slots.popleft()
+                    # The head's trace index is ``decoded``, which also
+                    # names its instance.
                     if decoded == pending:
                         # Main thread caught up with an untriggered or
                         # still-pending pre-execution target: pre-executing
                         # it would be pointless.  Ending the mode may
-                        # retrigger on a younger d-load, so re-read.
+                        # retrigger on a younger d-load, so re-read.  The
+                        # head has left the IFQ but is not decoded yet.
                         sstats.modes_aborted += 1
                         self._decoded = decoded
-                        self._end_mode()
+                        self._end_mode(decoded + 1)
                         pending = (self._trigger_trace_idx
                                    if self._mode != _IDLE
                                    and not self._trigger_extracted else -1)
@@ -484,13 +504,16 @@ class TimingSimulator:
             # ---- fetch / pre-decode (inlined _fetch) ---------------------
             if self._await_branch_idx >= 0:
                 stats.fetch_stall_mispredict += 1
+                room = ifq_size - (self._fetch_idx - self._decoded
+                                   + self._bubbles)
                 if wp_mode == "bubbles":
-                    for _ in range(min(fetch_width,
-                                       ifq_size - len(ifq_slots))):
-                        ifq.push_bubble()
-                        stats.wrong_path_fetched += 1
-                elif (wp_mode == "reconverge" and len(ifq_slots) < ifq_size
-                      and self._fetch_idx < n):
+                    if room > fetch_width:
+                        room = fetch_width
+                    if room > 0:
+                        self._bubbles += room
+                        stats.wrong_path_fetched += room
+                elif wp_mode == "reconverge" and room > 0 \
+                        and self._fetch_idx < n:
                     # Its own first checks: skip the call when they fail.
                     self._fetch_wrong_path_reconvergent()
             elif cycle < self._fetch_resume_cycle:
@@ -498,22 +521,18 @@ class TimingSimulator:
             else:
                 fetched = 0
                 idx = self._fetch_idx
-                seq = ifq._next_seq
-                # Counted up per fetched instruction, this cycle only.
-                occupancy = len(ifq_slots)
+                # Counted up per fetched instruction, this cycle only; no
+                # bubbles outside a mispredict.
+                occupancy = idx - self._decoded
                 while fetched < fetch_width and idx < n:
                     if occupancy >= ifq_size:
                         stats.fetch_stall_ifq_full += 1
                         break
                     entry = entries[idx]
                     is_dload = dload_flags[idx]
-                    slot = IFQSlot(idx, seq, marked_flags[idx] != 0,
-                                   is_dload != 0)
-                    seq += 1
-                    ifq_slots.append(slot)
                     occupancy += 1
-                    if slot.marked:
-                        marked_queue.append(slot)
+                    if marked_flags[idx]:
+                        marked.append(idx)
                     if fetch_sink is not None:
                         fetch_sink.emit(TraceEvent(cycle, FETCH, MAIN_THREAD,
                                                    entry.pc, idx))
@@ -524,8 +543,7 @@ class TimingSimulator:
                         if self._mode != _IDLE:
                             sstats.triggers_blocked += 1
                         elif occupancy >= trigger_occ:
-                            ifq._next_seq = seq
-                            self._begin_trigger(idx - 1, slot.seq)
+                            self._begin_trigger(idx - 1)
                         else:
                             sstats.triggers_suppressed += 1
 
@@ -540,19 +558,16 @@ class TimingSimulator:
                                     cycle, MISPREDICT, MAIN_THREAD, entry.pc,
                                     idx - 1, "taken" if entry.taken else
                                     "not-taken"))
-                            if wp_mode == "reconverge":
-                                self._barrier_seq = slot.seq
-                                self._wrong_path_real = 0
+                            self._wrong_path_real = 0
                             break
                         if entry.taken:
                             break  # redirect: taken branch ends fetch group
                     elif entry.is_branch:
                         break  # unconditional control flow ends fetch group
-                ifq._next_seq = seq
                 self._fetch_idx = idx
                 fetched_total += fetched
 
-            ifq_occ_sum += len(ifq_slots)
+            ifq_occ_sum += self._fetch_idx - self._decoded + self._bubbles
             ruu_occ_sum += self._decoded - self._committed
             if self._mode != _IDLE:
                 mode_cycles += 1
@@ -682,23 +697,23 @@ class TimingSimulator:
                 self._pt_inflight -= 1
                 if iid == self._trigger_pid and self._mode == _ACTIVE:
                     self.stats.spear.modes_completed += 1
-                    self._end_mode()
+                    self._end_mode(self._decoded)
                 continue
             completed_by_thread[MAIN_THREAD] += 1
             if iid == self._await_branch_idx:
                 self._await_branch_idx = -1
                 self._fetch_resume_cycle = (
                     self._cycle + self.config.mispredict_redirect_penalty)
-                if self._barrier_seq >= 0:
-                    # Reconverge recovery: squash the wrong-path span and
-                    # re-fetch it from just past the branch.  The cache
-                    # state left by any p-thread extraction survives.
-                    flushed = self.ifq.flush_after(self._barrier_seq)
-                    self.stats.wrong_path_flushed += flushed
-                    self._fetch_idx = iid + 1
-                    self._barrier_seq = -1
-                else:
-                    self.stats.wrong_path_flushed += self.ifq.flush_bubbles()
+                # Decode stopped right past the branch, so everything left
+                # in the IFQ was fetched after it: squash it all.  In the
+                # reconverge model that span is re-fetched from just past
+                # the branch, with fresh indicators; the cache state left by
+                # any p-thread extraction survives.
+                self.stats.wrong_path_flushed += (
+                    self._fetch_idx - (iid + 1) + self._bubbles)
+                self._bubbles = 0
+                self._marked.clear()
+                self._fetch_idx = self._pe_idx = iid + 1
 
     # ------------------------------------------------------------------
     # Commit
@@ -778,7 +793,7 @@ class TimingSimulator:
             return self._committed > self._drain_idx
         return True  # "none"
 
-    def _begin_trigger(self, trace_idx: int, slot_seq: int) -> None:
+    def _begin_trigger(self, trace_idx: int) -> None:
         """Enter pre-execution mode for the d-load at ``trace_idx``."""
         pc = self._entries[trace_idx].pc
         pthread = self.table[pc]
@@ -795,36 +810,45 @@ class TimingSimulator:
                 p for p in (lw[r] for r in pthread.live_ins) if not done[p]]
         self._copy_remaining = (len(pthread.live_ins)
                                 * self.config.livein_copy_cycles)
-        self._pe_seq = max(self._pe_seq, self.ifq.head_seq)
         self.stats.spear.triggers += 1
 
-    def _end_mode(self) -> None:
+    def _end_mode(self, head: int) -> None:
+        """Leave pre-execution mode; ``head`` is the IFQ head's trace index
+        (see :meth:`_try_retrigger`)."""
         old = self._mode
         self._mode = _IDLE
         self._trigger_trace_idx = -1
         if self._sinks[MODE] is not None:
             self._emit_mode(old, _IDLE)
-        self._try_retrigger()
+        self._try_retrigger(head)
 
-    def _try_retrigger(self) -> None:
+    def _try_retrigger(self, head: int) -> None:
         """A d-load that entered the IFQ while a mode was running is dormant
         but still marked; give it a chance to trigger now (DESIGN.md §6.3).
+
+        ``head`` is the IFQ head's trace index: ``_decoded``, except in
+        decode's mode abort, where the head has left the IFQ before
+        ``_decoded`` counts it.
 
         With chaining triggers enabled the occupancy requirement is waived:
         a completed p-thread hands off to the next dormant d-load directly,
         the Collins-style chaining the paper's related work describes.
         ``_chaining`` is the live operating point (an adaptive-phase
         controller may flip it mid-run), not the config constant."""
-        if (not self._chaining
-                and self.ifq.occupancy < self._trigger_occ):
+        if (not self._chaining and self._fetch_idx - head + self._bubbles
+                < self._trigger_occ):
             return
-        self.ifq.prune_marked()
+        marked = self._marked
+        low = max(self._pe_idx, head)
+        while marked and marked[0] < low:
+            marked.popleft()
         # Scan from the tail: the *newest* dormant d-load plays the role of
         # a freshly pre-decoded one, so the PE sweeps every marked entry
         # between its head pointer and the IFQ tail in this mode.
-        for slot in reversed(self.ifq.marked_queue):
-            if slot.seq >= self._pe_seq and slot.marked and slot.is_dload:
-                self._begin_trigger(slot.trace_idx, slot.seq)
+        dload_flags = self._dload_flags
+        for idx in reversed(marked):
+            if dload_flags[idx]:
+                self._begin_trigger(idx)
                 self.stats.spear.retriggers += 1
                 return
 
@@ -836,46 +860,37 @@ class TimingSimulator:
         """Copy marked IFQ entries into the p-thread; returns how many.
 
         The run loop calls it only in ACTIVE mode with the trigger d-load
-        not yet extracted and the marked queue non-empty.
+        not yet extracted and the marked deque non-empty.
         """
         cfg = self.config
         sstats = self.stats.spear
         budget = cfg.extract_width
         extracted = 0
-        ifq = self.ifq
-        ifq_slots = ifq._slots
-        mq = ifq.marked_queue
-        while budget > 0:
-            # Inlined ``ifq.next_marked`` (prune + first-marked scan).
-            head_seq = ifq_slots[0].seq if ifq_slots else ifq._next_seq
-            while mq and (mq[0].seq < head_seq or not mq[0].marked):
-                mq.popleft()
-            slot = None
-            pe_seq = self._pe_seq
-            for s in mq:
-                if s.seq >= pe_seq and s.marked:
-                    slot = s
-                    break
-            if slot is None:
-                break
+        marked = self._marked
+        low = max(self._pe_idx, self._decoded)
+        while marked and marked[0] < low:
+            marked.popleft()
+        while budget > 0 and marked:
             if self._pt_inflight >= cfg.pthread_ruu_size:
                 sstats.extraction_stall_ruu_full += 1
                 break
-            slot.marked = False
-            self._pe_seq = slot.seq + 1
-            if slot.trace_idx <= self._max_extracted_idx:
+            # Copying the entry clears its indicator: the PE head pointer
+            # moves past it.
+            idx = marked.popleft()
+            self._pe_idx = idx + 1
+            if idx <= self._max_extracted_idx:
                 # Duplicate from a wrong-path flush re-fetch: this dynamic
                 # instance was already pre-executed; skip it.
-                if slot.trace_idx == self._trigger_trace_idx:
+                if idx == self._trigger_trace_idx:
                     sstats.modes_completed += 1
-                    self._end_mode()
+                    self._end_mode(self._decoded)
                     break
                 continue
-            self._max_extracted_idx = slot.trace_idx
-            self._spawn_pthread_instr(slot.trace_idx)
+            self._max_extracted_idx = idx
+            self._spawn_pthread_instr(idx)
             extracted += 1
             budget -= 1
-            if slot.trace_idx == self._trigger_trace_idx:
+            if idx == self._trigger_trace_idx:
                 self._trigger_extracted = True
                 break
         return extracted
@@ -1046,50 +1061,44 @@ class TimingSimulator:
         path.  We therefore keep fetching real trace entries — pre-decode
         marking and trigger checks included, so the PE can pre-execute
         across the mispredict exactly as the paper's hardware does — but
-        the entries stay un-decodable (behind the barrier) and are
+        decode stops at the unresolved branch, and the entries are
         squashed and re-fetched at resolution.  Further branches inside the
         wrong-path span are not predicted: the machine is already off the
         architectural path.
         """
         cfg = self.config
-        ifq = self.ifq
-        ifq_slots = ifq._slots
-        ifq_size = ifq.size
+        ifq_size = cfg.ifq_size
         stats = self.stats
         entries = self._entries
         n = len(entries)
-        marked_flags = self._marked_flags
-        dload_flags = self._dload_flags
         sink = self._sinks[FETCH]
         fetched = 0
         while fetched < cfg.fetch_width and self._fetch_idx < n:
-            if len(ifq_slots) >= ifq_size:
+            occupancy = self._fetch_idx - self._decoded + self._bubbles
+            if occupancy >= ifq_size:
                 break
+            fetched += 1
+            stats.wrong_path_fetched += 1
             if self._wrong_path_real >= cfg.reconverge_window:
                 # Past plausible reconvergence: the stream is genuinely
                 # wrong-path from here on — opaque bubbles only.
-                ifq.push_bubble()
-                fetched += 1
-                stats.wrong_path_fetched += 1
+                self._bubbles += 1
                 continue
             idx = self._fetch_idx
             entry = entries[idx]
-            is_dload = dload_flags[idx]
-            slot = ifq.push(idx, marked=marked_flags[idx] != 0,
-                            is_dload=is_dload != 0)
+            if self._marked_flags[idx]:
+                self._marked.append(idx)
             if sink is not None:
                 sink.emit(TraceEvent(self._cycle, FETCH, MAIN_THREAD,
                                      entry.pc, idx, "wrong-path"))
-            self._fetch_idx += 1
-            fetched += 1
-            stats.wrong_path_fetched += 1
+            self._fetch_idx = idx + 1
             self._wrong_path_real += 1
-            if is_dload:
+            if self._dload_flags[idx]:
                 sstats = stats.spear
                 if self._mode != _IDLE:
                     sstats.triggers_blocked += 1
-                elif len(ifq_slots) >= self._trigger_occ:
-                    self._begin_trigger(idx, slot.seq)
+                elif occupancy + 1 >= self._trigger_occ:
+                    self._begin_trigger(idx)
                 else:
                     sstats.triggers_suppressed += 1
             if entry.is_branch and entry.taken:

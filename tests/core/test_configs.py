@@ -66,6 +66,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineConfig(ifq_size=4, fetch_width=8)
 
+    def test_empty_ifq_rejected(self):
+        with pytest.raises(ValueError, match="IFQ size must be positive"):
+            MachineConfig(ifq_size=0, fetch_width=0)
+
 
 class TestHelpers:
     def test_with_latencies(self):

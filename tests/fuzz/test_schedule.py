@@ -232,3 +232,25 @@ class TestGuidedCampaign:
         assert proc.returncode != 0
         assert "batch must be at least 1, got 0" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            _gspec(count=count)
+
+    @pytest.mark.parametrize("count,extra", [("-3", []), ("0", ["--strict"])])
+    def test_cli_count_below_one_exits_with_a_message(self, tmp_path, count,
+                                                      extra):
+        """A campaign of no programs once printed an empty triage and
+        exited 0, which ``--strict`` passed too."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "fuzz", "run", "--seed", "1",
+             "--count", count, "--jobs", "1",
+             "--cache-dir", str(tmp_path / "cache"), *extra],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == \
+            f"fuzz: campaign count must be at least 1, got {count}"
+        assert proc.stdout == ""

@@ -164,7 +164,8 @@ class TestParseBytes:
     def test_accepts_human_budgets(self, text, expect):
         assert diskcache_mod.parse_bytes(text) == expect
 
-    @pytest.mark.parametrize("text", ["", "huge", "-1", "12Q", "K"])
+    @pytest.mark.parametrize("text", ["", "huge", "-1", "12Q", "K", "inf",
+                                      "-inf", "nan", "1e400", "1e308G"])
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             diskcache_mod.parse_bytes(text)

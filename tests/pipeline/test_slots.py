@@ -13,14 +13,11 @@ from repro.core.configs import BASELINE
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.funits import FUPool
-from repro.pipeline.ifq import IFQSlot, InstructionFetchQueue
 
 
 def make_instances():
     cache = Cache(CacheConfig("t", sets=4, ways=2, block_bytes=32))
     return [
-        IFQSlot(0, 0, False, False),
-        InstructionFetchQueue(8),
         FUPool(BASELINE.fu),
         cache,
         MemoryHierarchy(),
@@ -40,6 +37,6 @@ def test_no_instance_dict(obj):
 
 
 def test_slots_reject_unknown_attributes():
-    slot = IFQSlot(0, 0, False, False)
+    pool = FUPool(BASELINE.fu)
     with pytest.raises(AttributeError):
-        slot.unknown_attribute = 1
+        pool.unknown_attribute = 1

@@ -438,6 +438,15 @@ class TestCacheCommand:
                      "--cache-dir", cache_dir]) == 2
         assert "bad --budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["inf", "1e400"])
+    def test_gc_rejects_non_finite_budget(self, capsys, cache_dir, budget):
+        """``int()`` of an infinite float raises OverflowError, which once
+        escaped the verb as a traceback."""
+        assert main(["cache", "gc", "--budget", budget,
+                     "--cache-dir", cache_dir]) == 2
+        err = capsys.readouterr().err
+        assert f"bad --budget: non-finite byte budget '{budget}'" in err
+
     def test_stats_takes_no_no_cache_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["cache", "stats", "--no-cache"])
