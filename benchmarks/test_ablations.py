@@ -11,21 +11,10 @@ import dataclasses
 
 from repro.core import BASELINE, SPEAR_128
 from repro.harness import TextTable
-from repro.memory import MemoryHierarchy
-from repro.pipeline import TimingSimulator
 
 from .conftest import emit, once
 
 WORKLOAD = "mcf"
-
-
-def _speedup(runner, config) -> float:
-    art = runner.artifacts(WORKLOAD)
-    base = runner.run(WORKLOAD, BASELINE)
-    sim = TimingSimulator(art.eval_trace, config, art.binary.table,
-                          MemoryHierarchy(latencies=config.latencies),
-                          warmup=art.warmup_trace)
-    return sim.run().ipc / base.ipc
 
 
 def _sweep(runner, name, values, **field_of):
@@ -33,7 +22,7 @@ def _sweep(runner, name, values, **field_of):
     for v in values:
         cfg = dataclasses.replace(SPEAR_128, name=f"{name}={v}",
                                   **{k: v for k in field_of})
-        rows.append((v, _speedup(runner, cfg)))
+        rows.append((v, runner.speedup(WORKLOAD, cfg, BASELINE)))
     return rows
 
 
@@ -86,9 +75,10 @@ def test_ablation_livein_copy_cost(benchmark, runner, out_dir):
 def test_ablation_pthread_priority(benchmark, runner, out_dir):
     """Paper §3.3 gives the p-thread issue priority."""
     def run():
-        pri = _speedup(runner, dataclasses.replace(SPEAR_128, name="pri"))
-        nopri = _speedup(runner, dataclasses.replace(
-            SPEAR_128, name="nopri", pthread_priority=False))
+        pri = runner.speedup(WORKLOAD, dataclasses.replace(
+            SPEAR_128, name="pri"), BASELINE)
+        nopri = runner.speedup(WORKLOAD, dataclasses.replace(
+            SPEAR_128, name="nopri", pthread_priority=False), BASELINE)
         return pri, nopri
     pri, nopri = once(benchmark, run)
     t = TextTable("Ablation — p-thread issue priority (mcf)",
@@ -103,8 +93,9 @@ def test_ablation_drain_policy(benchmark, runner, out_dir):
     def run():
         out = {}
         for policy in ("livein", "none", "full"):
-            out[policy] = _speedup(runner, dataclasses.replace(
-                SPEAR_128, name=f"drain-{policy}", drain_policy=policy))
+            out[policy] = runner.speedup(WORKLOAD, dataclasses.replace(
+                SPEAR_128, name=f"drain-{policy}", drain_policy=policy),
+                BASELINE)
         return out
     by_policy = once(benchmark, run)
     t = TextTable("Ablation — live-in drain policy (mcf)",
@@ -121,8 +112,8 @@ def test_ablation_wrong_path_model(benchmark, runner, out_dir):
     def run():
         out = {}
         for mode in ("reconverge", "bubbles", "stall"):
-            out[mode] = _speedup(runner, dataclasses.replace(
-                SPEAR_128, name=f"wp-{mode}", wrong_path=mode))
+            out[mode] = runner.speedup(WORKLOAD, dataclasses.replace(
+                SPEAR_128, name=f"wp-{mode}", wrong_path=mode), BASELINE)
         return out
     by_mode = once(benchmark, run)
     t = TextTable("Ablation — wrong-path fetch model (mcf)",
@@ -138,16 +129,16 @@ def test_ablation_chaining_triggers(benchmark, runner, out_dir):
     """Chaining triggers (Collins et al., related work): a finished
     p-thread may hand off to a dormant d-load regardless of occupancy."""
     def run():
-        plain = _speedup(runner, dataclasses.replace(
-            SPEAR_128, name="no-chain"))
-        chained = _speedup(runner, dataclasses.replace(
-            SPEAR_128, name="chain", chaining=True))
+        plain = runner.speedup(WORKLOAD, dataclasses.replace(
+            SPEAR_128, name="no-chain"), BASELINE)
+        chained = runner.speedup(WORKLOAD, dataclasses.replace(
+            SPEAR_128, name="chain", chaining=True), BASELINE)
         # chaining matters most when the occupancy gate binds
         strict = dataclasses.replace(
             SPEAR_128, name="strict", trigger_occupancy_fraction=0.9)
-        strict_plain = _speedup(runner, strict)
-        strict_chained = _speedup(runner, dataclasses.replace(
-            strict, name="strict-chain", chaining=True))
+        strict_plain = runner.speedup(WORKLOAD, strict, BASELINE)
+        strict_chained = runner.speedup(WORKLOAD, dataclasses.replace(
+            strict, name="strict-chain", chaining=True), BASELINE)
         return plain, chained, strict_plain, strict_chained
     plain, chained, strict_plain, strict_chained = once(benchmark, run)
     t = TextTable("Ablation — chaining triggers (mcf)",

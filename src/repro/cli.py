@@ -219,10 +219,8 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = PAPER_CONFIGS.get(args.config)
+    config = _lookup_config(args.config)
     if config is None:
-        print(f"unknown config {args.config!r}; known: "
-              f"{sorted(PAPER_CONFIGS)}", file=sys.stderr)
         return 2
     runner = _runner(args)
     res = runner.run(args.workload, config)
@@ -628,26 +626,10 @@ def cmd_journal_show(args) -> int:
 
 # -- fuzz -------------------------------------------------------------------
 
-def _parse_dials(text: str | None):
-    """``k=v;k=v`` generator-dial overrides (see KernelDials fields)."""
-    from dataclasses import replace
-    from .fuzz.generator import DEFAULT_DIALS
-    if not text:
-        return DEFAULT_DIALS
-    kw = {}
-    for item in text.split(";"):
-        k, sep, v = item.partition("=")
-        if not sep or not hasattr(DEFAULT_DIALS, k):
-            raise SystemExit(f"bad --dials entry {item!r}")
-        kw[k] = type(getattr(DEFAULT_DIALS, k))(
-            float(v) if "." in v or "e" in v else v)
-    return replace(DEFAULT_DIALS, **kw)
-
-
 def _campaign(args):
     """Run (or replay from the cache) the campaign ``args`` describe: the
     guided arm palette with ``--guided``, else one arm at ``--dials``."""
-    from .fuzz import DEFAULT_ARMS, Arm, GuidedCampaignSpec, \
+    from .fuzz import DEFAULT_ARMS, Arm, GuidedCampaignSpec, parse_dials, \
         run_guided_campaign
     if args.guided:
         if args.dials:
@@ -655,7 +637,11 @@ def _campaign(args):
                              "--guided arms carry their own dials")
         arms = DEFAULT_ARMS
     else:
-        arms = (Arm(args.dials or "default", dials=_parse_dials(args.dials)),)
+        try:
+            dials = parse_dials(args.dials)
+        except ValueError as exc:
+            raise SystemExit(f"bad --dials entry: {exc}") from None
+        arms = (Arm(args.dials or "default", dials=dials),)
     try:
         spec = GuidedCampaignSpec(seed=args.seed, count=args.count,
                                   batch=args.batch, arms=arms,
@@ -985,8 +971,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 25)")
         pf.add_argument("--sweep-every", type=int, default=50,
                         help="every Nth program also cross-checks the "
-                             "batched latency sweep (0 disables; "
-                             "default 50)")
+                             "timing kernels at figure-9 memory "
+                             "latencies (0 disables; default 50)")
         pf.add_argument("--strict", action="store_true",
                         help="exit 1 on any divergence or failed cell")
         pf.add_argument("-o", "--output", default=None,

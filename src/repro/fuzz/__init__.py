@@ -41,7 +41,8 @@ from .distill import (CorpusEntry, check_corpus, corpus_from_json,
                       corpus_to_json, distill)
 from .generator import (KernelDials, KernelSpec, FuzzWorkload, SpecWorkload,
                         encode_name, fuzz_workload_from_name, materialize,
-                        parse_name, sample_spec, spec_from_json, spec_to_json)
+                        parse_dials, parse_name, sample_spec, spec_from_json,
+                        spec_to_json)
 from .oracle import run_oracle
 from .schedule import (Arm, ArmScheduler, DEFAULT_ARMS, GuidedCampaignResult,
                        GuidedCampaignSpec, MutWorkload, encode_mut_name,
@@ -56,8 +57,8 @@ __all__ = [
     "CorpusEntry", "check_corpus", "corpus_from_json", "corpus_to_json",
     "distill",
     "KernelDials", "KernelSpec", "FuzzWorkload", "SpecWorkload",
-    "encode_name", "fuzz_workload_from_name", "materialize", "parse_name",
-    "sample_spec", "spec_from_json", "spec_to_json",
+    "encode_name", "fuzz_workload_from_name", "materialize", "parse_dials",
+    "parse_name", "sample_spec", "spec_from_json", "spec_to_json",
     "run_oracle",
     "Arm", "ArmScheduler", "DEFAULT_ARMS", "GuidedCampaignResult",
     "GuidedCampaignSpec", "MutWorkload", "encode_mut_name",

@@ -15,8 +15,9 @@ pipeline and cross-checks every layer against an independent witness:
   trace (no instruction duplicated or dropped), baseline and SPEAR;
 * **backends**    — reference vs fast-forward produce byte-identical
   stats, memory and predictor state for every config;
-* **sweep**       — (sampled) the batched latency sweep matches
-  independently-run points;
+* **sweep**       — (sampled) reference vs fast-forward again for the
+  spear config at figure-9 memory latencies, which reach off the
+  default latency the backends check runs;
 * **fills**       — ``timely + late + unused == fills`` for every
   speculative-fill source.
 
@@ -36,7 +37,6 @@ from ..functional.simulator import FunctionalSimulator
 from ..memory.hierarchy import FIG9_LATENCIES, MemoryHierarchy
 from ..pipeline.kernel import make_simulator
 from ..pipeline.stats import PipelineResult
-from ..pipeline.sweep import BatchedSweepSimulator
 from .generator import SpecWorkload, spec_layout
 from .oracle import functional_summary, run_oracle
 
@@ -78,8 +78,8 @@ class FuzzCheckSpec:
     configs: tuple[str, str] = ("baseline", "SPEAR-256")
     #: timing kernels cross-checked for byte drift
     backends: tuple[str, ...] = ("reference", "fast-forward")
-    #: latency points for the batched-sweep-vs-independent check
-    #: (0 disables; campaigns sample it on a subset of programs)
+    #: figure-9 latency points at which the sweep check compares the
+    #: kernels (0 disables; campaigns sample it on a subset of programs)
     sweep_points: int = 0
     #: IPC-ratio thresholds for speedup / regression classification
     speedup: float = 1.05
@@ -263,21 +263,20 @@ def evaluate_workload(workload: SpecWorkload,
                      f"{cfg.name}: {backend} drifts from "
                      f"{check.backends[0]}")
 
-    # -- batched sweep vs independent points (sampled) --------------------
+    # -- both kernels at figure-9 latency points (sampled) ----------------
     if check.sweep_points > 0 and table is not None:
         checks.append("sweep")
         step = max(1, len(FIG9_LATENCIES) // check.sweep_points)
-        points = FIG9_LATENCIES[::step][:check.sweep_points]
         try:
-            sweep = BatchedSweepSimulator(trace, spear_cfg, points, table)
-            for lat, swept in zip(points, sweep.run()):
-                solo = make_simulator(
-                    sweep.kernel, trace,
-                    spear_cfg.with_latencies(lat), table,
+            for lat in FIG9_LATENCIES[::step][:check.sweep_points]:
+                cfg = spear_cfg.with_latencies(lat)
+                ref, ff = (make_simulator(
+                    backend, trace, cfg, table,
                     MemoryHierarchy(latencies=lat)).run()
-                if _result_state(swept) != _result_state(solo):
-                    fail("sweep", f"mem={lat.memory}: batched sweep "
-                                  f"drifts from independent run")
+                    for backend in ("reference", "fast-forward"))
+                if _result_state(ff) != _result_state(ref):
+                    fail("sweep", f"mem={lat.memory}: fast-forward "
+                                  f"drifts from reference")
         except Exception as exc:
             fail("sweep", f"{type(exc).__name__}: {exc}")
 

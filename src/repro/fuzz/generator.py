@@ -28,7 +28,8 @@ spec IR covers.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -66,6 +67,11 @@ INTERESTING_INTS = (0, 1, -1, 2, 7, -13, 255, 1 << 31, -(1 << 31),
 INTERESTING_FLOATS = (0.0, 1.0, -1.0, 0.5, -2.5, 3.141592653589793,
                       1e300, -1e300, 1e-300)
 
+#: The lowest ceiling each bounded dial may take: the sampler draws
+#: ``rng.integers(floor, ceiling + 1)`` under it.
+_DIAL_FLOORS = {"max_loops": 1, "max_body": 2, "chase_depth": 1,
+                "gather_fanout": 1, "stream_stride": 1}
+
 
 @dataclass(frozen=True)
 class KernelDials:
@@ -87,6 +93,25 @@ class KernelDials:
     fp_weight: float = 1.5
     store_weight: float = 1.0
     byte_weight: float = 0.5
+
+    def __post_init__(self) -> None:
+        # Reject what the sampler cannot draw under, so a bad dial fails
+        # here instead of inside every program's generation.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"dial {f.name} must be finite, "
+                                 f"got {value!r}")
+            if isinstance(f.default, int) and value != int(value):
+                raise ValueError(f"dial {f.name} takes a whole number, "
+                                 f"got {value!r}")
+            if f.name.endswith("_weight") and value < 0:
+                raise ValueError(f"dial {f.name} is a mix weight and "
+                                 f"must not be negative, got {value!r}")
+            floor = _DIAL_FLOORS.get(f.name)
+            if floor is not None and value < floor:
+                raise ValueError(f"dial {f.name} must be at least "
+                                 f"{floor}, got {value!r}")
 
     def describe(self) -> dict:
         return asdict(self)
@@ -551,6 +576,33 @@ def encode_name(campaign_seed: int, index: int,
     return name
 
 
+def parse_dials(text: str | None) -> KernelDials:
+    """The dials a ``k=v;k=v`` string sets over :data:`DEFAULT_DIALS`, as
+    a fuzz workload name and ``repro fuzz run --dials`` spell them.
+
+    Raises ``ValueError`` on an unknown dial, a value that is not a
+    number, or a value :class:`KernelDials` rejects.
+    """
+    if not text:
+        return DEFAULT_DIALS
+    kinds = {f.name: type(f.default) for f in fields(KernelDials)}
+    kw = {}
+    for item in text.split(";"):
+        k, sep, v = item.partition("=")
+        if not sep:
+            raise ValueError(f"dial entry {item!r} is not k=v")
+        if k not in kinds:
+            raise ValueError(f"unknown dial {k!r}")
+        try:
+            value = float(v)
+        except ValueError:
+            raise ValueError(f"dial {k} takes a number, got {v!r}") from None
+        if kinds[k] is int and value.is_integer():
+            value = int(value)
+        kw[k] = value
+    return replace(DEFAULT_DIALS, **kw)
+
+
 def parse_name(name: str) -> tuple[int, int, KernelDials]:
     """Inverse of :func:`encode_name`; raises ``ValueError`` on junk."""
     parts = name.split(":")
@@ -561,18 +613,10 @@ def parse_name(name: str) -> tuple[int, int, KernelDials]:
             f"fuzz name {name!r} is generator version {parts[1]}, this "
             f"build is v{SPEC_VERSION} — regenerate the corpus")
     seed, index = int(parts[2]), int(parts[3])
-    dials = DEFAULT_DIALS
-    if len(parts) == 5 and parts[4]:
-        fields = {f.name: f.type for f in
-                  KernelDials.__dataclass_fields__.values()}
-        kw = {}
-        for item in parts[4].split(";"):
-            k, _, v = item.partition("=")
-            if k not in fields:
-                raise ValueError(f"unknown dial {k!r} in {name!r}")
-            default = getattr(DEFAULT_DIALS, k)
-            kw[k] = type(default)(float(v) if "." in v or "e" in v else v)
-        dials = replace(DEFAULT_DIALS, **kw)
+    try:
+        dials = parse_dials(parts[4] if len(parts) == 5 else None)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {name!r}") from None
     return seed, index, dials
 
 

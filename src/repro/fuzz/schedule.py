@@ -29,7 +29,7 @@ A crash mid-batch stops scheduling (later plans would depend on the
 missing observations); ``--resume`` replays completed batches from the
 journal + cache and re-derives the identical plan.  Every
 ``sweep_every``-th program, by campaign index, also cross-checks the
-batched latency sweep against independent runs.
+two timing kernels at figure-9 memory latencies.
 """
 
 from __future__ import annotations

@@ -85,8 +85,7 @@ def trace_flags(trace: Trace, table: PThreadTable
     """Per-entry (marked, d-load) indicator vectors for one trace.
 
     Computed once per run instead of touching TraceEntry attributes and
-    pc sets per fetched instruction; a batched sweep computes them once
-    per *sweep* and shares them across its per-latency sims.
+    pc sets per fetched instruction.
     """
     entries = trace.entries
     n = len(entries)
@@ -107,12 +106,12 @@ def trace_flags(trace: Trace, table: PThreadTable
 class TimingSimulator:
     """One run of one trace through one machine configuration.
 
-    This class is also the ``reference`` timing kernel: alternative
-    cycle-advancement backends (see :mod:`repro.pipeline.kernel`) subclass
-    it and hook :meth:`_fast_forward`, but every architectural decision —
+    This class is also the ``reference`` timing kernel: the
+    ``fast-forward`` kernel (see :mod:`repro.pipeline.kernel`) subclasses
+    it and hooks :meth:`_fast_forward`, but every architectural decision —
     fetch, decode, issue, complete, commit, the SPEAR mode machine —
-    lives here, once, so backends can only change *when* cycles are
-    processed, never *what* a cycle does.
+    lives here, once, so it can only change *when* cycles are processed,
+    never *what* a cycle does.
     """
 
     # No __slots__ here: one instance exists per run (no allocation win)
@@ -129,7 +128,6 @@ class TimingSimulator:
                  warmup: Trace | list | None = None,
                  tracer: TraceSink | None = None,
                  sampler: IntervalSampler | None = None,
-                 predictor=None, flags: tuple | None = None,
                  policy=None):
         self.trace = trace
         self.config = config
@@ -143,13 +141,9 @@ class TimingSimulator:
         self.table = table if (table is not None and config.spear_enabled) \
             else PThreadTable.empty()
         self.mem = memory or MemoryHierarchy(latencies=config.latencies)
-        #: ``predictor`` lets a batched sweep hand several sims one
-        #: warmed-then-cloned predictor instead of replaying warmup per
-        #: latency point; a caller who passes one also skips ``warmup``.
-        self.predictor = predictor if predictor is not None else \
-            make_predictor(config.predictor,
-                           table_size=config.predictor_table_size,
-                           targets={})
+        self.predictor = make_predictor(
+            config.predictor, table_size=config.predictor_table_size,
+            targets={})
         self.prefetcher = make_prefetcher(
             config.prefetcher, block_bytes=self.mem.l1.config.block_bytes,
             degree=config.prefetch_degree)
@@ -253,27 +247,20 @@ class TimingSimulator:
 
         # Trace-derived vectors, computed once per run instead of touching
         # TraceEntry attributes and pc sets per fetched instruction.
-        entries = trace.entries
-        self._entries = entries
-        if flags is not None:
-            # Precomputed (marked, dload) vectors shared across a batched
-            # sweep's per-latency sims — one trace walk instead of K.
-            self._marked_flags, self._dload_flags = flags
-        else:
-            self._marked_flags, self._dload_flags = \
-                trace_flags(trace, self.table)
+        self._entries = trace.entries
+        self._marked_flags, self._dload_flags = trace_flags(trace, self.table)
 
     # ------------------------------------------------------------------
     # Top-level loop
     # ------------------------------------------------------------------
 
     def run(self) -> PipelineResult:
-        """Run the whole trace and return the result (TimingKernel API)."""
+        """Run the whole trace and return the result."""
         self._run_loop(self.config.max_cycles)
         return self._finalize()
 
     def step(self) -> bool:
-        """Advance exactly one cycle (TimingKernel API).
+        """Advance exactly one cycle.
 
         Returns True while the run is incomplete, so ``while sim.step():
         ...`` drives a run to the same state ``run()`` would reach —
@@ -285,22 +272,9 @@ class TimingSimulator:
             self._run_loop(self._cycle + 1)
         return self._committed < n
 
-    def next_event_horizon(self) -> int:
-        """Earliest future cycle at which new work can appear if the
-        machine is otherwise idle (TimingKernel API): the next completion
-        event, the post-mispredict fetch-redirect cycle, or ``max_cycles``
-        when nothing at all is in flight (the deadlock bound)."""
-        horizon = self.config.max_cycles
-        events = self._events
-        if events:
-            horizon = min(horizon, min(events))
-        if self._await_branch_idx < 0 and self._cycle < self._fetch_resume_cycle:
-            horizon = min(horizon, self._fetch_resume_cycle)
-        return horizon
-
     def stats_snapshot(self) -> dict:
-        """Current counters as a plain dict (TimingKernel API) — valid
-        mid-run between :meth:`step` calls, not just at the end."""
+        """Current counters as a plain dict — valid mid-run between
+        :meth:`step` calls, not just at the end."""
         stats = self.stats
         snap = stats.snapshot()
         cycle = self._cycle
@@ -599,7 +573,7 @@ class TimingSimulator:
 
     def _finalize(self) -> PipelineResult:
         """Close out a completed run: tail sampler interval, final stats
-        fields, and the :class:`PipelineResult` (TimingKernel API)."""
+        fields, and the :class:`PipelineResult`."""
         stats = self.stats
         sampler = self._sampler
         if sampler is not None:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.fuzz import FuzzCheckSpec, SpecWorkload, evaluate_workload
 from repro.fuzz.generator import FuzzWorkload, KernelDials, sample_spec
+from repro.pipeline import FastForwardSimulator
 
 SMALL = KernelDials(mem_words=512, target_instructions=600)
 
@@ -60,6 +61,26 @@ class TestInjectedDivergence:
         assert v.classification == "divergence"
         assert v.diverged
         assert any(lbl.startswith("oracle") for lbl in v.divergences)
+
+    def test_fast_forward_drift_off_the_default_latency(self, monkeypatch):
+        """Fast-forward that drifts only away from the default memory
+        latency passes the backends check; only the sweep check sees it."""
+        run = FastForwardSimulator.run
+
+        def drifting(sim):
+            result = run(sim)
+            if sim.config.latencies.memory != 120:
+                result.stats.cycles += 1
+            return result
+
+        monkeypatch.setattr(FastForwardSimulator, "run", drifting)
+        swept = evaluate_workload(_small_workload(),
+                                  FuzzCheckSpec(sweep_points=2))
+        assert swept.divergences == (
+            "sweep: mem=40: fast-forward drifts from reference",)
+        clean = evaluate_workload(_small_workload(),
+                                  FuzzCheckSpec(sweep_points=0))
+        assert not clean.diverged
 
     def test_divergence_beats_classification(self):
         # Even a would-be speedup classifies as divergence when checks fail.

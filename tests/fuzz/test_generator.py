@@ -7,15 +7,20 @@ accesses, fp) so they can never silently regress out of the corpus.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.functional import FunctionalSimulator
 from repro.fuzz.generator import (DEFAULT_DIALS, FuzzWorkload, KernelDials,
                                   SpecWorkload, encode_name,
-                                  fuzz_workload_from_name, parse_name,
-                                  sample_spec, spec_from_json, spec_to_json)
+                                  fuzz_workload_from_name, parse_dials,
+                                  parse_name, sample_spec, spec_from_json,
+                                  spec_to_json)
+from repro.fuzz.schedule import GEN_ARMS
 from repro.workloads import get_workload
+
+CORPUS = Path(__file__).parents[1] / "regress" / "corpus" / "corpus.json"
 
 
 def _stmt_kinds(spec):
@@ -88,6 +93,53 @@ class TestRoundTrips:
             parse_name("pointer")
         with pytest.raises(ValueError):
             fuzz_workload_from_name("fuzz:v1:1:2:bogus_dial=3")
+
+
+class TestDials:
+    @pytest.mark.parametrize("name, dials", GEN_ARMS)
+    def test_presets_round_trip(self, name, dials):
+        text = encode_name(1, 2, dials).split(":")[4:]
+        parsed = parse_dials(text[0] if text else None)
+        assert parsed == dials
+        assert [type(v) for v in parsed.describe().values()] == \
+            [type(v) for v in dials.describe().values()]
+
+    def test_corpus_names_round_trip(self):
+        corpus = json.loads(CORPUS.read_text())
+        names = [e["name"] for e in corpus["entries"]
+                 if e["name"].startswith("fuzz:")]
+        assert names
+        for name in names:
+            assert encode_name(*parse_name(name)) == name
+
+    def test_numbers_take_the_dial_type(self):
+        dials = parse_dials("mem_words=1e3;fp_weight=2")
+        assert dials.mem_words == 1000 and type(dials.mem_words) is int
+        assert dials.fp_weight == 2.0 and type(dials.fp_weight) is float
+
+    @pytest.mark.parametrize("text, message", [
+        ("warp=9", "unknown dial 'warp'"),
+        ("describe=1", "unknown dial 'describe'"),
+        ("mem_words", "not k=v"),
+        ("mem_words=abc", "takes a number"),
+        ("mem_words=2.5", "whole number"),
+        ("max_loops=0", "max_loops must be at least 1"),
+        ("max_body=1", "max_body must be at least 2"),
+        ("chase_depth=0", "chase_depth must be at least 1"),
+        ("gather_fanout=0", "gather_fanout must be at least 1"),
+        ("stream_stride=0", "stream_stride must be at least 1"),
+        ("fp_weight=-1", "must not be negative"),
+        ("byte_weight=nan", "finite"),
+    ])
+    def test_undrawable_dials_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_dials(text)
+        with pytest.raises(ValueError, match=message):
+            parse_name(f"fuzz:v1:1:2:{text}")
+
+    def test_constructor_rejects_fractional_int_dial(self):
+        with pytest.raises(ValueError, match="whole number"):
+            KernelDials(max_loops=2.5)
 
 
 class TestEncoding:

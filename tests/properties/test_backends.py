@@ -1,19 +1,18 @@
 """Cross-backend equivalence properties of the timing kernels.
 
-The alternative cycle-advancement backends (`fast-forward`, the batched
-sweep) are only admissible because they are *bit-for-bit* substitutes
-for the reference kernel.  These properties pin that contract over
-randomized inputs:
+The `fast-forward` kernel is only admissible because it is a
+*bit-for-bit* substitute for the reference kernel.  These properties pin
+that contract over randomized inputs:
 
 * **result identity** — reference vs fast-forward produce
   pickle-byte-identical ``PipelineResult`` objects (stats, memory
   snapshot with fill attribution, predictor, prefetcher) on random
   baseline programs and on randomized SPEAR gather kernels;
+* **latency identity** — the same at the first three figure-9 memory
+  latencies, where the idle stretches fast-forward skips differ from
+  the default latency's;
 * **observer identity** — with tracer and sampler attached the two
-  kernels emit identical event streams and identical timelines;
-* **sweep identity** — a batched latency sweep returns exactly the
-  results of N independent reference runs, point for point, whichever
-  inner kernel it uses.
+  kernels emit identical event streams and identical timelines.
 
 Every test is derandomized (fixed example stream) so CI is exactly
 reproducible.
@@ -31,8 +30,7 @@ from repro.functional import run_program
 from repro.memory import MemoryHierarchy
 from repro.memory.hierarchy import FIG9_LATENCIES
 from repro.observe import IntervalSampler, RingBufferSink
-from repro.pipeline import BatchedSweepSimulator, KERNEL_BACKENDS, \
-    make_simulator
+from repro.pipeline import make_simulator
 
 from .generators import build_random_program, iters_strategy, ops_strategy
 from .test_invariants import gather_setup
@@ -45,8 +43,8 @@ baseline_configs = st.sampled_from([BASELINE, BASELINE_STRIDE])
 gather_seeds = st.integers(0, 7)
 gather_iters = st.integers(100, 300)
 
-#: Latency points every sweep property runs (a 3-point figure-9 row).
-SWEEP_POINTS = list(FIG9_LATENCIES[:3])
+#: Latency points every latency property runs (a 3-point figure-9 row).
+LATENCY_POINTS = FIG9_LATENCIES[:3]
 
 
 def run_backend(backend, trace, config, table=None, *, traced=False):
@@ -117,31 +115,23 @@ def test_fast_forward_actually_skips():
 
 
 @settings(**SETTINGS)
-@given(seed=gather_seeds, iters=gather_iters,
-       kernel=st.sampled_from(KERNEL_BACKENDS))
-def test_batched_sweep_matches_independent_runs(seed, iters, kernel):
-    trace, table = gather_setup(seed, iters)
-    batched = BatchedSweepSimulator(trace, SPEAR_128, SWEEP_POINTS, table,
-                                    kernel=kernel).run()
-    for lat, got in zip(SWEEP_POINTS, batched):
-        cfg = SPEAR_128 if lat == SPEAR_128.latencies \
-            else SPEAR_128.with_latencies(lat)
-        want, _ = run_backend("reference", trace, cfg, table)
-        assert blob(got) == blob(want)
-    assert [r.ipc for r in batched] == [
-        run_backend("reference", trace,
-                    SPEAR_128.with_latencies(lat), table)[0].ipc
-        for lat in SWEEP_POINTS]
+@given(ops=ops_strategy, iters=iters_strategy, config=baseline_configs)
+def test_fast_forward_identical_random_programs_latencies(ops, iters, config):
+    trace = run_program(build_random_program(ops, iters),
+                        max_instructions=20_000)
+    for lat in LATENCY_POINTS:
+        cfg = config.with_latencies(lat)
+        ref, _ = run_backend("reference", trace, cfg)
+        ff, _ = run_backend("fast-forward", trace, cfg)
+        assert blob(ref) == blob(ff)
 
 
 @settings(**SETTINGS)
-@given(ops=ops_strategy, iters=iters_strategy, config=baseline_configs)
-def test_batched_sweep_matches_independent_runs_baseline(ops, iters, config):
-    trace = run_program(build_random_program(ops, iters),
-                        max_instructions=20_000)
-    batched = BatchedSweepSimulator(trace, config, SWEEP_POINTS).run()
-    for lat, got in zip(SWEEP_POINTS, batched):
-        cfg = config if lat == config.latencies \
-            else config.with_latencies(lat)
-        want, _ = run_backend("reference", trace, cfg)
-        assert blob(got) == blob(want)
+@given(seed=gather_seeds, iters=gather_iters)
+def test_fast_forward_identical_spear_latencies(seed, iters):
+    trace, table = gather_setup(seed, iters)
+    for lat in LATENCY_POINTS:
+        cfg = SPEAR_128.with_latencies(lat)
+        ref, _ = run_backend("reference", trace, cfg, table)
+        ff, _ = run_backend("fast-forward", trace, cfg, table)
+        assert blob(ref) == blob(ff)

@@ -48,9 +48,17 @@ class TestRun:
 
     def test_unknown_config(self, capsys):
         assert main(["run", "pointer", "--config", "SPEAR-512", *SCALE]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config 'SPEAR-512'" in err and "aliases" in err
 
     def test_baseline_config(self, capsys):
         assert main(["run", "pointer", "--config", "baseline", *SCALE]) == 0
+
+    @pytest.mark.parametrize("name", ["spear", "spear-128"])
+    def test_config_aliases(self, capsys, name):
+        assert main(["run", "ll4", "--config", name,
+                     "--scale", "0.05"]) == 0
+        assert "SPEAR-128" in capsys.readouterr().out
 
 
 class TestCompare:
@@ -402,8 +410,18 @@ class TestFuzz:
         assert main(["fuzz", "shrink"]) == 2
 
     def test_bad_dials_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="bad --dials entry"):
             main(["fuzz", "run", "--count", "1", "--dials", "warp=9"])
+
+    @pytest.mark.parametrize("dials", [
+        "mem_words=abc", "mem_words=2.5", "max_loops=0", "max_body=1",
+        "fp_weight=-1", "chase_depth=0"])
+    def test_undrawable_dials_rejected(self, capsys, dials):
+        """Refused before any program runs, not truncated or left to fail
+        every program's generation."""
+        with pytest.raises(SystemExit, match="bad --dials entry"):
+            main(["fuzz", "run", "--seed", "1", "--count", "4", "--jobs",
+                  "1", "--no-cache", "--dials", dials])
 
 
 class TestCacheCommand:
