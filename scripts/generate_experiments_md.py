@@ -33,11 +33,11 @@ Individual figures can also be regenerated directly — and much faster —
 via the parallel path (`python -m repro figure 6 --jobs 8`), which fans
 the workload × config matrix over worker processes and reuses the
 persistent artifact cache; the output is byte-identical to a serial run
-(see README § Performance).  Every figure and table runs on the
-reference timing kernel.  The fast-forward kernel is gated on
-byte-identical results against it; the fuzz campaign cross-checks
-fast-forward on every generated program, and on a sampled subset again
-at two figure-9 memory latencies.
+(see README § Performance).  Every figure and table runs on the one
+timing kernel, whose `run()` jumps over provably idle cycles.  The skip
+is gated on byte-identical results against walking every cycle; the
+fuzz campaign compares the two on every generated program, and on a
+sampled subset again at two figure-9 memory latencies.
 
 Performance is measured by the repository benchmark under `bench/`
 (`python3 bench/run.py`; `bench/README.md` documents it, and
@@ -173,9 +173,10 @@ SECTIONS = [
      "streams, stores, byte accesses, fp, div edges and data-dependent "
      "hammocks — through the full pipeline, cross-checking an "
      "independent IR oracle against the functional simulator, commit "
-     "conservation, the fill partition, cross-backend byte drift, and "
-     "on a sampled subset the same drift at two figure-9 memory "
-     "latencies.  The triage is byte-deterministic at any "
+     "conservation, the fill partition, byte drift between the "
+     "idle-skipping run and the per-cycle walk, and on a sampled "
+     "subset the same drift at two figure-9 memory latencies.  The "
+     "triage is byte-deterministic at any "
      "`--jobs`.  The full `--seed 0 --count 1000` campaign classifies "
      "421 speedup / 578 neutral / 1 regression / 0 divergence (mean "
      "SPEAR/baseline IPC ratio 1.11, top 1.85x) — SPEAR helps or is "

@@ -29,9 +29,9 @@ table {1,2,3}        regenerate a table of the paper
 journal show [RUN]   list run journals, or dump one run's JSONL events
 fuzz run             run a seeded differential-fuzzing campaign (triage
                      text and arm table on stdout are byte-deterministic
-                     at any --jobs; --strict exits 1 on any divergence;
-                     --guided schedules batches over dial/mutation arms
-                     by coverage novelty)
+                     at any --jobs; a failed cell exits 1, and with
+                     --strict so does any divergence; --guided schedules
+                     batches over dial/mutation arms by coverage novelty)
 fuzz triage          the same campaign's triage as JSON (cached verdicts
                      make this cheap after a run)
 fuzz coverage        the campaign's behaviour-coverage map (per-dimension
@@ -46,7 +46,7 @@ fuzz show NAME       print a generated kernel's spec IR and sizes
 cache stats          per-kind on-disk cache accounting
 cache gc --budget N  LRU-evict entries until the cache fits the budget
 
-Every verb simulates on the reference timing kernel.  ``figure``,
+Every verb simulates on the one timing kernel.  ``figure``,
 ``table``, ``compare`` and ``report`` accept ``--jobs N`` (parallel cell
 fan-out over processes, default usable-CPU count),
 ``--cache-dir``/``--no-cache``
@@ -695,8 +695,8 @@ def cmd_fuzz_campaign(args) -> int:
     if args.output:
         Path(args.output).write_text(result.report.to_json() + "\n")
         print(f"wrote {args.output}", file=sys.stderr)
-    if args.strict and (result.report.counts["divergence"]
-                        or not result.completed):
+    if not result.completed or (args.strict
+                                and result.report.counts["divergence"]):
         return 1
     return 0
 
@@ -970,11 +970,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="programs per guided scheduling round "
                              "(default 25)")
         pf.add_argument("--sweep-every", type=int, default=50,
-                        help="every Nth program also cross-checks the "
-                             "timing kernels at figure-9 memory "
-                             "latencies (0 disables; default 50)")
+                        help="every Nth program also compares the "
+                             "idle-skipping run with the per-cycle walk "
+                             "at figure-9 memory latencies (0 disables; "
+                             "default 50)")
         pf.add_argument("--strict", action="store_true",
-                        help="exit 1 on any divergence or failed cell")
+                        help="also exit 1 on any divergence (a failed "
+                             "cell always exits 1)")
         pf.add_argument("-o", "--output", default=None,
                         help="also write the triage report as JSON")
         pf.add_argument("--coverage-out", default=None, metavar="FILE",

@@ -15,8 +15,9 @@ The campaign machinery has five layers:
   through the functional simulator, so simulator bugs that affect both
   sides of a sim-vs-sim comparison equally are still caught.
 * :mod:`~repro.fuzz.differential` — the per-program evaluator: oracle
-  vs functional state, commit conservation, cross-backend byte drift,
-  the fill-partition invariant and slicer sanity, folded into one
+  vs functional state, commit conservation, byte drift between the
+  idle-skipping run and the per-cycle walk, the fill-partition
+  invariant and slicer sanity, folded into one
   picklable :class:`~repro.fuzz.differential.FuzzVerdict`.
 * :mod:`~repro.fuzz.triage` / :mod:`~repro.fuzz.shrink` —
   classification + deterministic reporting, and delta-debugging

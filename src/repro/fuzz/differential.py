@@ -13,17 +13,18 @@ pipeline and cross-checks every layer against an independent witness:
   trigger and stays inside the text segment;
 * **commits**     — each timing run commits exactly the functional
   trace (no instruction duplicated or dropped), baseline and SPEAR;
-* **backends**    — reference vs fast-forward produce byte-identical
-  stats, memory and predictor state for every config;
-* **sweep**       — (sampled) reference vs fast-forward again for the
-  spear config at figure-9 memory latencies, which reach off the
-  default latency the backends check runs;
+* **backends**    — ``run()``, which skips provably idle stretches, and
+  the per-cycle walk produce byte-identical stats, memory and predictor
+  state for every config;
+* **sweep**       — (sampled) ``run()`` vs the walk again for the spear
+  config at figure-9 memory latencies, which reach off the default
+  latency the backends check runs;
 * **fills**       — ``timely + late + unused == fills`` for every
   speculative-fill source.
 
 Any failed check makes the verdict a **divergence**; otherwise the
 kernel is classified speedup / neutral / regression from the
-SPEAR-vs-baseline IPC ratio on the reference backend.
+SPEAR-vs-baseline IPC ratio of the ``run()`` results.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from ..compiler.driver import compile_spear
 from ..compiler.slicer import SlicerConfig
 from ..core.configs import PAPER_CONFIGS, MachineConfig
 from ..functional.simulator import FunctionalSimulator
-from ..memory.hierarchy import FIG9_LATENCIES, MemoryHierarchy
-from ..pipeline.kernel import make_simulator
+from ..memory.hierarchy import FIG9_LATENCIES, LatencyConfig, MemoryHierarchy
+from ..pipeline.smt import TimingSimulator
 from ..pipeline.stats import PipelineResult
 from .generator import SpecWorkload, spec_layout
 from .oracle import functional_summary, run_oracle
@@ -48,7 +49,7 @@ from .oracle import functional_summary, run_oracle
 BEHAVIOR_VERSION = 1
 
 #: The raw tuple's field order.  All integers; SPEAR-side counters come
-#: from the spear config on the primary backend, cache counters from the
+#: from the spear config's ``run()`` result, cache counters from the
 #: *baseline* run (the memory character SPEAR reacts to), slice shape
 #: from the compiled p-thread table.
 BEHAVIOR_FIELDS = (
@@ -76,10 +77,12 @@ class FuzzCheckSpec:
 
     #: (baseline, spear) config names from the paper's evaluated models
     configs: tuple[str, str] = ("baseline", "SPEAR-256")
-    #: timing kernels cross-checked for byte drift
+    #: kernel names, part of the cell key only: the check runs each
+    #: config once skipping and once walking, whatever they say
     backends: tuple[str, ...] = ("reference", "fast-forward")
-    #: figure-9 latency points at which the sweep check compares the
-    #: kernels (0 disables; campaigns sample it on a subset of programs)
+    #: figure-9 latency points at which the sweep check compares
+    #: ``run()`` with the walk (0 disables; campaigns sample it on a
+    #: subset of programs)
     sweep_points: int = 0
     #: IPC-ratio thresholds for speedup / regression classification
     speedup: float = 1.05
@@ -94,6 +97,11 @@ class FuzzCheckSpec:
 
     def resolve_configs(self) -> tuple[MachineConfig, MachineConfig]:
         return PAPER_CONFIGS[self.configs[0]], PAPER_CONFIGS[self.configs[1]]
+
+    def sweep_latencies(self) -> list[LatencyConfig]:
+        """The figure-9 latency points the sweep check samples."""
+        step = max(1, len(FIG9_LATENCIES) // max(1, self.sweep_points))
+        return FIG9_LATENCIES[::step][:self.sweep_points]
 
 
 @dataclass(frozen=True)
@@ -136,8 +144,30 @@ class FuzzVerdict:
                              if self.behavior is not None else None)}
 
 
+def timing_runs(verdict: FuzzVerdict, check: FuzzCheckSpec) -> int:
+    """How many timing runs the evaluation behind ``verdict`` made: a
+    skipping and a walking run per config once the functional trace
+    existed, and two per sampled latency point when the sweep ran,
+    which needs a compiled p-thread table."""
+    runs = 2 * len(check.configs) if "backends" in verdict.checks else 0
+    if "sweep" in verdict.checks:
+        runs += 2 * len(check.sweep_latencies())
+    return runs
+
+
+def _timing_run(trace, cfg: MachineConfig, table, *,
+                walk: bool) -> PipelineResult:
+    """``run()`` of ``trace`` on ``cfg``, as the harness runs it, or with
+    ``walk`` the per-cycle walk it must match (the idle skip off)."""
+    sim = TimingSimulator(trace, cfg, table,
+                          MemoryHierarchy(latencies=cfg.latencies))
+    if walk:
+        sim._ff = False
+    return sim.run()
+
+
 def _result_state(result: PipelineResult) -> tuple:
-    """Everything a backend could drift on, in comparable form."""
+    """Everything a skip could drift on, in comparable form."""
     return (result.stats, result.memory, result.predictor)
 
 
@@ -228,61 +258,52 @@ def evaluate_workload(workload: SpecWorkload,
     except Exception as exc:  # a compiler crash is itself a finding
         fail("compile", f"{type(exc).__name__}: {exc}")
 
-    # -- timing runs: configs x backends ----------------------------------
+    # -- timing runs: each config skipping and walking ---------------------
     base_cfg, spear_cfg = check.resolve_configs()
     results: dict[tuple[str, str], PipelineResult] = {}
     checks.extend(["commits", "backends", "fills"])
     for cfg in (base_cfg, spear_cfg):
         cfg_table = table if cfg.spear_enabled else None
-        for backend in check.backends:
+        for run in ("skip", "walk"):
             try:
-                res = make_simulator(
-                    backend, trace, cfg, cfg_table,
-                    MemoryHierarchy(latencies=cfg.latencies)).run()
+                res = _timing_run(trace, cfg, cfg_table, walk=run == "walk")
             except Exception as exc:
-                fail("timing", f"{cfg.name}/{backend}: "
+                fail("timing", f"{cfg.name}/{run}: "
                                f"{type(exc).__name__}: {exc}")
                 continue
-            results[(cfg.name, backend)] = res
+            results[(cfg.name, run)] = res
             if res.stats.committed != len(trace):
                 fail("commits",
-                     f"{cfg.name}/{backend}: committed "
+                     f"{cfg.name}/{run}: committed "
                      f"{res.stats.committed} != trace {len(trace)}")
             for source, f in res.memory["fills"].items():
                 if f["timely"] + f["late"] + f["unused"] != f["fills"]:
-                    fail("fills", f"{cfg.name}/{backend}/{source}: "
+                    fail("fills", f"{cfg.name}/{run}/{source}: "
                                   f"{f['timely']}+{f['late']}+{f['unused']}"
                                   f" != {f['fills']}")
-        ref = results.get((cfg.name, check.backends[0]))
-        for backend in check.backends[1:]:
-            other = results.get((cfg.name, backend))
-            if ref is None or other is None:
-                continue
-            if _result_state(other) != _result_state(ref):
-                fail("backends",
-                     f"{cfg.name}: {backend} drifts from "
-                     f"{check.backends[0]}")
+        skip = results.get((cfg.name, "skip"))
+        walk = results.get((cfg.name, "walk"))
+        if (skip is not None and walk is not None
+                and _result_state(skip) != _result_state(walk)):
+            fail("backends", f"{cfg.name}: run() drifts from the walk")
 
-    # -- both kernels at figure-9 latency points (sampled) ----------------
+    # -- skip vs walk at figure-9 latency points (sampled) ----------------
     if check.sweep_points > 0 and table is not None:
         checks.append("sweep")
-        step = max(1, len(FIG9_LATENCIES) // check.sweep_points)
         try:
-            for lat in FIG9_LATENCIES[::step][:check.sweep_points]:
+            for lat in check.sweep_latencies():
                 cfg = spear_cfg.with_latencies(lat)
-                ref, ff = (make_simulator(
-                    backend, trace, cfg, table,
-                    MemoryHierarchy(latencies=lat)).run()
-                    for backend in ("reference", "fast-forward"))
-                if _result_state(ff) != _result_state(ref):
-                    fail("sweep", f"mem={lat.memory}: fast-forward "
-                                  f"drifts from reference")
+                skip, walk = (_timing_run(trace, cfg, table, walk=w)
+                              for w in (False, True))
+                if _result_state(skip) != _result_state(walk):
+                    fail("sweep", f"mem={lat.memory}: run() drifts "
+                                  f"from the walk")
         except Exception as exc:
             fail("sweep", f"{type(exc).__name__}: {exc}")
 
     # -- classification ----------------------------------------------------
-    base = results.get((base_cfg.name, check.backends[0]))
-    spear = results.get((spear_cfg.name, check.backends[0]))
+    base = results.get((base_cfg.name, "skip"))
+    spear = results.get((spear_cfg.name, "skip"))
     base_ipc = base.ipc if base is not None else 0.0
     spear_ipc = spear.ipc if spear is not None else 0.0
     ratio = spear_ipc / base_ipc if base_ipc else 0.0

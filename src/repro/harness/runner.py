@@ -138,7 +138,7 @@ class ExperimentRunner:
         optional persistent artifact cache shared across processes.
         ``policy`` selects the trigger policy (any
         :data:`~repro.policy.POLICIES` name); per-call overrides win.
-        Every simulation runs on the reference timing kernel,
+        Every simulation runs on the one timing kernel,
         :class:`~repro.pipeline.smt.TimingSimulator`."""
         self.slicer_config = slicer_config or SlicerConfig()
         self.instruction_scale = instruction_scale
@@ -260,13 +260,12 @@ class ExperimentRunner:
         """
         name = cell.workload
         if cell.fuzz is not None:
-            from ..fuzz.differential import evaluate_workload
+            from ..fuzz.differential import evaluate_workload, timing_runs
             verdict = evaluate_workload(
                 get_workload(name), cell.fuzz,
                 slicer_config=self.slicer_config,
                 scale=self.instruction_scale)
-            self.simulations += (len(cell.fuzz.configs)
-                                 * len(cell.fuzz.backends))
+            self.simulations += timing_runs(verdict, cell.fuzz)
             return verdict
         config, policy = cell.config, make_policy(cell.policy)
         controller = policy.make_controller(config)

@@ -109,15 +109,16 @@ class IntervalSampler:
                      mode_cycles: int, mode_per_cycle: int,
                      l1_accesses: int, l1_misses: int,
                      per_thread: tuple | None = None) -> None:
-        """Record every interval boundary a fast-forward jump crosses.
+        """Record every interval boundary an idle jump crosses.
 
-        An idle jump advances from ``cycle`` to ``to_cycle`` with no
-        commits and no memory traffic; only the occupancy sums and mode
-        residency grow, linearly at the given per-cycle rates (their
-        ``*_sum`` arguments are the cumulative values *at* ``cycle``).
-        Boundaries land at every interval multiple in ``(cycle,
-        to_cycle]`` and are recorded through :meth:`take`, so the
-        resulting samples are byte-identical to stepping cycle by cycle.
+        The timing loop jumps over provably idle stretches: from
+        ``cycle`` to ``to_cycle`` with no commits and no memory traffic,
+        so only the occupancy sums and mode residency grow, linearly at
+        the given per-cycle rates (their ``*_sum`` arguments are the
+        cumulative values *at* ``cycle``).  Boundaries land at every
+        interval multiple in ``(cycle, to_cycle]`` and are recorded
+        through :meth:`take`, so the resulting samples are
+        byte-identical to stepping cycle by cycle.
 
         >>> s = IntervalSampler(interval=100)
         >>> s.take(100, 80, 500, 1000, 40, 30, 6)

@@ -45,6 +45,20 @@ a trace index as well, so the buffer's circularity never needs to be
 modelled.  A resident entry's indicator is set exactly when its pc is
 marked and it lies at or past that pointer, so the indicators are a
 deque of marked trace indices, pruned below ``max(_pe_idx, head)``.
+
+Stall-heavy workloads spend most of their cycles doing nothing: the IFQ
+is full or empty, the ROB head waits on DRAM, nothing is ready to issue,
+and the only future state change is a completion event already in the
+event map.  So the run loop proves a cycle idle and jumps straight to the
+next cycle anything *can* change — the next completion event, the
+post-mispredict fetch-redirect cycle or a policy decision boundary —
+applying the skipped cycles' stall counters, occupancy sums and sampler
+boundaries in one arithmetic step (:meth:`TimingSimulator._fast_forward`).
+The skip changes only *when* cycles are processed, never what a cycle
+does: results and trace streams are byte-identical to walking every
+cycle, which an instance with the ``_ff`` switch cleared still does as
+the equivalence oracle.  A jump needs no latency adjustment: the event
+map and the hierarchy's pending-fill table are keyed by absolute cycle.
 """
 
 from __future__ import annotations
@@ -106,21 +120,24 @@ def trace_flags(trace: Trace, table: PThreadTable
 class TimingSimulator:
     """One run of one trace through one machine configuration.
 
-    This class is also the ``reference`` timing kernel: the
-    ``fast-forward`` kernel (see :mod:`repro.pipeline.kernel`) subclasses
-    it and hooks :meth:`_fast_forward`, but every architectural decision —
-    fetch, decode, issue, complete, commit, the SPEAR mode machine —
-    lives here, once, so it can only change *when* cycles are processed,
-    never *what* a cycle does.
+    This is the one timing kernel: the harness, every verb and
+    :func:`~repro.pipeline.kernel.make_simulator` build it, and
+    :meth:`run` skips provably idle stretches (see the module docstring).
+    An instance with ``_ff`` cleared walks every cycle instead; the
+    equivalence tests and the fuzz ``backends`` and ``sweep`` checks
+    compare ``run()`` with that walk byte for byte.
     """
 
     # No __slots__ here: one instance exists per run (no allocation win)
     # and tests monkeypatch bound methods on instances.
 
-    #: Timing-kernel backend name (subclasses override).
-    backend = "reference"
-    #: Whether the run loop consults :meth:`_fast_forward` each cycle.
-    _ff = False
+    #: Whether the run loop consults :meth:`_fast_forward` each cycle;
+    #: cleared only on the per-cycle walk the equivalence checks run.
+    _ff = True
+    #: Jump diagnostics (instance-shadowed on the first jump).  Not part
+    #: of ``PipelineStats``, so a result cannot tell a skip from a walk.
+    ff_jumps = 0
+    ff_cycles_skipped = 0
 
     def __init__(self, trace: Trace, config: MachineConfig,
                  table: PThreadTable | None = None,
@@ -283,8 +300,7 @@ class TimingSimulator:
             cycles=cycle, committed=committed,
             ipc=committed / cycle if cycle else 0.0,
             avg_ifq_occupancy=stats.ifq_occupancy_sum / cycle if cycle else 0.0,
-            avg_ruu_occupancy=stats.ruu_occupancy_sum / cycle if cycle else 0.0,
-            backend=self.backend)
+            avg_ruu_occupancy=stats.ruu_occupancy_sum / cycle if cycle else 0.0)
         return snap
 
     def _run_loop(self, stop: int) -> None:
@@ -298,7 +314,8 @@ class TimingSimulator:
         # cycle at most, so ``step()`` reaches ``run()``'s state.
         # Resumable: accumulators seed from the stats fields and flush back
         # on exit, so any split of a run into ``_run_loop`` calls (one big
-        # one, per-cycle steps, fast-forward jumps) leaves identical state.
+        # one, per-cycle steps) leaves identical state, and so does any
+        # idle stretch jumped rather than walked.
         n = len(self._entries)
         cfg = self.config
         stats = self.stats
@@ -348,12 +365,11 @@ class TimingSimulator:
                 break
             if (ff and cycle not in events and not main_ready
                     and not self._pt_ready and not done[self._committed]):
-                # Fast-forward hook (no-op on the reference kernel): when
-                # the whole machine is provably idle this cycle, jump to
-                # the next cycle anything can change, updating the idle-
-                # classified stats and sampler boundaries in bulk.  The
-                # guard repeats the hook's cheapest vetoes inline so busy
-                # cycles never pay the call.
+                # When the whole machine is provably idle this cycle, jump
+                # to the next cycle anything can change, updating the
+                # idle-classified stats and sampler boundaries in bulk.
+                # The guard holds the skip's cheapest vetoes (completion,
+                # commit, issue), so busy cycles never pay the call.
                 jump = self._fast_forward(cycle, stop, ifq_occ_sum,
                                           ruu_occ_sum, mode_cycles)
                 if jump is not None:
@@ -550,9 +566,9 @@ class TimingSimulator:
                 # Decision boundary: the controller may move the live
                 # operating point, so the hoisted locals must refresh.
                 # Keyed on the cycle number alone (like the sampler), so
-                # any split of the run into _run_loop calls — steps,
-                # fast-forward jumps clamped to the boundary — produces
-                # the identical decision sequence.
+                # any split of the run into _run_loop calls — steps, idle
+                # jumps clamped to the boundary — produces the identical
+                # decision sequence.
                 if policy.tick(self, cycle + 1):
                     trigger_occ = self._trigger_occ
                     chaining = self._chaining
@@ -608,14 +624,162 @@ class TimingSimulator:
     def _fast_forward(self, cycle: int, stop: int, ifq_occ_sum: int,
                       ruu_occ_sum: int, mode_cycles: int
                       ) -> tuple[int, int, int, int] | None:
-        """Fast-forward hook; the reference kernel never skips.
+        """Skip to the next event horizon if this cycle is provably idle.
 
-        Only consulted when :attr:`_ff` is set.  An overriding backend
-        returns None when the coming cycle has (or may have) real work,
-        or the ``(new_cycle, ifq_occ_sum, ruu_occ_sum, mode_cycles)``
-        state after jumping over a provably idle stretch.
+        Returns None when the coming cycle has (or may have) real work,
+        else the ``(new_cycle, ifq_occ_sum, ruu_occ_sum, mode_cycles)``
+        state after jumping over the idle stretch.  Mirrors the loop's
+        phase order: completion, commit, mode tick / retrigger, issue,
+        extract, decode, fetch.  Any phase that would mutate state vetoes
+        the skip; phases that would only bump a stall counter contribute
+        that counter to the bulk update.  The veto chain errs on the side
+        of not jumping: what it cannot prove idle is walked.  The run
+        loop's guard has already vetoed due completions, a done ROB head
+        and ready instructions.
         """
-        return None
+        events = self._events
+        cfg = self.config
+        decoded = self._decoded
+        fetch_idx = self._fetch_idx
+        occ = fetch_idx - decoded + self._bubbles
+
+        # ---- decode: would the main decoder consume anything? ----------
+        # 0 = no counter, 1 = decode_stall_empty_ifq, 2 = decode_stall_
+        # ruu_full.  Order matches the loop: the RUU-full check comes
+        # before the barrier/bubble head checks (which bump nothing).
+        ruu = decoded - self._committed
+        if occ:
+            if ruu >= cfg.ruu_size:
+                decode_stat = 2
+            elif decoded < fetch_idx and not (
+                    decoded > self._await_branch_idx >= 0):
+                return None                  # head is decodable
+            else:
+                decode_stat = 0
+        else:
+            decode_stat = 1                  # empty IFQ (and nothing to
+            #                                  extract on an idle cycle)
+
+        # ---- fetch -----------------------------------------------------
+        # 0 = no counter, 1 = fetch_stall_mispredict, 2 = fetch_stall_
+        # ifq_full.  ``fetch_resume`` carries the redirect cycle as an
+        # extra horizon candidate.
+        n = len(self._entries)
+        ifq_full = occ >= cfg.ifq_size
+        fetch_stat = 0
+        fetch_resume = 0
+        if self._await_branch_idx >= 0:
+            wp = cfg.wrong_path
+            if not ifq_full and (wp == "bubbles" or
+                                 (wp == "reconverge" and fetch_idx < n)):
+                return None                  # wrong-path fetch has work
+            fetch_stat = 1
+        elif cycle < self._fetch_resume_cycle:
+            fetch_stat = 1
+            fetch_resume = self._fetch_resume_cycle
+        elif fetch_idx < n:
+            if not ifq_full:
+                return None                  # normal fetch has work
+            fetch_stat = 2
+        # else: trace exhausted — fetch is a silent no-op.
+
+        # ---- SPEAR mode machinery ---------------------------------------
+        mode = self._mode
+        marked = self._marked
+        drain_stall = extract_stall = False
+        if mode == _COPY:
+            return None                      # live-in copy counts down
+        if mode == _DRAIN:
+            if self._drain_satisfied():      # idempotent (pops done
+                return None                  # producers), as the mode
+            drain_stall = True               # tick would this cycle
+        elif mode == _IDLE:
+            # ``_chaining``/``_trigger_occ`` are the *live* operating
+            # point (an adaptive-phase controller may have moved them),
+            # mirroring the run loop's hoisted locals exactly.
+            if (cfg.spear_enabled and marked
+                    and (self._chaining or occ >= self._trigger_occ)
+                    and self._retrigger_candidate()):
+                return None                  # a dormant d-load would fire
+        else:  # _ACTIVE
+            # The PE has a candidate when a marked entry lies at or past
+            # both its head pointer and the IFQ head.
+            if (not self._trigger_extracted and marked
+                    and marked[-1] >= max(self._pe_idx, decoded)):
+                if self._pt_inflight >= cfg.pthread_ruu_size:
+                    extract_stall = True
+                else:
+                    return None              # the PE would extract
+
+        # ---- provably idle: jump to the horizon -------------------------
+        horizon = cfg.max_cycles
+        if events:
+            nxt = min(events)
+            if nxt < horizon:
+                horizon = nxt
+        if fetch_resume and fetch_resume < horizon:
+            horizon = fetch_resume
+        policy = self._policy
+        if policy is not None:
+            # Never jump past a policy decision boundary: clamping the
+            # horizon to the boundary-processing cycle (the cycle ``c``
+            # with ``(c + 1) % interval == 0``) lets the normal loop
+            # bottom run the controller tick there, so decisions fire at
+            # the cycles a walk fires them.  If the *current* cycle is a
+            # boundary the clamp makes ``delta <= 0`` and the skip is
+            # refused outright.
+            pint = policy.interval
+            boundary = (cycle // pint + 1) * pint - 1
+            if boundary < horizon:
+                horizon = boundary
+        if horizon > stop:
+            horizon = stop
+        delta = horizon - cycle
+        if delta <= 0:
+            return None
+
+        stats = self.stats
+        if decode_stat == 1:
+            stats.decode_stall_empty_ifq += delta
+        elif decode_stat:
+            stats.decode_stall_ruu_full += delta
+        if fetch_stat == 1:
+            stats.fetch_stall_mispredict += delta
+        elif fetch_stat:
+            stats.fetch_stall_ifq_full += delta
+        if drain_stall:
+            stats.spear.drain_wait_cycles += delta
+        if extract_stall:
+            stats.spear.extraction_stall_ruu_full += delta
+
+        in_mode = 1 if mode != _IDLE else 0
+        sampler = self._sampler
+        if sampler is not None:
+            interval = sampler.interval
+            if (cycle // interval + 1) * interval <= horizon:
+                main_ts = self.mem.thread_stats[MAIN_THREAD]
+                sampler.advance_idle(
+                    cycle, horizon, self._committed,
+                    ifq_occ_sum, occ, ruu_occ_sum, ruu,
+                    mode_cycles, in_mode,
+                    main_ts.accesses, main_ts.l1_misses,
+                    per_thread=self._thread_counters())
+        self.ff_jumps += 1
+        self.ff_cycles_skipped += delta
+        return (horizon, ifq_occ_sum + delta * occ,
+                ruu_occ_sum + delta * ruu, mode_cycles + delta * in_mode)
+
+    def _retrigger_candidate(self) -> bool:
+        """Whether ``_try_retrigger`` would find a dormant d-load, without
+        pruning: the same tail-first scan, stopped at the stale entries."""
+        low = max(self._pe_idx, self._decoded)
+        dload_flags = self._dload_flags
+        for idx in reversed(self._marked):
+            if idx < low:
+                return False
+            if dload_flags[idx]:
+                return True
+        return False
 
     def _thread_counters(self) -> tuple:
         """Cumulative per-thread (completed, issued, l1_accesses,
@@ -1085,8 +1249,8 @@ def simulate(trace: Trace, config: MachineConfig,
              tracer: TraceSink | None = None,
              sampler: IntervalSampler | None = None,
              policy=None) -> PipelineResult:
-    """Run ``trace`` through ``config`` on the reference kernel and return
-    the result.  ``policy`` is an optional in-run trigger-policy
-    controller (see :mod:`repro.policy`)."""
+    """Run ``trace`` through ``config`` and return the result.
+    ``policy`` is an optional in-run trigger-policy controller (see
+    :mod:`repro.policy`)."""
     return TimingSimulator(trace, config, table, memory, tracer=tracer,
                            sampler=sampler, policy=policy).run()

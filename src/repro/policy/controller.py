@@ -19,9 +19,10 @@ out to hurt — wraps every move in a measured trial:
 
 All comparisons are exact integer comparisons of committed-instruction
 deltas over equal-length windows — no floating-point thresholds — so the
-controller is bit-deterministic and the fast-forward kernel (which never
-skips past a decision boundary; see ``fastforward.py``) reproduces the
-decision sequence exactly.
+controller is bit-deterministic, and a run that skips idle stretches
+(it never jumps past a decision boundary; see
+``TimingSimulator._fast_forward``) makes the decisions a per-cycle walk
+makes, at the same cycles.
 
 Decisions are recorded as a flat series (rendered by ``repro analyze
 --timeline`` and attached to ``PipelineResult.timeline["policy"]``) and

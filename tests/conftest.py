@@ -8,6 +8,27 @@ import pytest
 from repro.core import PThread, PThreadTable
 from repro.functional import FunctionalSimulator, run_program
 from repro.isa import ProgramBuilder
+from repro.memory import MemoryHierarchy
+from repro.pipeline import TimingSimulator
+
+#: Parametrizes a test over the per-cycle walk (``walk=True``) and the
+#: idle-skipping ``run()``.  The ids are the names the two had when they
+#: were separate kernels, so the walk, the reference semantics, reads
+#: ``reference``.
+WALK_OR_SKIP = pytest.mark.parametrize(
+    "walk", (True, False), ids=("reference", "fast-forward"))
+
+
+def timing_sim(trace, config, table=None, *, walk=False, **kwargs):
+    """A :class:`TimingSimulator` on a fresh hierarchy at ``config``'s
+    latencies.  ``walk`` clears its idle skip, giving the per-cycle walk
+    that ``run()`` must match byte for byte."""
+    sim = TimingSimulator(trace, config, table,
+                          MemoryHierarchy(latencies=config.latencies),
+                          **kwargs)
+    if walk:
+        sim._ff = False
+    return sim
 
 
 @pytest.fixture(autouse=True)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.fuzz import FuzzCheckSpec, SpecWorkload, evaluate_workload
 from repro.fuzz.generator import FuzzWorkload, KernelDials, sample_spec
-from repro.pipeline import FastForwardSimulator
+from repro.pipeline import TimingSimulator
 
 SMALL = KernelDials(mem_words=512, target_instructions=600)
 
@@ -62,22 +62,41 @@ class TestInjectedDivergence:
         assert v.diverged
         assert any(lbl.startswith("oracle") for lbl in v.divergences)
 
+    def test_over_jumping_skip_is_a_backends_divergence(self, monkeypatch):
+        """The backends check is not vacuous: a skip that lands one cycle
+        past its horizon (wherever no completion is due there) drifts
+        from the per-cycle walk on both configs."""
+        skip = TimingSimulator._fast_forward
+
+        def over_jump(sim, cycle, stop, *sums):
+            jump = skip(sim, cycle, stop, *sums)
+            if jump is None or jump[0] in sim._events:
+                return jump
+            return (jump[0] + 1, *jump[1:])
+
+        monkeypatch.setattr(TimingSimulator, "_fast_forward", over_jump)
+        v = evaluate_workload(_small_workload(), FuzzCheckSpec())
+        assert v.classification == "divergence"
+        assert v.divergences == (
+            "backends: baseline: run() drifts from the walk",
+            "backends: SPEAR-256: run() drifts from the walk")
+
     def test_fast_forward_drift_off_the_default_latency(self, monkeypatch):
-        """Fast-forward that drifts only away from the default memory
-        latency passes the backends check; only the sweep check sees it."""
-        run = FastForwardSimulator.run
+        """A skip that drifts only away from the default memory latency
+        passes the backends check; only the sweep check sees it."""
+        run = TimingSimulator.run
 
         def drifting(sim):
             result = run(sim)
-            if sim.config.latencies.memory != 120:
+            if sim._ff and sim.config.latencies.memory != 120:
                 result.stats.cycles += 1
             return result
 
-        monkeypatch.setattr(FastForwardSimulator, "run", drifting)
+        monkeypatch.setattr(TimingSimulator, "run", drifting)
         swept = evaluate_workload(_small_workload(),
                                   FuzzCheckSpec(sweep_points=2))
         assert swept.divergences == (
-            "sweep: mem=40: fast-forward drifts from reference",)
+            "sweep: mem=40: run() drifts from the walk",)
         clean = evaluate_workload(_small_workload(),
                                   FuzzCheckSpec(sweep_points=0))
         assert not clean.diverged

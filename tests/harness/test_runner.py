@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core import BASELINE, SPEAR_128
+from repro.fuzz import FuzzCheckSpec
 from repro.fuzz.schedule import GuidedCampaignSpec, resolve_arm
 from repro.harness import (Cell, DiskCache, ExperimentRunner,
                            report_trace_spec)
 from repro.memory import LatencyConfig
+from repro.pipeline import TimingSimulator
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +76,26 @@ class TestRuns:
 
     def test_workload_name_on_result(self, runner):
         assert runner.run("pointer", BASELINE).workload == "pointer"
+
+    @pytest.mark.parametrize("sweep_points, runs", [(0, 4), (2, 8)])
+    def test_fuzz_cell_counts_every_timing_run(self, monkeypatch,
+                                               sweep_points, runs):
+        """A fuzz cell counts the runs its check made: a skipping and a
+        walking run per config, plus two per sampled sweep point."""
+        made = []
+        run = TimingSimulator.run
+
+        def counting(sim):
+            made.append(sim)
+            return run(sim)
+
+        monkeypatch.setattr(TimingSimulator, "run", counting)
+        runner = ExperimentRunner()
+        verdict = runner.get(Cell("fuzz:v1:1:0", BASELINE,
+                                  fuzz=FuzzCheckSpec(
+                                      sweep_points=sweep_points)))
+        assert ("sweep" in verdict.checks) == bool(sweep_points)
+        assert len(made) == runner.simulations == runs
 
 
 _SPEC = report_trace_spec()

@@ -4,9 +4,10 @@ The golden digests elsewhere (``tests/properties/test_policy.py``, the
 bench's kernel digests) pin baseline and SPEAR-128 under the default
 wrong-path, drain and chaining settings only.  Each run here times a
 small paper workload under one front-end or PE setting the defaults
-never reach, on both timing kernels, and pins the sha256 of its pickled
-``PipelineResult`` (sampled timeline included) followed by its full
-serialized event stream.  Both kernels must produce the pinned bytes.
+never reach, and pins the sha256 of its pickled ``PipelineResult``
+(sampled timeline included) followed by its full serialized event
+stream.  ``run()``, which skips idle stretches, and the per-cycle walk
+must both produce the pinned bytes.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import pytest
 
 from repro.core.configs import SPEAR_128
 from repro.harness import ExperimentRunner
-from repro.memory import MemoryHierarchy
 from repro.observe import IntervalSampler, RingBufferSink, serialize_events
-from repro.pipeline import make_simulator
 from repro.policy import make_policy
+
+from ..conftest import WALK_OR_SKIP, timing_sim
 
 WORKLOADS = ("mcf", "gzip", "tr")
 
@@ -97,25 +98,24 @@ def runner():
     return ExperimentRunner(instruction_scale=0.05)
 
 
-def run_digest(runner, workload: str, setting: str, kernel: str) -> str:
+def run_digest(runner, workload: str, setting: str, walk: bool) -> str:
     art = runner.artifacts(workload)
     config = dataclasses.replace(SPEAR_128, name=f"SPEAR-128/{setting}",
                                  **SETTINGS[setting])
     policy = (make_policy("adaptive-phase").make_controller(config)
               if setting == "adaptive-phase" else None)
     sink = RingBufferSink(capacity=None)
-    sim = make_simulator(kernel, art.eval_trace, config, art.binary.table,
-                         MemoryHierarchy(latencies=config.latencies),
-                         warmup=art.warmup_trace, tracer=sink,
-                         sampler=IntervalSampler(500), policy=policy)
+    sim = timing_sim(art.eval_trace, config, art.binary.table, walk=walk,
+                     warmup=art.warmup_trace, tracer=sink,
+                     sampler=IntervalSampler(500), policy=policy)
     result = pickle.dumps(sim.run(), pickle.HIGHEST_PROTOCOL)
     events = serialize_events(sink.events()).encode()
     return hashlib.sha256(result + events).hexdigest()
 
 
-@pytest.mark.parametrize("kernel", ("reference", "fast-forward"))
+@WALK_OR_SKIP
 @pytest.mark.parametrize("setting", SETTINGS)
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_frontend_run_matches_pin(runner, workload, setting, kernel):
-    assert run_digest(runner, workload, setting, kernel) == \
+def test_frontend_run_matches_pin(runner, workload, setting, walk):
+    assert run_digest(runner, workload, setting, walk) == \
         PINNED[workload, setting]

@@ -5,8 +5,9 @@ indices ``[_decoded, _fetch_idx)`` followed by ``_bubbles`` wrong-path
 placeholders, and the entries whose p-thread indicator is still set are
 the marked-pc indices at or past ``max(_pe_idx, _decoded)``.  These tests
 step traced paper-workload runs one cycle at a time under each wrong-path
-model and check that the window, the bubbles, mispredict squashes and the
-marked deque keep the shape the model relies on.
+model, skipping and walking, and check that the window, the bubbles,
+mispredict squashes and the marked deque keep the shape the model relies
+on.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import pytest
 
 from repro.core.configs import SPEAR_128
 from repro.harness import ExperimentRunner
-from repro.memory import MemoryHierarchy
 from repro.observe import RingBufferSink
-from repro.pipeline import make_simulator
+
+from ..conftest import WALK_OR_SKIP, timing_sim
 
 WORKLOADS = ("mcf", "gzip", "tr")
 WRONG_PATH = ("reconverge", "bubbles", "stall")
@@ -48,16 +49,15 @@ def check_window(sim, marked_pc) -> None:
         [i for i in range(low, fetch_idx) if marked_pc[i]]
 
 
-@pytest.mark.parametrize("kernel", ("reference", "fast-forward"))
+@WALK_OR_SKIP
 @pytest.mark.parametrize("wrong_path", WRONG_PATH)
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_ifq_window_invariants(runner, workload, wrong_path, kernel):
+def test_ifq_window_invariants(runner, workload, wrong_path, walk):
     art = runner.artifacts(workload)
     config = dataclasses.replace(SPEAR_128, wrong_path=wrong_path)
     table = art.binary.table
-    sim = make_simulator(kernel, art.eval_trace, config, table,
-                         MemoryHierarchy(latencies=config.latencies),
-                         warmup=art.warmup_trace, tracer=RingBufferSink())
+    sim = timing_sim(art.eval_trace, config, table, walk=walk,
+                     warmup=art.warmup_trace, tracer=RingBufferSink())
     marked_pc = [e.pc in table.marked_pcs for e in art.eval_trace.entries]
     assert any(marked_pc)
 

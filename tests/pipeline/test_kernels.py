@@ -1,9 +1,10 @@
 """The timing-kernel interface: construction by name, step/run parity.
 
-Kernel *equivalence* (byte-identical results vs reference) lives in
-``tests/properties/test_backends.py``; this module covers the interface
-itself — ``make_simulator``, the single-cycle ``step`` driver,
-fast-forward's event horizon and mid-run snapshots.
+Skip *equivalence* (``run()`` byte-identical to the per-cycle walk)
+lives in ``tests/properties/test_backends.py``; this module covers the
+interface itself — ``make_simulator``, the single-cycle ``step`` driver
+on the skip and on the walk, the skip's event horizon and mid-run
+snapshots.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from repro.core import PThread, PThreadTable
 from repro.core.configs import BASELINE, SPEAR_128
 from repro.functional import run_program
 from repro.memory import MemoryHierarchy
-from repro.pipeline import (FastForwardSimulator, TimingSimulator,
-                            make_simulator)
+from repro.pipeline import TimingSimulator, make_simulator
 
-from ..conftest import build_gather_program, gather_load_pcs
+from ..conftest import (WALK_OR_SKIP, build_gather_program, gather_load_pcs,
+                        timing_sim)
 
 
 def gather_cell(iters=150):
@@ -32,20 +33,17 @@ def gather_cell(iters=150):
     return run_program(prog, max_instructions=30_000), table
 
 
-def build(backend, trace, config, table=None):
-    return make_simulator(backend, trace, config, table,
-                          MemoryHierarchy(latencies=config.latencies))
-
-
 class TestMakeSimulator:
     @pytest.mark.parametrize("backend, cls", [
         ("reference", TimingSimulator), (None, TimingSimulator),
-        ("fast-forward", FastForwardSimulator)])
+        ("fast-forward", TimingSimulator)])
     def test_names(self, backend, cls):
+        """Every accepted name builds the one kernel, idle skip on."""
         trace, table = gather_cell(20)
-        sim = build(backend, trace, SPEAR_128, table)
+        sim = make_simulator(backend, trace, SPEAR_128, table,
+                             MemoryHierarchy(latencies=SPEAR_128.latencies))
         assert type(sim) is cls
-        assert sim.backend == (backend or "reference")
+        assert sim._ff
 
     def test_unknown_backend_is_an_error(self):
         with pytest.raises(ValueError, match="unknown timing-kernel"
@@ -54,20 +52,20 @@ class TestMakeSimulator:
 
 
 class TestStepDriver:
-    @pytest.mark.parametrize("backend", ("reference", "fast-forward"))
-    def test_step_loop_reaches_run_result(self, backend):
+    @WALK_OR_SKIP
+    def test_step_loop_reaches_run_result(self, walk):
         trace, table = gather_cell()
-        stepped = build(backend, trace, SPEAR_128, table)
+        stepped = timing_sim(trace, SPEAR_128, table, walk=walk)
         while stepped.step():
             pass
-        ran = build(backend, trace, SPEAR_128, table)
+        ran = timing_sim(trace, SPEAR_128, table, walk=walk)
         assert (pickle.dumps(stepped.run(), pickle.HIGHEST_PROTOCOL)
                 == pickle.dumps(ran.run(), pickle.HIGHEST_PROTOCOL))
 
-    @pytest.mark.parametrize("backend", ("reference", "fast-forward"))
-    def test_step_advances_one_cycle(self, backend):
+    @WALK_OR_SKIP
+    def test_step_advances_one_cycle(self, walk):
         trace, table = gather_cell()
-        sim = build(backend, trace, SPEAR_128, table)
+        sim = timing_sim(trace, SPEAR_128, table, walk=walk)
         for _ in range(25):
             before = sim._cycle
             if not sim.step():
@@ -76,7 +74,7 @@ class TestStepDriver:
 
     def test_step_after_completion_is_a_noop(self):
         trace, table = gather_cell(30)
-        sim = build("reference", trace, SPEAR_128, table)
+        sim = timing_sim(trace, SPEAR_128, table)
         while sim.step():
             pass
         cycle = sim._cycle
@@ -89,7 +87,7 @@ class TestHorizonAndSnapshot:
         """A jump lands at or before the next completion event and the
         fetch-redirect cycle, never past them or the deadlock bound."""
         trace, table = gather_cell()
-        sim = build("fast-forward", trace, SPEAR_128, table)
+        sim = timing_sim(trace, SPEAR_128, table)
         jump = sim._fast_forward
         landed = []
 
@@ -110,11 +108,10 @@ class TestHorizonAndSnapshot:
 
     def test_snapshot_mid_run_and_at_end(self):
         trace, table = gather_cell()
-        sim = build("fast-forward", trace, SPEAR_128, table)
+        sim = timing_sim(trace, SPEAR_128, table)
         for _ in range(50):
             sim.step()
         mid = sim.stats_snapshot()
-        assert mid["backend"] == "fast-forward"
         assert mid["cycles"] == 50
         assert 0 <= mid["committed"] <= len(trace)
         assert mid["ipc"] == mid["committed"] / 50
@@ -125,9 +122,9 @@ class TestHorizonAndSnapshot:
 
     def test_fast_forward_diagnostics_stay_out_of_results(self):
         """The jump counters are observability only: the result object
-        must not carry them (byte identity with reference)."""
+        must not carry them (byte identity with the walk)."""
         trace, table = gather_cell()
-        sim = build("fast-forward", trace, SPEAR_128, table)
+        sim = timing_sim(trace, SPEAR_128, table)
         result = sim.run()
         assert sim.ff_jumps > 0 and sim.ff_cycles_skipped > 0
         assert "ff_jumps" not in result.stats.snapshot()

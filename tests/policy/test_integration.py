@@ -12,10 +12,10 @@ import pytest
 from repro.core.configs import BASELINE, SPEAR_128
 from repro.harness import Cell, ExperimentRunner, ablate_policy_cells
 from repro.harness.journal import cell_key
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.observe.events import POLICY
-from repro.pipeline import make_simulator
 from repro.policy import make_policy
+
+from ..conftest import timing_sim
 
 
 @pytest.fixture(scope="module")
@@ -109,26 +109,25 @@ def test_phase_run_is_deterministic(runner):
 
 
 def test_phase_run_backends_byte_identical(runner):
-    """The fast-forward kernel clamps skips to decision boundaries, so it
-    must reproduce the reference decision sequence exactly — and both
-    kernels must equal the harness's adaptive-phase run."""
+    """``run()`` clamps idle skips to decision boundaries, so it must
+    reproduce the per-cycle walk's decision sequence exactly — and both
+    must equal the harness's adaptive-phase run."""
     for name in ("ll4", "mcf"):
         art = runner.artifacts(name)
 
-        def run_on(kernel):
+        def run(walk):
             controller = make_policy("adaptive-phase").make_controller(
                 SPEAR_128)
-            return make_simulator(
-                kernel, art.eval_trace, SPEAR_128, art.binary.table,
-                MemoryHierarchy(latencies=SPEAR_128.latencies),
-                warmup=art.warmup_trace, policy=controller).run()
+            return timing_sim(art.eval_trace, SPEAR_128, art.binary.table,
+                              walk=walk, warmup=art.warmup_trace,
+                              policy=controller).run()
 
-        ref, ff = run_on("reference"), run_on("fast-forward")
-        assert _digest(ref) == _digest(ff), name
-        assert ref.policy == ff.policy, name
+        skip, walk = run(False), run(True)
+        assert _digest(skip) == _digest(walk), name
+        assert skip.policy == walk.policy, name
         harness = runner.run(name, SPEAR_128, policy="adaptive-phase")
-        assert _digest(harness) == _digest(ref), name
-        assert harness.policy == ref.policy, name
+        assert _digest(harness) == _digest(walk), name
+        assert harness.policy == walk.policy, name
 
 
 # ---------------------------------------------------------------------------

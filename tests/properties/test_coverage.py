@@ -5,10 +5,10 @@ The coverage engine's contract is that a behaviour map depends only on
 
 * **job independence** — a campaign's coverage map is byte-identical at
   ``--jobs 1`` and ``--jobs 2`` (verdicts merge in submission order);
-* **backend independence** — a program's behaviour vector is identical
-  whether the primary timing kernel is ``reference`` or
-  ``fast-forward`` (the banding only reads counters both backends
-  produce byte-identically);
+* **backend independence** — a program's behaviour vector does not
+  depend on the order of the check's ``backends`` names (they only
+  key the cell: the banding reads ``run()``'s counters, which the
+  per-cycle walk reproduces byte-identically);
 * **accumulation-order independence** — maps are counters, so any
   permutation of the same verdicts serializes to the same bytes;
 * **distillation cover** — the distilled corpus covers *exactly* the

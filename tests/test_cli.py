@@ -303,7 +303,7 @@ class TestFiguresAndTables:
 
 
 class TestNoBackendOption:
-    """Every verb runs the reference kernel; there is no kernel choice."""
+    """Every verb runs the one timing kernel; there is no kernel choice."""
 
     @pytest.mark.parametrize("argv", [
         ["figure", "9", "pointer", "--backend", "batched"],
@@ -381,6 +381,14 @@ class TestFuzz:
         doc = _json.loads(out.read_text())
         assert doc["total"] == 3
         assert doc["counts"]["divergence"] == 0
+
+    def test_failed_cells_exit_nonzero(self, monkeypatch, capsys):
+        """A terminally failed cell exits 1 without ``--strict``, as
+        ``figure`` and ``compare`` do."""
+        monkeypatch.setenv("REPRO_FAULTS", "fail:p=1:times=0")
+        assert main(["fuzz", "run", "--seed", "1", "--count", "3",
+                     "--jobs", "1", "--no-cache"]) == 1
+        assert "NO VERDICT" in capsys.readouterr().err
 
     def test_triage_emits_json(self, capsys):
         args = list(self.CAMPAIGN)
