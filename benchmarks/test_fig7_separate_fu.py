@@ -1,12 +1,13 @@
 """Figure 7 — dedicated functional units (SPEAR.sf models).
 
-Paper: +18.9% / +26.3% mean for sf-128 / sf-256 (vs +12.7% / +20.1%
-shared).  Shape: the sf models are at least as fast as their shared
-counterparts on average (dedicated resources can only remove contention)."""
+Paper: the ``figure7`` claims of :mod:`repro.paper`, each above the
+shared-FU mean of Figure 6.  Shape: the sf models are at least as fast as
+their shared counterparts on average (dedicated resources can only remove
+contention)."""
 
 from repro.harness import figure7
 
-from .conftest import emit, once
+from .conftest import emit, emit_claims, once
 
 
 def test_fig7_dedicated_fus(benchmark, runner, out_dir):
@@ -23,3 +24,4 @@ def test_fig7_dedicated_fus(benchmark, runner, out_dir):
 
     emit(out_dir, "figure7", res.table(
         "Figure 7 — normalized IPC including dedicated-FU models").render())
+    emit_claims(out_dir, "figure7", res)

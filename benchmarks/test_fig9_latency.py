@@ -1,13 +1,14 @@
 """Figure 9 — long-latency tolerance.
 
 Six benchmarks (pointer, update, nbh, dm, mcf, vpr) swept over memory
-latencies {40..200} / L2 {4..20}.  Paper: at the longest latency the
-baseline loses 48.5% of its shortest-latency IPC while SPEAR-128/256 lose
-only 39.7% / 38.4% — pre-execution flattens the degradation curve."""
+latencies {40..200} / L2 {4..20}.  Paper: the ``figure9`` claims of
+:mod:`repro.paper` — at the longest latency the baseline loses more of
+its shortest-latency IPC than SPEAR-128/256 do, so pre-execution flattens
+the degradation curve."""
 
 from repro.harness import figure9
 
-from .conftest import emit, once
+from .conftest import emit, emit_claims, once
 
 
 def test_fig9_latency_tolerance(benchmark, runner, out_dir):
@@ -32,3 +33,4 @@ def test_fig9_latency_tolerance(benchmark, runner, out_dir):
     assert ahead >= 5, "SPEAR should beat baseline at long latency nearly everywhere"
 
     emit(out_dir, "figure9", res.table().render())
+    emit_claims(out_dir, "figure9", res)

@@ -6,17 +6,41 @@ Usage:
     python scripts/generate_experiments_md.py
 
 The resulting EXPERIMENTS.md records paper-vs-measured for every table and
-figure, pulling the actual regenerated tables from ``benchmarks/out/``.
+figure, pulling the actual regenerated tables from ``benchmarks/out/``.  The
+paper's numbers come from :mod:`repro.paper`, and the headline table's
+measured values from what the figure benchmarks recorded for its claims in
+``benchmarks/out/claims.json``.
 """
 
 from __future__ import annotations
 
-import re
+import json
 import sys
 from pathlib import Path
 
+from repro.paper import CLAIMS, TABLE
+
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "benchmarks" / "out"
+
+
+def _show(claim, value, workload="") -> str:
+    """A claim's value as the headline table prints it."""
+    text = claim.fmt.format(value)
+    return f"{workload} ({text})" if workload else text
+
+
+def _paper(name: str, fmt: str = "{}") -> str:
+    """One claim's published value, formatted for prose."""
+    return fmt.format(CLAIMS[name].paper)
+
+
+def _sf_gain(size: int) -> str:
+    """The points the paper's dedicated FUs add to one IFQ size's mean."""
+    gain = (CLAIMS[f"fig7-mean-sf{size}"].paper
+            - CLAIMS[f"fig6-mean-{size}"].paper)
+    return f"{gain:+.1f}"
+
 
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
@@ -65,26 +89,29 @@ benchmarks refuse to benefit.
 
 ## Fidelity notes (where the shape bends)
 
-* **Magnitudes run hot.**  Our mean speedups exceed the paper's by roughly
-  1.5x.  The oracle-trace model executes p-thread slices with perfectly
-  computed addresses, and the synthetic kernels have denser delinquent
-  loads than 10^9-instruction SPEC executions; both flatter pre-execution.
-  The orderings (256 > 128 > baseline; sf >= shared) are preserved.
+* **Magnitudes run hot.**  Our mean speedups exceed the paper's (see the
+  table above).  The oracle-trace model executes p-thread slices with
+  perfectly computed addresses, and the synthetic kernels have denser
+  delinquent loads than 10^9-instruction SPEC executions; both flatter
+  pre-execution.  The orderings (256 > 128 > baseline; sf >= shared) are
+  preserved.
 * **tr comes out exactly flat (1.00) rather than -1%.**  The paper's tr
   loss comes from wrong-path pre-execution polluting the cache; our
   trace-driven model cannot execute wrong-path slices, so the residual
   SPEAR cost (decode-slot and port steal) nets to zero on a benchmark with
-  no misses.  fft does reproduce a genuine loss (0.94 at IFQ-256) through
-  its oversized loop-carried slices, and gzip's many-d-load trigger churn
-  keeps it near flat, as published.
-* **Dedicated FUs help only marginally here** (+0.2–0.9% mean vs the
-  paper's ~+6%): with memory-bound IPCs of 0.3–1.3 the shared 8-wide
-  issue path and 4+4 ALUs are rarely contended in our model, so removing
-  FU contention has little left to recover.  The sign of the mean (sf >=
-  shared, biggest where the p-thread is busiest) is preserved; single
-  rows can dip slightly (matrix: 1.638 for sf-128 vs 1.652 shared).
-* **Figure 8's reductions are larger than the paper's** (~56% vs 19.7%
-  mean) for the same coverage reason as the speedups; art remaining a
+  no misses.  fft does reproduce a genuine loss at IFQ-256 (Figure 6)
+  through its oversized loop-carried slices, and gzip's many-d-load
+  trigger churn keeps it near flat, as published.
+* **Dedicated FUs help only marginally here** (compare the Figure 6 and
+  Figure 7 means; the paper's dedicated FUs add {sf_gain_128} points at
+  IFQ-128 and {sf_gain_256} at IFQ-256): with memory-bound IPCs of
+  0.3–1.3 the shared 8-wide issue path and 4+4 ALUs are rarely contended
+  in our model, so removing FU contention has little left to recover.
+  The sign of the mean (sf >= shared, biggest where the p-thread is
+  busiest) is preserved; single rows can dip slightly below shared (see
+  the Figure 7 table).
+* **Figure 8's reductions are larger than the paper's** (see the table
+  above) for the same coverage reason as the speedups; art remaining a
   top-tier reduction and zero-miss benchmarks staying at zero both hold.
 * **Figure 9's degradations are steeper** (our kernels are more
   memory-bound than full SPEC), but the ordering — baseline degrades
@@ -103,24 +130,32 @@ SECTIONS = [
      "paper values (widths, 128-entry RUU, bimodal 2048, 4+1/4+1 FUs, "
      "2 ports, 1/12/120-cycle latencies) are defaults."),
     ("figure6", "Figure 6 — normalized IPC (baseline / SPEAR-128 / SPEAR-256)",
-     "Paper: +12.7% / +20.1% mean; best mcf +87.6%; tr, field, fft, gzip "
-     "between -1% and -6.2%.  Measured: means above, mcf/matrix lead, and "
-     "the same four benchmarks are the non-gainers (flat to -8%)."),
+     f"Paper: {_paper('fig6-mean-128', '{:+}%')} / "
+     f"{_paper('fig6-mean-256', '{:+}%')} mean; best "
+     f"{CLAIMS['fig6-best'].workload} {_paper('fig6-best', '{:+}%')}; tr, "
+     "field, fft, gzip between -1% and -6.2%.  Measured: means above, "
+     "mcf/matrix lead, and the same four benchmarks are the non-gainers."),
     ("table3", "Table 3 — performance enhancement with a longer IFQ",
-     "Paper: matrix benefits most from the deeper queue (1.45x) thanks to "
-     "its near-perfect branch prediction; update/tr regress slightly.  "
+     "Paper: matrix benefits most from the deeper queue "
+     f"({TABLE['matrix'].ratio}x) thanks to its near-perfect branch "
+     "prediction; update/tr regress slightly.  "
      "Measured: matrix is again among the leaders; fft and gzip dip below "
      "1.0 (our analogs' deep-queue losers)."),
     ("figure7", "Figure 7 — dedicated functional units (SPEAR.sf)",
-     "Paper: +18.9% / +26.3% mean for sf-128/sf-256.  Measured: sf >= "
-     "shared on the mean, with small margins (see fidelity notes)."),
+     f"Paper: {_paper('fig7-mean-sf128', '{:+}%')} / "
+     f"{_paper('fig7-mean-sf256', '{:+}%')} mean for sf-128/sf-256.  "
+     "Measured: sf >= shared on the mean, with small margins (see fidelity "
+     "notes)."),
     ("figure8", "Figure 8 — L1-D cache miss reduction",
-     "Paper: 19.7% of misses removed on average (SPEAR-256); best art "
-     "-38.8%.  Measured: art remains top-tier; zero-miss benchmarks "
-     "(tr, field) are exactly unchanged."),
+     f"Paper: {_paper('fig8-mean-256')}% of misses removed on average "
+     f"(SPEAR-256); best {CLAIMS['fig8-best'].workload} "
+     f"-{_paper('fig8-best')}%.  Measured: art remains top-tier; zero-miss "
+     "benchmarks (tr, field) are exactly unchanged."),
     ("figure9", "Figure 9 — long-latency tolerance",
-     "Paper: at mem=200/L2=20 the baseline keeps 51.5% of its short-"
-     "latency IPC, SPEAR-128 60.3%, SPEAR-256 61.6%.  Measured: same "
+     "Paper: at mem=200/L2=20 the baseline keeps "
+     f"{100 - CLAIMS['fig9-loss-base'].paper:.1f}% of its short-latency IPC, "
+     f"SPEAR-128 {100 - CLAIMS['fig9-loss-128'].paper:.1f}%, SPEAR-256 "
+     f"{100 - CLAIMS['fig9-loss-256'].paper:.1f}%.  Measured: same "
      "ordering (baseline degrades most, SPEAR-256 least) on the same six "
      "benchmarks."),
     ("timeliness", "Observability — speculative-fill timeliness",
@@ -242,45 +277,29 @@ SECTIONS = [
 
 
 def _headline_rows() -> str:
-    fig6 = (OUT / "figure6.txt").read_text()
-    fig7 = (OUT / "figure7.txt").read_text()
-    fig8 = (OUT / "figure8.txt").read_text()
-    fig9 = (OUT / "figure9.txt").read_text()
-
-    def grab(text, pat):
-        m = re.search(pat, text)
-        return m.group(1) if m else "?"
-
-    rows = [
-        ("Mean speedup, SPEAR-128", "+12.7%",
-         grab(fig6, r"mean SPEAR-128: (\+?[\d.]+%)")),
-        ("Mean speedup, SPEAR-256", "+20.1%",
-         grab(fig6, r"mean SPEAR-256: (\+?[\d.]+%)")),
-        ("Mean speedup, SPEAR.sf-128", "+18.9%",
-         grab(fig7, r"mean SPEAR\.sf-128: (\+?[\d.]+%)")),
-        ("Mean speedup, SPEAR.sf-256", "+26.3%",
-         grab(fig7, r"mean SPEAR\.sf-256: (\+?[\d.]+%)")),
-        ("Best-case benchmark", "mcf (+87.6%)",
-         "mcf / matrix (see Figure 6 table)"),
-        ("Mean L1 miss reduction (256)", "19.7%",
-         grab(fig8, r"SPEAR-256: ([\d.]+%)")),
-        ("IPC loss at longest latency, baseline", "48.5%",
-         grab(fig9, r"baseline: loses ([\d.]+%)")),
-        ("IPC loss at longest latency, SPEAR-128", "39.7%",
-         grab(fig9, r"SPEAR-128: loses ([\d.]+%)")),
-        ("IPC loss at longest latency, SPEAR-256", "38.4%",
-         grab(fig9, r"SPEAR-256: loses ([\d.]+%)")),
-    ]
-    return "\n".join(f"| {m} | {p} | {v} |" for m, p, v in rows)
+    measured = json.loads((OUT / "claims.json").read_text())
+    rows = []
+    for name, claim in CLAIMS.items():
+        if claim.headline:
+            value = measured[name]
+            got = (_show(claim, value[1], value[0]) if claim.workload
+                   else _show(claim, value))
+            rows.append(f"| {claim.label} | "
+                        f"{_show(claim, claim.paper, claim.workload)} | "
+                        f"{got} |")
+    return "\n".join(rows)
 
 
 def main() -> None:
-    missing = [n for n, _, _ in SECTIONS if not (OUT / f"{n}.txt").exists()]
+    needed = [f"{n}.txt" for n, _, _ in SECTIONS] + ["claims.json"]
+    missing = [f for f in needed if not (OUT / f).exists()]
     if missing:
         sys.exit(f"missing benchmark outputs {missing}; "
                  f"run: pytest benchmarks/ --benchmark-only")
 
-    parts = [HEADER.format(headline_rows=_headline_rows())]
+    parts = [HEADER.format(headline_rows=_headline_rows(),
+                           sf_gain_128=_sf_gain(128),
+                           sf_gain_256=_sf_gain(256))]
     for name, title, commentary in SECTIONS:
         body = (OUT / f"{name}.txt").read_text().rstrip()
         parts.append(f"## {title}\n\n{commentary}\n\n```\n{body}\n```\n")

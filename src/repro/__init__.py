@@ -6,13 +6,14 @@ The package implements, from scratch:
 * ``repro.isa``        — SPISA, a PISA-like RISC ISA with assembler & builder
 * ``repro.functional`` — an architectural simulator producing committed traces
 * ``repro.memory``     — the L1/L2/DRAM hierarchy with in-flight fill merging
-* ``repro.branch``     — bimodal (and friends) branch prediction
+* ``repro.branch``     — bimodal branch prediction
 * ``repro.pipeline``   — the cycle-level SMT timing model with SPEAR hardware
 * ``repro.compiler``   — the SPEAR post-compiler (CFG, profiler, slicer,
   attacher)
 * ``repro.core``       — p-thread descriptors, machine configs, SPEAR binary
 * ``repro.workloads``  — analogs of the paper's 15 evaluation benchmarks
 * ``repro.harness``    — regeneration of every table and figure
+* ``repro.paper``      — the paper's published numbers, which the rest reads
 
 Quick start::
 

@@ -1,9 +1,5 @@
-"""Branch direction prediction (bimodal default, per the paper's Table 2)."""
+"""Branch direction prediction (bimodal, per the paper's Table 2)."""
 
-from .predictors import (AlwaysTakenPredictor, BimodalPredictor,
-                         BranchPredictor, GsharePredictor, PredictorStats,
-                         StaticBTFNPredictor, make_predictor)
+from .predictors import BimodalPredictor, PredictorStats
 
-__all__ = ["AlwaysTakenPredictor", "BimodalPredictor", "BranchPredictor",
-           "GsharePredictor", "PredictorStats", "StaticBTFNPredictor",
-           "make_predictor"]
+__all__ = ["BimodalPredictor", "PredictorStats"]

@@ -1,9 +1,8 @@
-"""Branch direction predictors.
+"""Branch direction prediction.
 
 The paper's configuration (Table 2) is a bimodal predictor with a
-2048-entry table of 2-bit saturating counters.  Gshare and two static
-schemes are provided for ablation studies; all share one interface:
-
+2048-entry table of 2-bit saturating counters, and it is the one kind the
+timing model builds (``MachineConfig`` rejects any other ``predictor``):
 ``predict(pc) -> bool`` followed by ``update(pc, taken)``.
 
 Targets are not predicted: the timing model replays the committed path, so
@@ -34,45 +33,19 @@ class PredictorStats:
             self.correct += 1
 
 
-class BranchPredictor:
-    """Interface for direction predictors."""
-
-    __slots__ = ("stats",)
-
-    def __init__(self) -> None:
-        self.stats = PredictorStats()
-
-    def predict(self, pc: int) -> bool:
-        raise NotImplementedError
-
-    def update(self, pc: int, taken: bool) -> None:
-        raise NotImplementedError
-
-    def predict_and_update(self, pc: int, taken: bool) -> bool:
-        """Convenience: predict, record accuracy, train.  Returns
-        True when the prediction was correct."""
-        correct = self.predict(pc) == taken
-        self.stats.record(correct)
-        self.update(pc, taken)
-        return correct
-
-    def reset(self) -> None:
-        self.stats = PredictorStats()
-
-
-class BimodalPredictor(BranchPredictor):
+class BimodalPredictor:
     """2-bit saturating-counter table indexed by the branch PC.
 
     Counters: 0/1 predict not-taken, 2/3 predict taken; initialized to
     weakly taken (2), matching SimpleScalar's bimodal default.
     """
 
-    __slots__ = ("table_size", "_mask", "_table")
+    __slots__ = ("stats", "table_size", "_mask", "_table")
 
     def __init__(self, table_size: int = 2048):
-        super().__init__()
         if table_size <= 0 or table_size & (table_size - 1):
             raise ValueError("table size must be a power of two")
+        self.stats = PredictorStats()
         self.table_size = table_size
         self._mask = table_size - 1
         self._table = [2] * table_size
@@ -89,92 +62,14 @@ class BimodalPredictor(BranchPredictor):
         elif ctr > 0:
             self._table[idx] = ctr - 1
 
-    def reset(self) -> None:
-        super().reset()
-        self._table = [2] * self.table_size
-
-
-class GsharePredictor(BranchPredictor):
-    """Global-history XOR-indexed 2-bit counter table (ablation option)."""
-
-    __slots__ = ("table_size", "history_bits", "_mask", "_hmask",
-                 "_table", "_history")
-
-    def __init__(self, table_size: int = 2048, history_bits: int = 8):
-        super().__init__()
-        if table_size <= 0 or table_size & (table_size - 1):
-            raise ValueError("table size must be a power of two")
-        self.table_size = table_size
-        self.history_bits = history_bits
-        self._mask = table_size - 1
-        self._hmask = (1 << history_bits) - 1
-        self._table = [2] * table_size
-        self._history = 0
-
-    def _index(self, pc: int) -> int:
-        return (pc ^ self._history) & self._mask
-
-    def predict(self, pc: int) -> bool:
-        return self._table[self._index(pc)] >= 2
-
-    def update(self, pc: int, taken: bool) -> None:
-        idx = self._index(pc)
-        ctr = self._table[idx]
-        if taken:
-            if ctr < 3:
-                self._table[idx] = ctr + 1
-        elif ctr > 0:
-            self._table[idx] = ctr - 1
-        self._history = ((self._history << 1) | int(taken)) & self._hmask
+    def predict_and_update(self, pc: int, taken: bool) -> bool:
+        """Predict, record accuracy, train.  Returns True when the
+        prediction was correct."""
+        correct = self.predict(pc) == taken
+        self.stats.record(correct)
+        self.update(pc, taken)
+        return correct
 
     def reset(self) -> None:
-        super().reset()
+        self.stats = PredictorStats()
         self._table = [2] * self.table_size
-        self._history = 0
-
-
-class AlwaysTakenPredictor(BranchPredictor):
-    """Degenerate predictor: everything is taken."""
-
-    __slots__ = ()
-
-    def predict(self, pc: int) -> bool:
-        return True
-
-    def update(self, pc: int, taken: bool) -> None:
-        pass
-
-
-class StaticBTFNPredictor(BranchPredictor):
-    """Backward-taken / forward-not-taken.
-
-    Needs the branch target to classify direction, so ``predict`` consults
-    a target map captured at construction.
-    """
-
-    __slots__ = ("_targets",)
-
-    def __init__(self, targets: dict[int, int]):
-        super().__init__()
-        self._targets = targets
-
-    def predict(self, pc: int) -> bool:
-        target = self._targets.get(pc)
-        return target is not None and target <= pc
-
-    def update(self, pc: int, taken: bool) -> None:
-        pass
-
-
-def make_predictor(kind: str, *, table_size: int = 2048,
-                   targets: dict[int, int] | None = None) -> BranchPredictor:
-    """Factory used by machine configs: 'bimodal', 'gshare', 'taken', 'btfn'."""
-    if kind == "bimodal":
-        return BimodalPredictor(table_size)
-    if kind == "gshare":
-        return GsharePredictor(table_size)
-    if kind == "taken":
-        return AlwaysTakenPredictor()
-    if kind == "btfn":
-        return StaticBTFNPredictor(targets or {})
-    raise ValueError(f"unknown predictor kind {kind!r}")

@@ -73,6 +73,7 @@ from .harness import (Cell, DiskCache, ExecutionPolicy, ExperimentRunner,
                       run_cells, table1, table2, table3)
 from .harness.faults import FAULTS_ENV, FaultSpecError, active_faults
 from .observe import EVENT_KINDS, filter_events
+from .paper import TABLE
 from .workloads import all_workload_names, get_workload
 
 
@@ -182,9 +183,10 @@ def cmd_list(args) -> int:
           f"{'paper IPB':>9s}  notes")
     for name in all_workload_names():
         w = get_workload(name)
-        print(f"{name:9s} {w.suite:11s} {w.paper.expectation:6s} "
-              f"{w.paper.branch_hit_ratio:9.4f} {w.paper.ipb:9.2f}  "
-              f"{w.paper.notes}")
+        row = TABLE.get(name)
+        paper = (f"{row.expectation:6s} {row.branch_hit_ratio:9.4f} "
+                 f"{row.ipb:9.2f}" if row else f"{'-':6s} {'-':>9s} {'-':>9s}")
+        print(f"{name:9s} {w.suite:11s} {paper}  {w.notes}")
     return 0
 
 

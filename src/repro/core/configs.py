@@ -54,6 +54,7 @@ class MachineConfig:
     fetch_width: int = 8
     decode_width: int = 8
     ifq_size: int = 128
+    #: Table 2's bimodal predictor, the only kind the timing model builds
     predictor: str = "bimodal"
     predictor_table_size: int = 2048
     mispredict_redirect_penalty: int = 3
@@ -132,6 +133,8 @@ class MachineConfig:
             raise ValueError(f"unknown drain_policy {self.drain_policy!r}")
         if self.wrong_path not in ("reconverge", "bubbles", "stall"):
             raise ValueError(f"unknown wrong_path mode {self.wrong_path!r}")
+        if self.predictor != "bimodal":
+            raise ValueError(f"unknown predictor {self.predictor!r}")
         if self.prefetcher not in ("none", "nextline", "stride"):
             raise ValueError(f"unknown prefetcher {self.prefetcher!r}")
         if self.ifq_size < 1:

@@ -4,8 +4,9 @@ Each ``ExperimentX`` function takes an :class:`ExperimentRunner`, runs the
 required (workload x configuration) matrix, and returns a result object
 whose ``table()`` renders the same rows/series the paper reports.
 
-Paper reference values are embedded so reports show paper-vs-measured side
-by side (EXPERIMENTS.md is generated from these).
+The paper's published values come from :mod:`repro.paper`, so reports
+show paper-vs-measured side by side (EXPERIMENTS.md is generated from
+these).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from ..memory.hierarchy import FIG9_LATENCIES, LatencyConfig
 from ..observe.compare import (PE_EVENT_KINDS, SuiteDiff, TimelineDiff,
                                diff_timelines)
 from ..observe.render import render_report, render_suite_report
+from ..paper import CLAIMS, TABLE, mean_gain
 from ..workloads.base import all_workload_names, get_workload
 from .runner import Cell, ExperimentRunner, TracedRun, TraceSpec
 from .tables import TextTable, arithmetic_mean, geometric_mean
@@ -31,32 +33,17 @@ EVAL_WORKLOADS = ["pointer", "update", "nbh", "tr", "matrix", "field",
 
 #: Paper Table 3: per-benchmark SPEAR-256/SPEAR-128 ratio, branch hit
 #: ratio and instructions-per-branch.
-PAPER_TABLE3 = {
-    "pointer": (1.00, 0.9788, 7.08),
-    "update": (0.94, 0.8865, 8.72),
-    "nbh": (1.06, 0.9958, 15.21),
-    "tr": (0.99, 0.8865, 22.55),
-    "matrix": (1.45, 0.9942, 11.75),
-    "field": (1.00, 0.9870, 39.30),
-    "dm": (1.01, 0.8907, 4.92),
-    "ray": (1.00, 0.9560, 7.21),
-    "fft": (1.00, 0.9893, 10.32),
-    "gzip": (1.00, 0.8986, 6.08),
-    "mcf": (1.05, 0.9098, 3.45),
-    "vpr": (1.00, 0.9005, 5.92),
-    "bzip2": (1.04, 0.9425, 6.24),
-    "equake": (1.15, 0.9018, 6.18),
-    "art": (1.21, 0.9504, 6.43),
-}
+PAPER_TABLE3 = {name: (row.ratio, row.branch_hit_ratio, row.ipb)
+                for name, row in TABLE.items()}
 
 #: Paper headline numbers (mean speedup over baseline, in percent).
-PAPER_MEANS = {"SPEAR-128": 12.7, "SPEAR-256": 20.1,
-               "SPEAR.sf-128": 18.9, "SPEAR.sf-256": 26.3}
+PAPER_MEANS = {c.config: c.paper for c in CLAIMS.values()
+               if c.metric is mean_gain}
 
 #: Figure 9's six benchmarks and the paper's end-to-end degradations.
 FIG9_WORKLOADS = ["pointer", "update", "nbh", "dm", "mcf", "vpr"]
-PAPER_FIG9_DEGRADATION = {"baseline": 48.5, "SPEAR-128": 39.7,
-                          "SPEAR-256": 38.4}
+PAPER_FIG9_DEGRADATION = {c.config: c.paper for c in CLAIMS.values()
+                          if c.figure == "figure9"}
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +126,16 @@ class SpeedupResult:
 
 def figure6(runner: ExperimentRunner,
             workloads: list[str] | None = None) -> SpeedupResult:
-    """Baseline vs SPEAR-128 vs SPEAR-256 (paper: +12.7% / +20.1% mean,
-    mcf best at +87.6%, tr/field/fft/gzip between -1% and -6.2%)."""
+    """Baseline vs SPEAR-128 vs SPEAR-256 (the paper's values are the
+    ``figure6`` claims and Table 3 verdicts of :mod:`repro.paper`)."""
     configs = [BASELINE, SPEAR_128, SPEAR_256]
     return _speedups(runner, configs, workloads or EVAL_WORKLOADS)
 
 
 def figure7(runner: ExperimentRunner,
             workloads: list[str] | None = None) -> SpeedupResult:
-    """Figure 6 plus the dedicated-FU models (paper: +18.9% / +26.3%)."""
+    """Figure 6 plus the dedicated-FU models (the paper's means are the
+    ``figure7`` claims of :mod:`repro.paper`)."""
     configs = [BASELINE, SPEAR_128, SPEAR_256, SPEAR_SF_128, SPEAR_SF_256]
     return _speedups(runner, configs, workloads or EVAL_WORKLOADS)
 
@@ -205,6 +193,7 @@ class MissReductionResult:
         return row["workload"], row[config_name]
 
     def table(self) -> TextTable:
+        mean, best = CLAIMS["fig8-mean-256"], CLAIMS["fig8-best"]
         t = TextTable(
             "Figure 8 — L1-D miss reduction (main thread)",
             ["workload", "baseline misses", "SPEAR-128", "reduction %",
@@ -216,14 +205,15 @@ class MissReductionResult:
             f"mean reduction SPEAR-128: "
             f"{self.mean_reduction('SPEAR-128') * 100:.1f}%   "
             f"SPEAR-256: {self.mean_reduction('SPEAR-256') * 100:.1f}% "
-            f"(paper: 19.7% for SPEAR-256, best art -38.8%)")
+            f"(paper: {mean.paper}% for {mean.config}, "
+            f"best {best.workload} -{best.paper}%)")
         return t
 
 
 def figure8(runner: ExperimentRunner,
             workloads: list[str] | None = None) -> MissReductionResult:
-    """Main-thread L1 miss reduction under SPEAR (paper: avg 19.7% with
-    SPEAR-256; best art at 38.8%)."""
+    """Main-thread L1 miss reduction under SPEAR (the paper's values are
+    the ``figure8`` claims of :mod:`repro.paper`)."""
     result = MissReductionResult()
     for name in workloads or EVAL_WORKLOADS:
         base = runner.run(name, BASELINE).main_l1_misses
@@ -274,8 +264,9 @@ class LatencySweepResult:
 def figure9(runner: ExperimentRunner,
             workloads: list[str] | None = None,
             latencies: list[LatencyConfig] | None = None) -> LatencySweepResult:
-    """Latency sweep over the paper's six benchmarks (paper: baseline loses
-    48.5%, SPEAR-128 39.7%, SPEAR-256 38.4% at the longest latency)."""
+    """Latency sweep over the paper's six benchmarks (the paper's losses
+    at the longest latency are the ``figure9`` claims of
+    :mod:`repro.paper`)."""
     latencies = latencies or FIG9_LATENCIES
     configs = [BASELINE, SPEAR_128, SPEAR_256]
     result = LatencySweepResult(latencies, configs)

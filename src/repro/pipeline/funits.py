@@ -43,7 +43,11 @@ FU_OF_CLASS: dict[int, int] = {
 
 
 class FUPool:
-    """One thread-visible set of functional units."""
+    """One thread-visible set of functional units.
+
+    ``TimingSimulator._issue`` refills ``_avail`` from ``_capacity`` at
+    the start of each cycle, and ``_issue_from`` claims units from it.
+    """
 
     __slots__ = ("config", "_capacity", "_avail", "conflicts")
 
@@ -54,19 +58,3 @@ class FUPool:
         self._avail = list(self._capacity)
         #: Structural-hazard counters per unit kind (diagnostics).
         self.conflicts = [0] * FUKind.N_KINDS
-
-    def begin_cycle(self) -> None:
-        """Refresh per-cycle availability (in place: no per-cycle list)."""
-        self._avail[:] = self._capacity
-
-    def take(self, op_class: int) -> bool:
-        """Try to claim a unit for this op class this cycle."""
-        kind = FU_OF_CLASS[op_class]
-        if self._avail[kind] > 0:
-            self._avail[kind] -= 1
-            return True
-        self.conflicts[kind] += 1
-        return False
-
-    def available(self, op_class: int) -> int:
-        return self._avail[FU_OF_CLASS[op_class]]

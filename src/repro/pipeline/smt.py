@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..branch.predictors import make_predictor
+from ..branch.predictors import BimodalPredictor
 from ..core.configs import MachineConfig, OP_LATENCY
 from ..core.pthread import PThreadTable
 from ..functional.trace import Trace
@@ -158,9 +158,7 @@ class TimingSimulator:
         self.table = table if (table is not None and config.spear_enabled) \
             else PThreadTable.empty()
         self.mem = memory or MemoryHierarchy(latencies=config.latencies)
-        self.predictor = make_predictor(
-            config.predictor, table_size=config.predictor_table_size,
-            targets={})
+        self.predictor = BimodalPredictor(config.predictor_table_size)
         self.prefetcher = make_prefetcher(
             config.prefetcher, block_bytes=self.mem.l1.config.block_bytes,
             degree=config.prefetch_degree)
@@ -1078,7 +1076,7 @@ class TimingSimulator:
         cfg = self.config
         fu_main = self._fu_main
         fu_pt = self._fu_pt
-        # A new cycle's units (FUPool.begin_cycle, without the call).
+        # A new cycle's units.
         fu_main._avail[:] = fu_main._capacity
         if fu_pt is not fu_main:
             fu_pt._avail[:] = fu_pt._capacity
@@ -1108,8 +1106,8 @@ class TimingSimulator:
         """Issue up to ``budget`` of ``thread``'s ready instances; returns
         count issued.
 
-        Claims units from ``pool``'s availability list directly (what
-        :meth:`FUPool.take` does, without a call per instruction).  Every
+        Claims units from ``pool``'s availability list, counting a
+        structural hazard in ``pool.conflicts`` when none is left.  Every
         ready instance was decoded or extracted in an earlier cycle: issue
         runs before extract and decode within a cycle.
         """

@@ -7,8 +7,8 @@ Importing this package registers every workload; use
 from . import ll4  # noqa: F401
 from . import dis, spec, stressmark  # noqa: F401
 from . import fuzzed  # noqa: F401  (fuzz-found kernels, see docs/fuzzing.md)
-from .base import (PaperFacts, Workload, all_workload_names, get_workload,
-                   register, suite_of)
+from .base import (Workload, all_workload_names, get_workload, register,
+                   suite_of)
 
-__all__ = ["PaperFacts", "Workload", "all_workload_names", "get_workload",
-           "register", "suite_of"]
+__all__ = ["Workload", "all_workload_names", "get_workload", "register",
+           "suite_of"]

@@ -18,23 +18,11 @@ from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..isa.builder import ProgramBuilder
 from ..isa.program import Program
-
-
-@dataclass(frozen=True)
-class PaperFacts:
-    """Published per-benchmark characteristics we aim to approximate
-    (Table 3 and the Figure 6 discussion)."""
-
-    branch_hit_ratio: float
-    ipb: float
-    expectation: str          # "gain", "flat", "loss"
-    notes: str = ""
 
 
 class Workload(ABC):
@@ -44,8 +32,9 @@ class Workload(ABC):
     name: str = ""
     #: "stressmark", "dis" or "spec"
     suite: str = ""
-    #: published behaviour targeted by this analog
-    paper: PaperFacts = PaperFacts(1.0, 10.0, "gain")
+    #: what this analog is known for, shown by ``repro list`` (the
+    #: published numbers it targets are in :mod:`repro.paper`)
+    notes: str = ""
     #: dynamic instruction budget for evaluation traces
     eval_instructions: int = 60_000
     #: dynamic instruction budget for profiling traces

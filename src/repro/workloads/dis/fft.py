@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...isa.builder import ProgramBuilder
-from ..base import PaperFacts, Workload, register
+from ..base import Workload, register
 
 _LOGN = 12
 _N = 1 << _LOGN             # 4K complex points x 2 words = 64 KiB
@@ -29,8 +29,7 @@ _BUTTERFLIES = 4200
 class FFT(Workload):
     name = "fft"
     suite = "dis"
-    paper = PaperFacts(branch_hit_ratio=0.9893, ipb=10.32, expectation="loss",
-                       notes="oversized p-thread slices")
+    notes = "oversized p-thread slices"
     eval_instructions = 80_000
     profile_instructions = 50_000
     mem_bytes = 16 << 20

@@ -17,7 +17,7 @@ property of the registered name, verified by ``tests/fuzz``.
 from __future__ import annotations
 
 from ..fuzz.generator import SpecWorkload, spec_from_json
-from .base import PaperFacts, register
+from .base import register
 
 # fuzz:v1:0:928 — the campaign's strongest speedup (1.90x there, 1.59x
 # under this name): a chase-fed gather behind a biased hammock, exactly
@@ -76,30 +76,26 @@ class _Promoted(SpecWorkload):
 @register
 class FuzzGain(_Promoted):
     name = "fzgain"
-    paper = PaperFacts(branch_hit_ratio=0.68, ipb=9.0, expectation="gain",
-                       notes="fuzz-found: chase-fed gather under a hammock")
+    notes = "fuzz-found: chase-fed gather under a hammock"
     _SPEC = _GAIN
 
 
 @register
 class FuzzMix(_Promoted):
     name = "fzmix"
-    paper = PaperFacts(branch_hit_ratio=1.0, ipb=14.0, expectation="gain",
-                       notes="fuzz-found: chase + rem/shift single loop")
+    notes = "fuzz-found: chase + rem/shift single loop"
     _SPEC = _MIX
 
 
 @register
 class FuzzDrag(_Promoted):
     name = "fzdrag"
-    paper = PaperFacts(branch_hit_ratio=0.53, ipb=9.0, expectation="loss",
-                       notes="fuzz-found: L1-resident, overhead-bound")
+    notes = "fuzz-found: L1-resident, overhead-bound"
     _SPEC = _DRAG
 
 
 @register
 class FuzzSrl(_Promoted):
     name = "fzsrl"
-    paper = PaperFacts(branch_hit_ratio=1.0, ipb=12.0, expectation="flat",
-                       notes="fuzz-found: srl-by-zero simulator bug kernel")
+    notes = "fuzz-found: srl-by-zero simulator bug kernel"
     _SPEC = _SRL

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..isa.builder import ProgramBuilder
-from .base import PaperFacts, Workload, register
+from .base import Workload, register
 
 _N = 1 << 16                # y vector: 512 KiB
 _STRIDE = 5                 # words between consecutive y[j] accesses
@@ -27,8 +27,7 @@ _INNER = 24
 class LL4(Workload):
     name = "ll4"
     suite = "example"
-    paper = PaperFacts(branch_hit_ratio=0.99, ipb=8.0, expectation="gain",
-                       notes="Figure 1 walk-through kernel")
+    notes = "Figure 1 walk-through kernel"
     eval_instructions = 60_000
     profile_instructions = 40_000
     mem_bytes = 8 << 20

@@ -3,15 +3,15 @@
 mcf's network-simplex pricing loop streams a multi-megabyte arc array and
 dereferences each arc's tail/head node pointers — two data-dependent
 gathers per arc into a node array that also misses.  It is the most
-memory-bound program in CINT2000 and the paper's best case: +87.6% with
-SPEAR.
+memory-bound program in CINT2000 and the paper's best case (the
+``fig6-best`` claim in :mod:`repro.paper`).
 
 The gathers are independent across arcs, so SPEAR converts IFQ lookahead
 into memory-level parallelism almost perfectly; the backward slices are a
 handful of instructions each.
 
-Published character: branch hit ratio 0.9098, IPB 3.45 (branchiest of the
-suite), largest SPEAR speedup.
+Published character (its Table 3 row in :mod:`repro.paper`): the
+branchiest of the suite, largest SPEAR speedup.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...isa.builder import ProgramBuilder
-from ..base import PaperFacts, Workload, register
+from ...paper import CLAIMS
+from ..base import Workload, register
 
 _ARCS = 1 << 16             # 64K arcs x 4 words = 2 MiB (streamed)
 _ARC_WORDS = 4              # tail, head, cost, flow
@@ -35,8 +36,7 @@ _BASIS = 1 << 18            # 256K-entry basis structure = 2 MiB (gathered)
 class MCF(Workload):
     name = "mcf"
     suite = "spec"
-    paper = PaperFacts(branch_hit_ratio=0.9098, ipb=3.45, expectation="gain",
-                       notes="best case: +87.6% in the paper")
+    notes = f"best case: {CLAIMS['fig6-best'].paper:+}% in the paper"
     eval_instructions = 70_000
     profile_instructions = 45_000
     mem_bytes = 48 << 20

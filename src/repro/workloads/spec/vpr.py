@@ -4,8 +4,8 @@ Simulated-annealing placement: draw a pair of cells from a move stream,
 gather both cells' coordinates from a large placement array, evaluate the
 bounding-box cost delta, and accept with a data-dependent, biased branch.
 
-Published character: branch hit ratio 0.9005, IPB 5.92, moderate SPEAR
-gain.
+Published character (its Table 3 row in :mod:`repro.paper`): a moderate
+SPEAR gain.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...isa.builder import ProgramBuilder
-from ..base import PaperFacts, Workload, register
+from ..base import Workload, register
 
 _CELLS = 1 << 16            # 64K cells x 2 words = 1 MiB
 _CELL_WORDS = 2             # x, y
@@ -25,7 +25,6 @@ _P_ACCEPT = 0.10
 class VPR(Workload):
     name = "vpr"
     suite = "spec"
-    paper = PaperFacts(branch_hit_ratio=0.9005, ipb=5.92, expectation="gain")
     eval_instructions = 70_000
     profile_instructions = 45_000
     mem_bytes = 16 << 20

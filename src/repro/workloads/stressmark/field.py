@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...isa.builder import ProgramBuilder
-from ..base import PaperFacts, Workload, register
+from ..base import Workload, register
 
 _FIELD = 1 << 11            # 2K words = 16 KiB (fits in L1 after pass 1)
 _PASSES = 20
@@ -29,8 +29,7 @@ _TOKEN = 77
 class Field(Workload):
     name = "field"
     suite = "stressmark"
-    paper = PaperFacts(branch_hit_ratio=0.987, ipb=39.3, expectation="flat",
-                       notes="miss rate too low to benefit")
+    notes = "miss rate too low to benefit"
     eval_instructions = 70_000
     profile_instructions = 45_000
     mem_bytes = 8 << 20

@@ -3,12 +3,13 @@
 The original solves a sparse linear system by conjugate gradient; the hot
 loop is a CSR sparse matrix-vector product: stream the value/column
 arrays, gather ``x[col[k]]``.  Branches are loop bounds only — essentially
-perfectly predictable (published hit ratio 0.9942).
+perfectly predictable (see its Table 3 row in :mod:`repro.paper`).
 
-This benchmark is the paper's best case for the longer IFQ (SPEAR-256 /
-SPEAR-128 = 1.45): the gather addresses are independent across elements,
-so prefetching converts IFQ lookahead directly into memory-level
-parallelism, and the deeper queue doubles the visible window.
+This benchmark is the paper's best case for the longer IFQ (Table 3's
+highest SPEAR-256 / SPEAR-128 ratio): the gather addresses are
+independent across elements, so prefetching converts IFQ lookahead
+directly into memory-level parallelism, and the deeper queue doubles the
+visible window.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...isa.builder import ProgramBuilder
-from ..base import PaperFacts, Workload, register
+from ...paper import TABLE
+from ..base import Workload, register
 
 _ROWS = 260
 _NNZ_PER_ROW = 24
@@ -27,8 +29,7 @@ _XDIM = 1 << 17             # 128K-entry dense vector = 1 MiB (gather target)
 class Matrix(Workload):
     name = "matrix"
     suite = "stressmark"
-    paper = PaperFacts(branch_hit_ratio=0.9942, ipb=11.75, expectation="gain",
-                       notes="largest IFQ-256 benefit (1.45x over 128)")
+    notes = f"largest IFQ-256 benefit ({TABLE[name].ratio}x over 128)"
     eval_instructions = 70_000
     profile_instructions = 45_000
     mem_bytes = 24 << 20

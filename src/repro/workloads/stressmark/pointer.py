@@ -9,7 +9,7 @@ lookahead: the baseline's ROB covers only a couple of sequences, while
 SPEAR's p-thread launches the seed loads and first hops of sequences far
 beyond the reorder window.
 
-Published character (Table 3): branch hit ratio 0.979, IPB 7.08; SPEAR
+Published character (its Table 3 row in :mod:`repro.paper`): SPEAR
 gains and holds up well under long latencies (Figure 9).
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...isa.builder import ProgramBuilder
-from ..base import PaperFacts, Workload, register
+from ..base import Workload, register
 
 _NODES = 1 << 17          # 128K-entry hop table = 1 MiB
 _HOPS = 4                 # serial hops per sequence
@@ -29,8 +29,7 @@ _SEQUENCES = 7000
 class Pointer(Workload):
     name = "pointer"
     suite = "stressmark"
-    paper = PaperFacts(branch_hit_ratio=0.979, ipb=7.08, expectation="gain",
-                       notes="independent hop sequences")
+    notes = "independent hop sequences"
     eval_instructions = 60_000
     profile_instructions = 40_000
     warmup_instructions = 40_000

@@ -4,7 +4,7 @@ Floyd-Warshall-style relaxation over a dense distance matrix: the inner
 loop streams ``d[i][j]`` and ``d[k][j]``, compares against ``d[i][k] +
 d[k][j]`` and conditionally updates.  The update branch depends on loaded
 data and is only mildly biased, giving the low published branch hit ratio
-(0.8865).
+(its Table 3 row in :mod:`repro.paper`).
 
 Expected SPEAR behaviour (Figure 6 discussion): *slight degradation* —
 "tr does not successfully work with our IFQ-based pre-execution because of
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...isa.builder import ProgramBuilder
-from ..base import PaperFacts, Workload, register
+from ..base import Workload, register
 
 _N = 512                    # 512x512 matrix x 8 B = 2 MiB >> L2
 _ROUNDS = 30                # (k, i) pair rounds; inner loop over j
@@ -29,8 +29,7 @@ _P_UPDATE = 0.12            # relaxation succeeds for ~12% of entries
 class TransitiveClosure(Workload):
     name = "tr"
     suite = "stressmark"
-    paper = PaperFacts(branch_hit_ratio=0.8865, ipb=22.55, expectation="loss",
-                       notes="low branch hit ratio defeats IFQ lookahead")
+    notes = "low branch hit ratio defeats IFQ lookahead"
     eval_instructions = 70_000
     profile_instructions = 45_000
     mem_bytes = 24 << 20

@@ -5,8 +5,8 @@ are visited (read-modify-write), plus a data-dependent branch taken for a
 biased minority of nodes.  The serial dependence means extra IFQ lookahead
 cannot be converted into extra memory-level parallelism — matching the
 paper's Table 3, where update is one of only two benchmarks that get
-*slower* with the longer IFQ (SPEAR-256/SPEAR-128 = 0.94) thanks to its
-low branch hit ratio (0.8865).
+*slower* with the longer IFQ thanks to its low branch hit ratio (see
+its Table 3 row in :mod:`repro.paper`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...isa.builder import ProgramBuilder
-from ..base import PaperFacts, Workload, register
+from ...paper import TABLE
+from ..base import Workload, register
 
 _NODES = 1 << 16          # 64K nodes x 8 B = 512 KiB
 _ITERS = 12000
@@ -25,8 +26,7 @@ _P_TAKEN = 0.12           # biased data-dependent branch => ~0.88 hit ratio
 class Update(Workload):
     name = "update"
     suite = "stressmark"
-    paper = PaperFacts(branch_hit_ratio=0.8865, ipb=8.72, expectation="gain",
-                       notes="longer IFQ hurts (0.94x)")
+    notes = f"longer IFQ hurts ({TABLE[name].ratio}x)"
     eval_instructions = 60_000
     profile_instructions = 40_000
     mem_bytes = 16 << 20

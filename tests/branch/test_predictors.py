@@ -1,11 +1,12 @@
-"""Branch predictors: bimodal counters, gshare history, static schemes."""
+"""Branch prediction: the bimodal counters the timing model builds."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.branch import (AlwaysTakenPredictor, BimodalPredictor,
-                          GsharePredictor, StaticBTFNPredictor,
-                          make_predictor)
+from repro.branch import BimodalPredictor
+from repro.core import MachineConfig
+from repro.functional import Trace
+from repro.pipeline import TimingSimulator
 
 
 class TestBimodal:
@@ -70,57 +71,14 @@ class TestBimodal:
             BimodalPredictor(100)
 
 
-class TestGshare:
-    def test_learns_history_pattern(self):
-        """Gshare learns a period-2 pattern bimodal cannot."""
-        g = GsharePredictor(256, history_bits=4)
-        b = BimodalPredictor(256)
-        for i in range(400):
-            taken = i % 2 == 0
-            g.predict_and_update(8, taken)
-            b.predict_and_update(8, taken)
-        assert g.stats.hit_ratio > 0.9
-        assert b.stats.hit_ratio < 0.6
-
-    def test_history_shifts(self):
-        g = GsharePredictor(256, history_bits=2)
-        g.update(0, True)
-        g.update(0, True)
-        assert g._history == 0b11
-        g.update(0, False)
-        assert g._history == 0b10
-
-    def test_reset(self):
-        g = GsharePredictor(64)
-        g.predict_and_update(0, False)
-        g.reset()
-        assert g._history == 0 and g.stats.lookups == 0
-
-
-class TestStatic:
-    def test_always_taken(self):
-        p = AlwaysTakenPredictor()
-        assert p.predict(123)
-        p.update(123, False)
-        assert p.predict(123)
-
-    def test_btfn(self):
-        p = StaticBTFNPredictor({10: 2, 20: 30})
-        assert p.predict(10)        # backward
-        assert not p.predict(20)    # forward
-        assert not p.predict(99)    # unknown
-
-
 class TestFactoryAndStats:
-    @pytest.mark.parametrize("kind,cls", [
-        ("bimodal", BimodalPredictor), ("gshare", GsharePredictor),
-        ("taken", AlwaysTakenPredictor), ("btfn", StaticBTFNPredictor)])
+    @pytest.mark.parametrize("kind,cls", [("bimodal", BimodalPredictor)])
     def test_factory(self, kind, cls):
-        assert isinstance(make_predictor(kind), cls)
-
-    def test_factory_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_predictor("tage")
+        """The timing model builds the config's predictor, at its size."""
+        config = MachineConfig(predictor=kind, predictor_table_size=64)
+        predictor = TimingSimulator(Trace([]), config).predictor
+        assert isinstance(predictor, cls)
+        assert predictor.table_size == 64
 
     def test_empty_stats_hit_ratio(self):
         assert BimodalPredictor(16).stats.hit_ratio == 1.0

@@ -62,6 +62,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineConfig(wrong_path="teleport")
 
+    @pytest.mark.parametrize("kind", ["tage", "gshare", "taken", "btfn"])
+    def test_unknown_predictor_rejected(self, kind):
+        """Bimodal is the one kind the timing model builds, so the config
+        rejects every other, the kinds it once accepted included."""
+        with pytest.raises(ValueError, match="unknown predictor"):
+            MachineConfig(predictor=kind)
+
     def test_tiny_ifq_rejected(self):
         with pytest.raises(ValueError):
             MachineConfig(ifq_size=4, fetch_width=8)

@@ -15,6 +15,17 @@ class TestList:
         for name in ("pointer", "mcf", "art", "ll4"):
             assert name in out
 
+    def test_paper_columns_from_the_table(self, capsys):
+        """Evaluated workloads show their Table 3 row; the others, which
+        the paper never ran, show dashes."""
+        main(["list"])
+        rows = {line.split()[0]: line.split()
+                for line in capsys.readouterr().out.splitlines()[1:]}
+        assert rows["pointer"][2:5] == ["gain", "0.9788", "7.08"]
+        assert rows["tr"][2] == "loss"
+        for name in ("ll4", "fzgain", "fzsrl"):
+            assert rows[name][2:5] == ["-", "-", "-"]
+
 
 class TestCompile:
     def test_report_printed(self, capsys):

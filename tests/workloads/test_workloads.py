@@ -25,13 +25,6 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown workload"):
             get_workload("doom")
 
-    def test_paper_facts_present(self):
-        for name in EVAL15:
-            facts = get_workload(name).paper
-            assert 0.5 < facts.branch_hit_ratio <= 1.0
-            assert facts.ipb > 0
-            assert facts.expectation in ("gain", "flat", "loss")
-
 
 @pytest.mark.parametrize("name", EVAL15 + ["ll4"])
 class TestEveryWorkload:
