@@ -8,9 +8,9 @@ compile WORKLOAD     run the SPEAR compiler, print the report
 disasm WORKLOAD      disassemble a workload's binary, annotating p-threads
 run WORKLOAD         simulate one workload under one machine model
 compare WORKLOAD     baseline vs all SPEAR models on one workload
-analyze WORKLOAD     trigger-point timeliness analysis of the p-threads
-                     (``--timeline`` renders the traced interval series
-                     and fill-timeliness breakdown instead)
+analyze WORKLOAD     one traced run's interval time series and its
+                     fill-timeliness breakdown (``--config``,
+                     ``--interval``)
 trace WORKLOAD       dump a run's event stream as JSONL (filter with
                      ``--kinds``, ``--cycles LO:HI``, ``--thread``;
                      ``--stream FILE`` writes events during the run
@@ -26,6 +26,7 @@ report --suite       the whole-suite report: every workload (or a named
                      document and one small-multiples SVG grid
 figure {6,7,8,9}     regenerate a figure of the paper
 table {1,2,3}        regenerate a table of the paper
+ablate-policy        fixed vs adaptive trigger-policy ablation table
 journal show [RUN]   list run journals, or dump one run's JSONL events
 fuzz run             run a seeded differential-fuzzing campaign (triage
                      text and arm table on stdout are byte-deterministic
@@ -276,24 +277,7 @@ def _lookup_config(name: str):
     return config
 
 
-def cmd_analyze(args) -> int:
-    if args.timeline:
-        return _analyze_timeline(args)
-    from .compiler import (CFG, analyze_triggers, profile_trace,
-                           render_trigger_analysis)
-    from .functional import run_program
-    runner = _runner(args)
-    art = runner.artifacts(args.workload)
-    cfg = CFG(art.binary.program)
-    budget = int(art.workload.profile_instructions * args.scale)
-    profile = profile_trace(
-        run_program(art.binary.program, max_instructions=budget), cfg)
-    print(render_trigger_analysis(
-        analyze_triggers(cfg, profile, art.binary.table)))
-    return 0
-
-
-#: ``analyze --timeline`` keys with a dedicated rendering (the main
+#: ``analyze`` timeline keys with a dedicated rendering (the main
 #: sample table).  Every *other* timeline key renders generically below,
 #: so a new series (e.g. ``policy``) is never silently dropped.
 _TIMELINE_KNOWN = ("interval", "samples")
@@ -334,8 +318,8 @@ def _series_tables(name: str, series) -> list:
     return [t]
 
 
-def _analyze_timeline(args) -> int:
-    """``analyze --timeline``: traced interval series + fill timeliness."""
+def cmd_analyze(args) -> int:
+    """``repro analyze``: traced interval series + fill timeliness."""
     from .harness import TextTable
     config = _lookup_config(args.config)
     if config is None:
@@ -842,16 +826,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_perf(p)
     p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("analyze", help="trigger-point timeliness analysis")
+    p = sub.add_parser(
+        "analyze", help="traced interval time series and fill timeliness")
     p.add_argument("workload")
-    p.add_argument("--timeline", action="store_true",
-                   help="render the traced interval time series and fill "
-                        "timeliness instead of the trigger-point analysis")
     p.add_argument("--config", default="SPEAR-128",
-                   help="machine model for --timeline (default SPEAR-128)")
+                   help="machine model (default SPEAR-128)")
     p.add_argument("--interval", type=int, default=1000,
-                   help="sampling interval in cycles for --timeline "
-                        "(default 1000)")
+                   help="sampling interval in cycles (default 1000)")
     _add_scale(p)
     _add_policy(p)
     _add_cache(p)

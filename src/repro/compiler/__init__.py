@@ -7,12 +7,9 @@ from .profiler import LoopProfile, Profile, profile_trace
 from .slicer import (SliceReport, SlicerConfig, SlicerResult, backward_slice,
                      build_pthreads, compute_live_ins, find_delinquent_loads,
                      select_region)
-from .triggers import (TriggerReport, analyze_triggers,
-                       render_trigger_analysis, slice_critical_path)
 
 __all__ = ["attach", "CFG", "BasicBlock", "Loop", "CompileReport",
            "compile_spear", "LoopProfile", "Profile", "profile_trace",
            "SliceReport", "SlicerConfig", "SlicerResult", "backward_slice",
            "build_pthreads", "compute_live_ins", "find_delinquent_loads",
-           "select_region", "TriggerReport", "analyze_triggers",
-           "render_trigger_analysis", "slice_critical_path"]
+           "select_region"]

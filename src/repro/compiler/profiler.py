@@ -60,14 +60,6 @@ class Profile:
     total_instrs: int = 0
     total_l1_misses: int = 0
 
-    def miss_rate_of(self, pc: int) -> float:
-        loads = self.load_counts.get(pc, 0)
-        return self.miss_counts.get(pc, 0) / loads if loads else 0.0
-
-    def top_misses(self, k: int = 10) -> list[tuple[int, int]]:
-        """The k static loads with the most profile misses."""
-        return sorted(self.miss_counts.items(), key=lambda kv: -kv[1])[:k]
-
 
 def profile_trace(trace: Trace, cfg: CFG, *,
                   latencies: LatencyConfig = LatencyConfig()) -> Profile:

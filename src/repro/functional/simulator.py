@@ -161,9 +161,6 @@ class FunctionalSimulator:
     def read_freg(self, f: int) -> float:
         return self.fregs[f]
 
-    def write_freg(self, f: int, v: float) -> None:
-        self.fregs[f] = float(v)
-
     def read_word(self, addr: int) -> int:
         self._check_word(addr)
         return int(self.mem_words[addr >> 3])

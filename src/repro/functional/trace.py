@@ -132,9 +132,6 @@ class Trace:
     def count_loads(self) -> int:
         return sum(1 for e in self.entries if e.is_load)
 
-    def count_stores(self) -> int:
-        return sum(1 for e in self.entries if e.is_store)
-
     def count_branches(self, conditional_only: bool = False) -> int:
         if conditional_only:
             return sum(1 for e in self.entries if e.is_cond)
@@ -144,9 +141,6 @@ class Trace:
         """IPB as reported in the paper's Table 3."""
         nb = self.count_branches(conditional_only=True)
         return len(self.entries) / nb if nb else float("inf")
-
-    def load_fraction(self) -> float:
-        return self.count_loads() / len(self.entries) if self.entries else 0.0
 
 
 #: Every entry field, in :class:`TraceEntry` argument order — the row of

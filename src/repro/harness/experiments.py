@@ -27,9 +27,7 @@ from .tables import TextTable, arithmetic_mean, geometric_mean
 
 #: The 15 evaluated benchmarks, in Table 1 order (ll4 is excluded: it only
 #: backs the Figure 1 walk-through).
-EVAL_WORKLOADS = ["pointer", "update", "nbh", "tr", "matrix", "field",
-                  "dm", "ray", "fft", "gzip", "mcf", "vpr", "bzip2",
-                  "equake", "art"]
+EVAL_WORKLOADS = list(TABLE)
 
 #: Paper Table 3: per-benchmark SPEAR-256/SPEAR-128 ratio, branch hit
 #: ratio and instructions-per-branch.

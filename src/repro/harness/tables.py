@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment reports.
 
 Every experiment renders the same rows/series the paper reports, as an
-aligned text table plus CSV — no plotting dependencies.
+aligned text table — no plotting dependencies.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ class TextTable:
             lines.append(sep)
             lines.extend(self.footers)
         return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        out = [",".join(self.columns)]
-        for row in self.rows:
-            out.append(",".join(self._fmt(v) for v in row))
-        return "\n".join(out)
 
 
 def arithmetic_mean(values: list[float]) -> float:

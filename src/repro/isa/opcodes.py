@@ -80,14 +80,6 @@ class OpInfo:
     fp_dest: bool = False
     fp_src: bool = False
 
-    @property
-    def is_mem(self) -> bool:
-        return self.is_load or self.is_store
-
-    @property
-    def is_control(self) -> bool:
-        return self.is_branch
-
 
 class Op(enum.IntEnum):
     """Every SPISA opcode.

@@ -35,10 +35,6 @@ class CacheConfig:
             raise ValueError(f"{self.name}: ways must be >= 1")
 
     @property
-    def capacity_bytes(self) -> int:
-        return self.sets * self.ways * self.block_bytes
-
-    @property
     def block_bits(self) -> int:
         return self.block_bytes.bit_length() - 1
 
@@ -163,8 +159,3 @@ class Cache:
         """Non-destructive presence check (no LRU update, no stats)."""
         block = addr >> self._block_bits
         return block in self._sets[block & self._set_mask]
-
-    def utilization(self) -> float:
-        """Fraction of ways currently holding a valid block."""
-        valid = sum(map(len, self._sets))
-        return valid / (self.config.sets * self.config.ways)

@@ -284,23 +284,7 @@ class MemoryHierarchy:
         if src is not None:
             self.fill_stats[src].unused += 1
 
-    def peek_latency(self, addr: int, *, now: int = 0) -> int:
-        """Latency this access *would* take, without changing any state."""
-        block = self.l1.block_of(addr)
-        ready = self._pending.get(block)
-        if ready is not None and now < ready:
-            return ready - now
-        if self.l1.contains(addr):
-            return self.latencies.l1
-        if self.l2.contains(addr):
-            return self.latencies.l2
-        return self.latencies.memory
-
     # -- reporting -----------------------------------------------------------
-
-    def main_thread_l1_misses(self) -> int:
-        """Figure 8's metric: primary L1 misses suffered by the main thread."""
-        return self.thread_stats[0].l1_misses
 
     def fill_snapshot(self) -> dict:
         """Timeliness classification per source, with still-resident

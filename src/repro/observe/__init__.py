@@ -1,6 +1,6 @@
 """Pipeline observability: structured trace events, sinks, the interval
 sampler and the comparison/rendering layer feeding ``repro trace``,
-``repro analyze --timeline`` and ``repro report``.
+``repro analyze`` and ``repro report``.
 
 The timing model emits events only when a sink is attached, and only of
 the kinds the sink keeps (each emit site tests its kind's sink for None,
@@ -20,7 +20,7 @@ from .events import (COMMIT, COMPLETE, DECODE, EVENT_KINDS, EXTRACT, FETCH,
                      PREFETCH, TraceEvent, filter_events, serialize_events)
 from .render import (render_diff_svg, render_diff_text, render_report,
                      render_suite_report, render_suite_svg,
-                     render_timeline_svg, render_timeline_text, sparkline)
+                     render_timeline_text, sparkline)
 from .sampler import THREAD_NAMES, IntervalSampler
 from .sinks import JsonlStreamSink, RingBufferSink, TraceSink
 
@@ -34,5 +34,5 @@ __all__ = ["TraceEvent", "EVENT_KINDS", "MODE_NAMES", "filter_events",
            "SuiteDiff", "SuiteInvariantError",
            "count_pe_events", "PE_EVENT_KINDS", "NEUTRAL_CYCLES",
            "sparkline", "render_timeline_text", "render_diff_text",
-           "render_timeline_svg", "render_diff_svg", "render_report",
+           "render_diff_svg", "render_report",
            "render_suite_svg", "render_suite_report"]

@@ -6,9 +6,9 @@ the render test suite pins so ``repro report`` output can be diffed and
 cached):
 
 * :func:`sparkline` / :func:`render_timeline_text` — unicode terminal
-  sparklines, the quick look (``repro analyze --timeline`` tables are
-  the precise one);
-* :func:`render_timeline_svg` / :func:`render_diff_svg` — self-contained
+  sparklines, the quick look (``repro analyze`` tables are the precise
+  one);
+* :func:`render_diff_svg` / :func:`render_suite_svg` — self-contained
   SVG documents (no external CSS, fonts or scripts), embeddable in
   markdown and checked into ``examples/``;
 * :func:`render_report` — the full ``repro report`` markdown document:
@@ -27,7 +27,6 @@ SPARK_CHARS = "▁▂▃▄▅▆▇█"
 _COLORS = {
     "base": "#888888",
     "model": "#1f77b4",
-    "pthread": "#d62728",
     "saved": "#2ca02c",
     "pre-execution": "#2ca02c",
     "variance": "#bcbd22",
@@ -168,42 +167,6 @@ def _xs(n: int) -> list[float]:
         return [_PAD_L + _W / 2.0] * n
     step = _W / (n - 1)
     return [_PAD_L + i * step for i in range(n)]
-
-
-def render_timeline_svg(timeline: dict, title: str = "timeline") -> str:
-    """One traced run as a stacked-panel SVG: IPC (global + per-thread),
-    SPEAR mode residency, and L1 miss rate."""
-    samples = timeline["samples"]
-    xs = _xs(len(samples))
-    body: list[str] = []
-    y0 = _PAD_T
-
-    ipc = [s["ipc"] for s in samples]
-    series = [("model", ipc)]
-    for t in timeline.get("per_thread", ()):
-        if t["thread"] == 1:
-            series.append(("pthread", [s["ipc"] for s in t["samples"]]))
-    lo = 0.0
-    hi = max((max(v) for _, v in series if v), default=1.0) or 1.0
-    body += _panel_header(y0, f"{title}: IPC per interval "
-                              f"(blue main, red p-thread)", lo, hi)
-    for key, values in series:
-        body.append(_polyline(xs, _scale(values, lo, hi, y0),
-                              _COLORS["model" if key == "model" else key]))
-    y0 += _H + _PANEL_GAP + _PAD_T
-
-    mode = [s["mode_residency"] for s in samples]
-    body += _panel_header(y0, "SPEAR mode residency", 0.0, 1.0)
-    body.append(_polyline(xs, _scale(mode, 0.0, 1.0, y0),
-                          _COLORS["saved"]))
-    y0 += _H + _PANEL_GAP + _PAD_T
-
-    miss = [s["l1_miss_rate"] for s in samples]
-    hi = max(miss, default=1.0) or 1.0
-    body += _panel_header(y0, "main-thread L1 miss rate", 0.0, hi)
-    body.append(_polyline(xs, _scale(miss, 0.0, hi, y0),
-                          _COLORS["regression"]))
-    return _svg_document(body, y0 + _H + _PAD_T, title)
 
 
 def render_diff_svg(diff: TimelineDiff, title: str = "") -> str:

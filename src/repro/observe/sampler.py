@@ -15,7 +15,7 @@ directly instead of folding it into the whole-machine numbers.
 
 The result (``timeline()``) is a plain dict of parallel lists so it
 pickles compactly into the disk cache and renders directly as a table
-(``repro analyze --timeline``), sparkline or SVG (``repro report``).
+(``repro analyze``), sparkline or SVG (``repro report``).
 """
 
 from __future__ import annotations

@@ -605,7 +605,7 @@ class TimingSimulator:
         if policy is not None and timeline is not None:
             # Attach the decision series so policy moves are attributable
             # against the sampled phases (rendered generically by
-            # ``repro analyze --timeline``).
+            # ``repro analyze``).
             timeline = dict(timeline)
             timeline["policy"] = policy.series()
         return PipelineResult(
@@ -1081,25 +1081,32 @@ class TimingSimulator:
         if fu_pt is not fu_main:
             fu_pt._avail[:] = fu_pt._capacity
 
+        # Dedicated-FU models give each thread its own issue width (the
+        # paper likens them to a CMP); shared models split one width, and
+        # the thread that issues second gets what the first left.
         budget = cfg.issue_width
-        # Dedicated-FU models give the p-thread its own issue path (the
-        # paper likens them to a CMP); shared models share the budget.
-        pt_budget = cfg.issue_width if cfg.separate_fu else budget
-
         issued_by_thread = self._issued_by_thread
-        if self._pt_ready and cfg.pthread_priority:
-            used = self._issue_from(self._pt_ready, fu_pt, pt_budget,
-                                    P_THREAD)
-            issued_by_thread[P_THREAD] += used
-            if not cfg.separate_fu:
-                budget -= used
-        if budget > 0 and self._main_ready:
-            issued_by_thread[MAIN_THREAD] += self._issue_from(
-                self._main_ready, fu_main, budget, MAIN_THREAD)
-        if self._pt_ready and not cfg.pthread_priority and budget > 0:
-            # Ablation path: p-thread competes after the main thread.
-            issued_by_thread[P_THREAD] += self._issue_from(
-                self._pt_ready, fu_pt, pt_budget, P_THREAD)
+        if cfg.pthread_priority:
+            if self._pt_ready:
+                used = self._issue_from(self._pt_ready, fu_pt, budget,
+                                        P_THREAD)
+                issued_by_thread[P_THREAD] += used
+                if not cfg.separate_fu:
+                    budget -= used
+            if budget > 0 and self._main_ready:
+                issued_by_thread[MAIN_THREAD] += self._issue_from(
+                    self._main_ready, fu_main, budget, MAIN_THREAD)
+        else:
+            # Ablation path: the p-thread competes after the main thread.
+            if self._main_ready:
+                used = self._issue_from(self._main_ready, fu_main, budget,
+                                        MAIN_THREAD)
+                issued_by_thread[MAIN_THREAD] += used
+                if not cfg.separate_fu:
+                    budget -= used
+            if budget > 0 and self._pt_ready:
+                issued_by_thread[P_THREAD] += self._issue_from(
+                    self._pt_ready, fu_pt, budget, P_THREAD)
 
     def _issue_from(self, ready: list[int], pool: FUPool, budget: int,
                     thread: int) -> int:

@@ -24,10 +24,10 @@ controller is bit-deterministic, and a run that skips idle stretches
 ``TimingSimulator._fast_forward``) makes the decisions a per-cycle walk
 makes, at the same cycles.
 
-Decisions are recorded as a flat series (rendered by ``repro analyze
---timeline`` and attached to ``PipelineResult.timeline["policy"]``) and
-emitted as ``policy-decision`` trace events when the attached tracer
-keeps that kind.
+Decisions are recorded as a flat series (rendered by ``repro analyze``
+and attached to ``PipelineResult.timeline["policy"]``) and emitted as
+``policy-decision`` trace events when the attached tracer keeps that
+kind.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..isa.builder import ProgramBuilder
 from ..isa.program import Program
+from ..paper import TABLE
 
 
 class Workload(ABC):
@@ -146,13 +147,10 @@ def get_workload(name: str) -> Workload:
 
 
 def all_workload_names() -> list[str]:
-    """All registered names, in the paper's Table 1 order where possible."""
-    order = ["pointer", "update", "nbh", "tr", "matrix", "field",
-             "dm", "ray", "fft", "gzip", "mcf", "vpr", "bzip2",
-             "equake", "art"]
-    known = [n for n in order if n in _REGISTRY]
-    extras = sorted(set(_REGISTRY) - set(order))
-    return known + extras
+    """All registered names: the evaluated ones in the paper's Table 1
+    order (:data:`repro.paper.TABLE`), then the rest sorted."""
+    known = [n for n in TABLE if n in _REGISTRY]
+    return known + sorted(set(_REGISTRY) - set(TABLE))
 
 
 def suite_of(name: str) -> str:

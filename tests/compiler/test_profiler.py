@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.compiler import CFG, profile_trace
+from repro.compiler import (CFG, SlicerConfig, find_delinquent_loads,
+                            profile_trace)
 from repro.functional import run_program
 from repro.isa import ProgramBuilder
 from repro.memory import LatencyConfig
@@ -23,8 +24,8 @@ class TestMissCounts:
     def test_gather_load_is_hottest(self, gather_profile):
         prog, cfg, profile = gather_profile
         idx_pc, gather_pc = gather_load_pcs(prog)
-        top = profile.top_misses(1)
-        assert top[0][0] == gather_pc
+        # The slicer ranks d-loads worst first.
+        assert find_delinquent_loads(profile, SlicerConfig())[0] == gather_pc
 
     def test_load_counts_match_trace(self, gather_profile):
         prog, cfg, profile = gather_profile
@@ -35,7 +36,8 @@ class TestMissCounts:
     def test_miss_rate_of(self, gather_profile):
         prog, cfg, profile = gather_profile
         _, gather_pc = gather_load_pcs(prog)
-        assert 0.3 < profile.miss_rate_of(gather_pc) <= 1.0
+        rate = profile.miss_counts[gather_pc] / profile.load_counts[gather_pc]
+        assert 0.3 < rate <= 1.0
 
     def test_streaming_load_misses_less(self, gather_profile):
         prog, cfg, profile = gather_profile

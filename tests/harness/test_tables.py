@@ -29,11 +29,6 @@ class TestTextTable:
         t.add_footer("mean: 1")
         assert t.render().splitlines()[-1] == "mean: 1"
 
-    def test_csv(self):
-        t = TextTable("x", ["a", "b"])
-        t.add_row("w", 0.5)
-        assert t.to_csv() == "a,b\nw,0.500"
-
     def test_float_formatting(self):
         t = TextTable("x", ["v"])
         t.add_row(1 / 3)

@@ -41,9 +41,9 @@ class TestOpTable:
                 assert info.is_branch
 
     def test_mem_property(self):
-        assert OP_INFO[Op.LW].is_mem
-        assert OP_INFO[Op.SW].is_mem
-        assert not OP_INFO[Op.ADD].is_mem
+        assert OP_INFO[Op.LW].is_load and not OP_INFO[Op.LW].is_store
+        assert OP_INFO[Op.SW].is_store and not OP_INFO[Op.SW].is_load
+        assert not (OP_INFO[Op.ADD].is_load or OP_INFO[Op.ADD].is_store)
 
     def test_memory_ops_use_mem_format(self):
         for info in OP_INFO.values():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory import Cache, CacheConfig
+from repro.memory import L1D_CONFIG, Cache, CacheConfig
 
 
 def tiny_cache(sets=4, ways=2, block=32):
@@ -11,8 +11,16 @@ def tiny_cache(sets=4, ways=2, block=32):
 
 class TestConfig:
     def test_capacity(self):
+        # Table 2's L1D holds 32 KB: a sequential 32 KB sweep fits, and
+        # one more block evicts.
+        c = Cache(L1D_CONFIG)
+        for a in range(0, 32 * 1024, 32):
+            c.access(a)
+        assert c.stats.evictions == 0
+        assert all(c.contains(a) for a in range(0, 32 * 1024, 32))
+        c.access(32 * 1024)
+        assert c.stats.evictions == 1
         cfg = CacheConfig("L1", sets=256, ways=4, block_bytes=32)
-        assert cfg.capacity_bytes == 32 * 1024
         assert cfg.block_bits == 5
         assert cfg.set_mask == 255
 
@@ -136,9 +144,9 @@ class TestMisc:
 
     def test_utilization(self):
         c = tiny_cache(sets=2, ways=2)
-        assert c.utilization() == 0.0
+        assert c._sets == [[], []]
         c.access(0)
-        assert c.utilization() == 0.25
+        assert c._sets == [[0], []]
 
     def test_install_existing_block_is_noop(self):
         c = tiny_cache(sets=1, ways=2)

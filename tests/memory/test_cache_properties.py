@@ -77,9 +77,10 @@ class StampCache:
     def contains(self, addr):
         return self.probe(addr, update_lru=False, count=False)
 
-    def utilization(self):
-        valid = sum(1 for s in self.tags for t in s if t != -1)
-        return valid / (self.config.sets * self.config.ways)
+    def resident(self):
+        """Each set's valid block ids, least recently used first."""
+        return [[t for _, t in sorted(zip(stamps, tags)) if t != -1]
+                for tags, stamps in zip(self.tags, self.stamp)]
 
 
 #: One cache operation: (name, address, is_write, update_lru, count).
@@ -150,10 +151,10 @@ class TestCacheProperties:
         c = Cache(CacheConfig("p", sets=4, ways=2, block_bytes=32))
         for a in addrs:
             c.access(a)
-        assert 0.0 < c.utilization() <= 1.0
+        assert all(len(blocks) <= 2 for blocks in c._sets)
         distinct = len({a >> 5 for a in addrs})
-        valid = round(c.utilization() * 8)
-        assert valid <= min(8, distinct)
+        valid = sum(map(len, c._sets))
+        assert 0 < valid <= min(8, distinct)
 
     # No explain phase: on a failure it spends minutes varying a long
     # operation list; the shrunk example is what a reader needs.
@@ -162,7 +163,8 @@ class TestCacheProperties:
               phases=[p for p in Phase if p is not Phase.explain])
     def test_matches_stamp_lru_oracle(self, ways, ops):
         """Every return value (hits, evicted block ids), the final
-        counters and the occupancy equal the timestamp cache's, over
+        counters and each set's resident blocks in recency order equal
+        the timestamp cache's, over
         mixed probes (each ``update_lru``/``count``/``is_write``
         combination), installs of new and present blocks, presence
         checks and accesses."""
@@ -181,4 +183,4 @@ class TestCacheProperties:
         snap = cache.stats.snapshot()
         snap.pop("miss_rate")
         assert snap == oracle.stats
-        assert cache.utilization() == oracle.utilization()
+        assert cache._sets == oracle.resident()

@@ -59,7 +59,7 @@ class TestFillMerging:
         m = hier()
         m.access(0x1000, thread=1, now=0)
         m.access(0x1000, thread=0, now=1)
-        assert m.main_thread_l1_misses() == 0
+        assert m.thread_stats[0].l1_misses == 0
         assert m.thread_stats[1].l1_misses == 1
 
     def test_l2_fill_also_tracked(self):
@@ -70,13 +70,13 @@ class TestFillMerging:
         m.access(0x0, now=10_000)                 # L2 hit, fill in flight
         assert m.access(0x0, now=10_006) == 6     # remaining 12 - 6
 
-    def test_peek_latency_pure(self):
+    def test_same_thread_access_pays_remaining_latency(self):
         m = hier()
-        assert m.peek_latency(0x1000) == 120
-        m.access(0x1000, now=0)
-        assert m.peek_latency(0x1000, now=50) == 70
-        assert m.peek_latency(0x1000, now=500) == 1
-        assert m.thread_stats[0].accesses == 1    # peeks not counted
+        assert m.access(0x1000, now=0) == 120
+        assert m.access(0x1000, now=50) == 70     # merges into its own fill
+        assert m.access(0x1000, now=500) == 1
+        assert m.thread_stats[0].delayed_hits == 1
+        assert m.thread_stats[0].l1_misses == 1
 
 
 class TestThreadStats:

@@ -119,7 +119,7 @@ class TestHierarchyPrefetch:
         m = MemoryHierarchy()
         m.prefetch(0x1000, now=0)
         assert m.thread_stats[0].accesses == 0
-        assert m.main_thread_l1_misses() == 0
+        assert m.thread_stats[0].l1_misses == 0
 
     def test_timely_prefetch_becomes_hit(self):
         m = MemoryHierarchy()

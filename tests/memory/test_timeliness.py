@@ -133,7 +133,7 @@ class TestPrefetchL2Accounting:
         mem.prefetch(0x4000, now=0)
         assert mem.prefetch_l2_hits == 1 and mem.prefetch_l2_misses == 0
         # L2-hit latency: the fill completes at now + l2
-        assert mem.peek_latency(0x4000, now=5) == 12 - 5
+        assert mem.access(0x4000, now=5) == 12 - 5
 
     def test_prefetch_still_installs_into_l2_on_miss(self, mem):
         mem.prefetch(0x4000, now=0)

@@ -4,8 +4,7 @@ import pytest
 
 from repro.observe import (EXTRACT, TraceEvent, diff_timelines,
                            render_diff_svg, render_diff_text, render_report,
-                           render_timeline_svg, render_timeline_text,
-                           sparkline)
+                           render_timeline_text, sparkline)
 from repro.observe.render import MAX_DIFF_ROWS, SPARK_CHARS
 
 
@@ -96,10 +95,11 @@ class TestTextRenderers:
 
 class TestSvg:
     def test_timeline_svg_wellformed(self):
-        svg = render_timeline_svg(make_timeline(), "demo")
+        svg = render_diff_svg(make_diff(), "demo")
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
-        assert svg.count("<polyline") >= 4   # ipc, pthread ipc, mode, miss
+        # base ipc, model ipc, cycles saved, the zero rule
+        assert svg.count("<polyline") >= 4
         assert "demo" in svg
 
     def test_diff_svg_has_attribution_bars(self):
@@ -109,23 +109,23 @@ class TestSvg:
         assert svg.count("<rect") >= len(make_diff().rows)
 
     def test_svg_is_deterministic(self):
-        a = render_timeline_svg(make_timeline(), "t")
-        b = render_timeline_svg(make_timeline(), "t")
+        a = render_diff_svg(make_diff(), "t")
+        b = render_diff_svg(make_diff(), "t")
         assert a == b
-        a = render_diff_svg(make_diff())
-        b = render_diff_svg(make_diff())
+        a = render_diff_svg(make_diff(n_base=6, n_model=3, events=False))
+        b = render_diff_svg(make_diff(n_base=6, n_model=3, events=False))
         assert a == b
 
     def test_svg_self_contained(self):
         """No external references: the SVG must render offline as-is."""
-        for svg in (render_timeline_svg(make_timeline()),
-                    render_diff_svg(make_diff())):
+        for svg in (render_diff_svg(make_diff(), "t"),
+                    render_diff_svg(make_diff(events=False))):
             assert "http" not in svg.replace(
                 "http://www.w3.org/2000/svg", "")
             assert "<script" not in svg and "@import" not in svg
 
     def test_single_sample_timeline(self):
-        svg = render_timeline_svg(make_timeline(n=1))
+        svg = render_diff_svg(make_diff(n_base=1, n_model=1))
         assert svg.startswith("<svg ")
 
 

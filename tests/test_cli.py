@@ -81,24 +81,25 @@ class TestCompare:
             assert model in out
 
 
-class TestAnalyze:
-    def test_trigger_analysis(self, capsys):
-        assert main(["analyze", "pointer", *SCALE]) == 0
-        assert "Trigger-point analysis" in capsys.readouterr().out
-
-
 class TestAnalyzeTimeline:
     def test_timeline_table(self, capsys):
-        assert main(["analyze", "pointer", "--timeline", *SCALE]) == 0
+        assert main(["analyze", "pointer", *SCALE]) == 0
         out = capsys.readouterr().out
         assert "timeline" in out
         assert "ipc" in out
         assert "fills" in out
 
     def test_interval_flag(self, capsys):
-        assert main(["analyze", "pointer", "--timeline",
-                     "--interval", "500", *SCALE]) == 0
+        assert main(["analyze", "pointer", "--interval", "500", *SCALE]) == 0
         assert "500" in capsys.readouterr().out
+
+    def test_timeline_flag_is_gone(self, capsys):
+        # The timeline is the verb's only view, so no flag selects it.
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "pointer", "--timeline", *SCALE])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --timeline" in \
+            capsys.readouterr().err
 
 
 class TestTrace:
