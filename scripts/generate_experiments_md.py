@@ -198,10 +198,10 @@ SECTIONS = [
      "speedup is the raw cycle ratio (`base/model`) and the geomean is "
      "the product of those ratios raised to 1/n — the table can be "
      "cross-checked against Figure 6 row by row.  The same cells run "
-     "through the fault-tolerant parallel engine (`--jobs N`), with "
-     "traced payloads spilled to the disk cache and journaled by "
-     "content-hash reference, so the document is byte-identical at any "
-     "job count and after a crash + `--resume`."),
+     "through the fault-tolerant parallel engine (`--jobs N`), each "
+     "traced payload coming back over the result pipe and journaled by "
+     "its cache key only, so the document is byte-identical at any job "
+     "count and after a crash and a rerun served from the cache."),
     ("fuzz_campaign", "Differential fuzzing — random-kernel campaign",
      "Beyond the paper: a seeded random-kernel campaign (`repro fuzz "
      "run`) drives generated programs — pointer chases, gathers, "
@@ -231,7 +231,7 @@ SECTIONS = [
      "dial arms plus spec-IR mutation arms by recent first-hit novelty "
      "— rank-concentrated largest-remainder apportionment, integer "
      "arithmetic end to end, so maps and plans are byte-identical at "
-     "any `--jobs` and across crash + `--resume`.  At an equal 200-"
+     "any `--jobs` and across a crash and a rerun.  At an equal 200-"
      "program budget the guided campaign covers strictly more distinct "
      "behaviour bins than the blind default-dials campaign; the arm "
      "table shows where the budget concentrated (the near-coin-flip "

@@ -69,7 +69,3 @@ class BimodalPredictor:
         self.stats.record(correct)
         self.update(pc, taken)
         return correct
-
-    def reset(self) -> None:
-        self.stats = PredictorStats()
-        self._table = [2] * self.table_size

@@ -53,9 +53,10 @@ fan-out over processes, default usable-CPU count),
 ``--cache-dir``/``--no-cache``
 (persistent artifact cache, default ``~/.cache/repro`` or
 ``$REPRO_CACHE_DIR``), plus the fault-tolerance knobs ``--cell-timeout``,
-``--retries``, ``--fail-fast``/``--keep-going`` and ``--resume`` (skip
-cells the run journal already records as ok).  ``$REPRO_FAULTS`` injects
-deterministic faults (see ``repro.harness.faults``).
+``--retries`` and ``--fail-fast``/``--keep-going``.  Rerunning a verb
+after a crash recomputes only the cells the disk cache does not hold.
+``$REPRO_FAULTS`` injects deterministic faults (see
+``repro.harness.faults``).
 """
 
 from __future__ import annotations
@@ -123,9 +124,6 @@ def _add_perf(p: argparse.ArgumentParser) -> None:
                    help="record failures and keep computing the rest "
                         "(default)")
     p.set_defaults(fail_fast=False)
-    p.add_argument("--resume", action="store_true",
-                   help="skip cells the run journal records as ok "
-                        "(restored from the cache); recompute only the rest")
 
 
 def _runner(args) -> ExperimentRunner:
@@ -157,11 +155,11 @@ def _journal_dir(args) -> Path:
 def _run_matrix(runner: ExperimentRunner, experiment: str,
                 cells: list[Cell], args) -> RunReport:
     """Fault-tolerant execution of one verb's cells, journaled under the
-    run's content key (``--resume`` restores its journaled-ok cells)."""
+    run's content key."""
     journal = RunJournal.for_run(experiment, cells, runner,
                                  root=_journal_dir(args))
     return run_cells(runner, cells, _jobs(args), policy=_policy(args),
-                     journal=journal, resume=getattr(args, "resume", False))
+                     journal=journal)
 
 
 def _surviving_workloads(experiment: str, workloads: list[str] | None,
@@ -366,7 +364,7 @@ def cmd_report(args) -> int:
     one workload, or the whole suite with ``--suite``.
 
     Either way the traced cells run through the fault-tolerant parallel
-    engine (journaled, resumable, ``--jobs N`` with byte-identical
+    engine (journaled, cached, ``--jobs N`` with byte-identical
     output to serial); rendering then reads the seeded memo and
     simulates nothing.  The run report goes to stderr so stdout stays
     byte-comparable across job counts.
@@ -636,8 +634,7 @@ def _campaign(args):
         raise SystemExit(f"fuzz: {exc}") from None
     return run_guided_campaign(spec, _runner(args), jobs=_jobs(args),
                                policy=_policy(args),
-                               journal_root=_journal_dir(args),
-                               resume=args.resume)
+                               journal_root=_journal_dir(args))
 
 
 def cmd_fuzz_campaign(args) -> int:

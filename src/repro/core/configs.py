@@ -151,9 +151,6 @@ class MachineConfig:
         """Clone with different memory latencies (Figure 9 sweep)."""
         return replace(self, latencies=latencies)
 
-    def renamed(self, name: str) -> "MachineConfig":
-        return replace(self, name=name)
-
     def describe(self) -> dict:
         """Flat parameter dump (Table 2 regeneration)."""
         return {

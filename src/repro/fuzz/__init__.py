@@ -27,13 +27,13 @@ The campaign machinery has five layers:
   into a :class:`~repro.fuzz.coverage.BehaviorVector` and a
   content-hashed :class:`~repro.fuzz.coverage.CoverageMap`.  The one
   campaign driver runs verdict cells through the fault-tolerant
-  parallel engine, journaled and resumable.  A guided campaign
+  parallel engine, journaled and cached.  A guided campaign
   apportions each batch's budget over dial arms and spec-IR mutation
   arms by recent first-hit novelty (integer arithmetic, so
-  byte-identical at any ``--jobs`` and across ``--resume``); a blind
-  campaign is one dial arm in one batch.  Greedy set-cover distillation
-  pins a minimal corpus under ``tests/regress/corpus/`` that CI
-  re-checks strictly.
+  byte-identical at any ``--jobs`` and across a crash and a rerun); a
+  blind campaign is one dial arm in one batch.  Greedy set-cover
+  distillation pins a minimal corpus under ``tests/regress/corpus/``
+  that CI re-checks strictly.
 """
 
 from .coverage import (BehaviorVector, CoverageMap, coverage_map, vector_of)

@@ -157,18 +157,14 @@ class CoverageMap:
 
     bins: dict[str, int] = field(default_factory=dict)
 
-    def add(self, key: str, count: int = 1) -> bool:
+    def add(self, key: str) -> bool:
         """Accumulate one hit; True when the bin is new to this map."""
         fresh = key not in self.bins
-        self.bins[key] = self.bins.get(key, 0) + count
+        self.bins[key] = self.bins.get(key, 0) + 1
         return fresh
 
     def add_verdict(self, verdict: FuzzVerdict) -> bool:
         return self.add(vector_of(verdict).key)
-
-    def merge(self, other: "CoverageMap") -> None:
-        for key, count in other.bins.items():
-            self.add(key, count)
 
     @property
     def distinct(self) -> int:

@@ -17,8 +17,8 @@ pipeline and cross-checks every layer against an independent witness:
   the per-cycle walk produce byte-identical stats, memory and predictor
   state for every config;
 * **sweep**       — (sampled) ``run()`` vs the walk again for the spear
-  config at figure-9 memory latencies, which reach off the default
-  latency the backends check runs;
+  config at figure-9 memory latencies other than its own, which the
+  backends check already runs;
 * **fills**       — ``timely + late + unused == fills`` for every
   speculative-fill source.
 
@@ -99,9 +99,14 @@ class FuzzCheckSpec:
         return PAPER_CONFIGS[self.configs[0]], PAPER_CONFIGS[self.configs[1]]
 
     def sweep_latencies(self) -> list[LatencyConfig]:
-        """The figure-9 latency points the sweep check samples."""
-        step = max(1, len(FIG9_LATENCIES) // max(1, self.sweep_points))
-        return FIG9_LATENCIES[::step][:self.sweep_points]
+        """The figure-9 latency points the sweep check samples: those
+        other than the spear config's own latencies, which the backends
+        check already runs, spread evenly (mem = 40 and 160 at two
+        points, and never more than four)."""
+        own = self.resolve_configs()[1].latencies
+        points = [lat for lat in FIG9_LATENCIES if lat != own]
+        step = max(1, len(points) // max(1, self.sweep_points))
+        return points[::step][:self.sweep_points]
 
 
 @dataclass(frozen=True)

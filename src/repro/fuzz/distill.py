@@ -14,7 +14,7 @@ fuzz finds become a permanent tier-1-adjacent safety net.
 Determinism: candidates are considered in submission order, greedy ties
 break on (most new facets, highest |speedup - 1|, name), the prune pass
 walks picks in reverse pick order — all byte-stable, so the distilled
-corpus is identical at any ``--jobs`` and across crash+``--resume``.
+corpus is identical at any ``--jobs`` and across a crash and a rerun.
 
 Divergent verdicts are excluded: a diverging program is a bug to fix
 (and shrink into ``tests/regress/*.json``), not a regression baseline.

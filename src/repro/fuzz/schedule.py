@@ -12,7 +12,8 @@ With one arm no plan can depend on what a batch observed, so the whole
 campaign runs as one batch: one pool and one journal.
 
 Everything is deterministic by construction, which is what keeps a
-campaign byte-identical at any ``--jobs`` and across crash+``--resume``:
+campaign byte-identical at any ``--jobs`` and across a crash and a
+rerun:
 
 * a program's full identity lives in its cell name —
   ``fuzz:v1:<seed>:<i>[:<dials>]`` for generation arms,
@@ -26,8 +27,8 @@ campaign byte-identical at any ``--jobs`` and across crash+``--resume``:
   oracle and shrinker already interpret.
 
 A crash mid-batch stops scheduling (later plans would depend on the
-missing observations); ``--resume`` replays completed batches from the
-journal + cache and re-derives the identical plan.  Every
+missing observations); a rerun replays completed cells from the disk
+cache and re-derives the identical plan.  Every
 ``sweep_every``-th program, by campaign index, also cross-checks the
 two timing kernels at figure-9 memory latencies.
 """
@@ -421,16 +422,15 @@ def run_guided_campaign(spec: GuidedCampaignSpec, runner: ExperimentRunner,
                         *, jobs: int | None = None,
                         policy: ExecutionPolicy | None = None,
                         journaled: bool = True,
-                        journal_root=None,
-                        resume: bool = False) -> GuidedCampaignResult:
-    """Run (or resume) one campaign.
+                        journal_root=None) -> GuidedCampaignResult:
+    """Run one campaign, or rerun it from the disk cache.
 
     Batches run sequentially through the parallel engine, each under its
     own journal (``<experiment>-b<k>``); within a batch cells run at
     ``--jobs`` parallelism.  One arm runs the whole count as one batch.
     The final coverage map is recomputed from the verdicts in submission
-    order, never carried incrementally — so a resumed campaign converges
-    to the clean run's bytes.
+    order, never carried incrementally — so a rerun after a crash
+    converges to the clean run's bytes.
     """
     scheduler = ArmScheduler(spec.arms)
     batch_size = spec.batch if len(scheduler.arms) > 1 else spec.count
@@ -450,7 +450,7 @@ def run_guided_campaign(spec: GuidedCampaignSpec, runner: ExperimentRunner,
             journal = RunJournal.for_run(f"{spec.experiment}-b{batch_no}",
                                          cells, runner, root=journal_root)
         run_reports.append(run_cells(runner, cells, jobs, policy=policy,
-                                     journal=journal, resume=resume))
+                                     journal=journal))
         alloc: dict = {}
         batch: list[tuple[str, FuzzVerdict]] = []
         incomplete = False
@@ -466,7 +466,7 @@ def run_guided_campaign(spec: GuidedCampaignSpec, runner: ExperimentRunner,
         allocations.append(alloc)
         if incomplete:
             # Later plans would depend on the missing observations;
-            # stop here so crash + --resume replays identically.
+            # stop here so a rerun after the crash replays identically.
             break
         scheduler.observe(batch)
         remaining -= len(plan)

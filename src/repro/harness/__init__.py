@@ -15,13 +15,11 @@ from .experiments import (EVAL_WORKLOADS, FIG9_WORKLOADS, FUZZ_WORKLOADS,
                           suite_diff, suite_table, table1, table2, table3,
                           timeline_diff, timeliness)
 from .faults import (FAULTS_ENV, FaultClause, FaultSpecError, InjectedCrash,
-                     InjectedFault, active_faults, parse_faults,
-                     render_faults)
+                     InjectedFault, active_faults, parse_faults)
 from .journal import (RunJournal, TornJournalWarning, default_journal_dir,
                       list_journals, read_jsonl)
 from .parallel import (CellFailure, ExecutionPolicy, FatalCellError,
-                       PayloadRef, PayloadResolutionError, RunReport,
-                       cells_for, compute_cell, default_jobs,
+                       RunReport, cells_for, default_jobs,
                        default_workloads, report_cells, run_cells)
 from .runner import (Cell, ExperimentRunner, TracedRun, TraceSpec,
                      WorkloadArtifacts)
@@ -41,12 +39,9 @@ __all__ = ["EVAL_WORKLOADS", "FIG9_WORKLOADS", "IRREGULAR_WORKLOADS",
            "arithmetic_mean", "geometric_mean",
            "CACHE_DIR_ENV", "SCHEMA_VERSION", "DiskCache",
            "default_cache_dir", "parse_bytes", "Cell", "cells_for",
-           "compute_cell",
            "default_jobs", "default_workloads", "report_cells", "run_cells",
-           "PayloadRef", "PayloadResolutionError",
            "CellFailure", "ExecutionPolicy", "FatalCellError", "RunReport",
            "RunJournal", "TornJournalWarning", "default_journal_dir",
            "list_journals", "read_jsonl",
            "FAULTS_ENV", "FaultClause", "FaultSpecError", "InjectedCrash",
-           "InjectedFault", "active_faults", "parse_faults",
-           "render_faults"]
+           "InjectedFault", "active_faults", "parse_faults"]

@@ -168,24 +168,14 @@ class DiskCache:
         return self._load(kind, self.path_for(kind, self.key_for(kind,
                                                                  payload)))
 
-    def get_by_key(self, kind: str, key: str):
-        """Load an entry addressed directly by its content key.
-
-        The parallel engine's spill/reference protocol lands here: a
-        worker ships only ``(kind, key)`` over IPC and the parent
-        resolves the heavy payload from disk.  Same miss semantics as
-        :meth:`get` — corrupt entries are deleted and report ``None``.
-        """
-        return self._load(kind, self.path_for(kind, key))
-
     def _load(self, kind: str, path: Path):
-        """Shared read path of :meth:`get`/:meth:`get_by_key`.
+        """The read path of :meth:`get`.
 
         Two distinct miss flavours: an entry that *vanished* between the
-        existence check and the open (a concurrent GC eviction or a
-        ``clear()``) is an ordinary miss — every reader must treat that
-        race as absence, never corruption; an entry that opened but
-        would not unpickle is corrupt, counted as an error and deleted.
+        existence check and the open (a concurrent GC eviction) is an
+        ordinary miss — every reader must treat that race as absence,
+        never corruption; an entry that opened but would not unpickle is
+        corrupt, counted as an error and deleted.
         """
         counter = self._counter(kind)
         if not path.is_file():
@@ -214,8 +204,7 @@ class DiskCache:
 
         ``OSError`` (including a ``FileNotFoundError`` racing a
         concurrent eviction) reports as absence, mirroring the
-        miss-not-error contract of :meth:`_load` — lets the journal
-        record how heavy a spilled payload is without ever inlining it.
+        miss-not-error contract of :meth:`_load`.
         """
         try:
             return self.path_for(kind, key).stat().st_size
@@ -327,22 +316,3 @@ class DiskCache:
             counter = self._counter(kind)
             for name, n in counts.items():
                 setattr(counter, name, getattr(counter, name) + n)
-
-    def clear(self) -> int:
-        """Delete every entry under the cache root; returns files removed."""
-        removed = 0
-        if not self.root.exists():
-            return 0
-        for pattern in ("*.pkl", "*.tmp"):
-            removed += self._unlink_all(pattern)
-        return removed
-
-    def _unlink_all(self, pattern: str) -> int:
-        removed = 0
-        for path in self.root.rglob(pattern):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

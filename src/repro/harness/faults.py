@@ -94,22 +94,6 @@ class FaultClause:
     cache_kind: str | None = None
     seed: int = 0
 
-    def render(self) -> str:
-        bits = [self.kind]
-        if self.cell is not None:
-            bits.append(f"cell={self.cell}")
-        if self.p is not None:
-            bits.append(f"p={self.p:g}")
-        if self.times != 1:
-            bits.append(f"times={self.times}")
-        if self.ms != 50:
-            bits.append(f"ms={self.ms}")
-        if self.cache_kind is not None:
-            bits.append(f"kind={self.cache_kind}")
-        if self.seed:
-            bits.append(f"seed={self.seed}")
-        return ":".join(bits)
-
 
 def parse_faults(spec: str) -> tuple[FaultClause, ...]:
     """Parse a fault spec string into clauses (empty spec → no clauses)."""
@@ -155,11 +139,6 @@ def parse_faults(spec: str) -> tuple[FaultClause, ...]:
                     f"bad value for {name!r} in {part!r}: {value!r}") from exc
         clauses.append(FaultClause(kind, **kwargs))
     return tuple(clauses)
-
-
-def render_faults(clauses: tuple[FaultClause, ...]) -> str:
-    """Inverse of :func:`parse_faults`: canonical spec string."""
-    return ",".join(c.render() for c in clauses)
 
 
 _PLAN_CACHE: dict[str, tuple[FaultClause, ...]] = {}

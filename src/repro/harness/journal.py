@@ -5,9 +5,10 @@ outcome of every cell attempt (ok / retried / timed-out / failed) to
 ``<cache-dir>/journal/<run-key>.jsonl``.  The run key is a content hash
 over the experiment name and the cells' result keys — the same
 derivation :class:`~repro.harness.diskcache.DiskCache` uses — so the
-same invocation always appends to the same file, and an interrupted run
-can be resumed with ``--resume``: cells the journal records as ``ok``
-are restored from the disk cache and only the rest are recomputed.
+same invocation always appends to the same file, and a rerun after a
+crash appends its attempts after the crashed run's.  The journal is a
+record for ``repro journal show``; a rerun finds the cells that finished
+in the disk cache, not here.
 
 The journal is crash-safe by construction: records are single lines
 appended with a flush per record, and a torn final line (killed writer)
@@ -73,11 +74,11 @@ def cell_key(runner, cell) -> str:
     """Stable identity of one cell's result — exactly the key the
     runner's cache stores it under
     (:meth:`~repro.harness.runner.ExperimentRunner.entry`), so a
-    journaled ``ok`` always names the entry ``--resume`` verifies against
+    journaled ``ok`` names the cache entry that holds its value
     (honoring a cache built with a non-default ``schema_version``).  The
-    journal stores only this content-hash reference to a traced cell's
-    spilled payload, never the payload itself.  Without a cache, falls
-    back to the same derivation at the global :data:`SCHEMA_VERSION`."""
+    journal stores only this key, never the value itself.  Without a
+    cache, falls back to the same derivation at the global
+    :data:`SCHEMA_VERSION`."""
     kind, payload = runner.entry(cell)
     if runner.cache is not None:
         return runner.cache.key_for(kind, payload)
@@ -125,13 +126,9 @@ class RunJournal:
     def record_cell(self, *, index: int, key: str, workload: str,
                     config: str, status: str, attempts: int,
                     elapsed: float = 0.0, kind: str | None = None,
-                    error: str | None = None, ref: str | None = None,
-                    payload_bytes: int | None = None) -> None:
+                    error: str | None = None) -> None:
         """``elapsed`` is the attempt's execution time in seconds, with
-        no queue wait in it.  ``ref``/``payload_bytes`` describe a
-        spilled heavy payload (traced cells): ``ref`` is its
-        ``kind/content-key`` address in the disk cache — the journal
-        never inlines the payload."""
+        no queue wait in it."""
         rec = {"event": "cell", "index": index, "key": key,
                "workload": workload, "config": config, "status": status,
                "attempts": attempts, "elapsed": round(elapsed, 6)}
@@ -139,10 +136,6 @@ class RunJournal:
             rec["kind"] = kind
         if error is not None:
             rec["error"] = error[:500]
-        if ref is not None:
-            rec["ref"] = ref
-        if payload_bytes is not None:
-            rec["payload_bytes"] = payload_bytes
         self._append(rec)
 
     def record_end(self, summary: dict) -> None:
@@ -154,17 +147,9 @@ class RunJournal:
     def entries(self) -> list[dict]:
         """Every intact record, oldest first.  A torn final line (crash
         mid-append) is skipped with a :class:`TornJournalWarning`, never
-        an error — ``--resume`` and ``journal show`` keep working on a
-        journal whose writer died."""
+        an error — ``journal show`` keeps working on a journal whose
+        writer died."""
         return read_jsonl(self.path, label=f"journal {self.run_id[:16]}")
-
-    def completed_keys(self) -> set[str]:
-        """Cell keys with at least one journaled ``ok`` — the set
-        ``--resume`` may skip (after verifying the cache still holds
-        each result)."""
-        return {rec["key"] for rec in self.entries()
-                if rec.get("event") == "cell" and rec.get("status") == "ok"
-                and "key" in rec}
 
 
 def list_journals(root: str | Path | None = None) -> list[RunJournal]:

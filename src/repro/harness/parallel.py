@@ -42,10 +42,13 @@ The rules come from :class:`ExecutionPolicy`:
   otherwise (keep-going, the default) failures are collected on the
   returned :class:`RunReport` and every other cell still completes.
 
-Attach a :class:`~repro.harness.journal.RunJournal` and every attempt is
-journaled; pass ``resume=True`` and journaled-ok cells are restored from
-the disk cache instead of recomputed.  Deterministic fault injection for
-all of these paths lives in :mod:`repro.harness.faults`.
+Every value, traced or not, comes back from its worker over the result
+pipe.  Attach a :class:`~repro.harness.journal.RunJournal` and every
+attempt is journaled.  A finished cell is found again only through the
+disk cache that :meth:`~repro.harness.runner.ExperimentRunner.get` reads
+through, so a rerun after a crash or an interrupt recomputes only the
+cells that never finished.  Deterministic fault injection for all of
+these paths lives in :mod:`repro.harness.faults`.
 
 Workers share the parent's :class:`~repro.harness.diskcache.DiskCache`
 (when one is attached), and :func:`run_cells` adds its cells leaders
@@ -84,34 +87,6 @@ from . import faults
 from .diskcache import DiskCache
 from .journal import RunJournal, cell_key
 from .runner import Cell, ExperimentRunner, TraceSpec
-
-
-@dataclass(frozen=True)
-class PayloadRef:
-    """Content-hash reference to a heavy payload spilled to the cache.
-
-    Traced runs are orders of magnitude heavier than ``PipelineResult``s
-    (they carry the retained event stream), so workers never ship them
-    over the result pipe: the worker writes the payload through its
-    cache view and returns this reference; the parent resolves it with
-    :meth:`~repro.harness.diskcache.DiskCache.get_by_key`.  ``size`` is
-    the on-disk byte count, journaled for observability.
-    """
-
-    kind: str
-    key: str
-    size: int | None = None
-
-    @property
-    def address(self) -> str:
-        return f"{self.kind}/{self.key}"
-
-
-class PayloadResolutionError(RuntimeError):
-    """A spilled payload reference could not be resolved from the cache
-    (evicted or corrupted between the worker's write and the parent's
-    read).  Treated as a retryable cell failure — re-running the cell
-    rewrites the entry."""
 
 
 #: Config columns of each experiment's matrix (workload rows come from the
@@ -219,8 +194,7 @@ class RunReport:
     """Outcome summary of one :func:`run_cells` invocation."""
 
     total: int = 0          #: unique cells not already memoized
-    ok: int = 0             #: cells computed successfully this run
-    resumed: int = 0        #: cells restored from journal + cache
+    ok: int = 0             #: cells finished this run, computed or cached
     retried: int = 0        #: ok cells that needed more than one attempt
     timeouts: int = 0       #: attempts lost to the per-cell timeout
     pool_rebuilds: int = 0
@@ -240,7 +214,7 @@ class RunReport:
         return not self.failures
 
     def summary(self) -> dict:
-        return {"total": self.total, "ok": self.ok, "resumed": self.resumed,
+        return {"total": self.total, "ok": self.ok,
                 "retried": self.retried, "timeouts": self.timeouts,
                 "failed": self.failed, "pool_rebuilds": self.pool_rebuilds,
                 "degraded": self.degraded, "interrupted": self.interrupted,
@@ -252,8 +226,6 @@ class RunReport:
         bits = [f"{self.ok} ok"]
         if self.interrupted:
             bits.append("interrupted")
-        if self.resumed:
-            bits.append(f"{self.resumed} resumed")
         if self.retried:
             bits.append(f"{self.retried} retried")
         bits.append(f"{self.failed} failed")
@@ -320,26 +292,12 @@ def _init_worker(slicer_config: SlicerConfig, scale: float,
                                       policy=policy)
 
 
-def compute_cell(runner: ExperimentRunner, cell: Cell, *,
-                 spill: bool = False):
-    """Execute one cell's real work on ``runner`` (no fault injection):
-    :meth:`~repro.harness.runner.ExperimentRunner.get`, shared by the
-    pool workers and the in-process serial path.  With ``spill`` (pool
-    workers) a traced payload is exchanged for its cache
-    :class:`PayloadRef` instead of riding the result pipe."""
-    value = runner.get(cell)
-    if spill and cell.trace is not None:
-        return _spill(runner, cell, value)
-    return value
-
-
-def timed_cell(runner: ExperimentRunner, cell: Cell, *,
-               spill: bool = False):
-    """:func:`compute_cell`, returning ``(value, elapsed)``.  ``elapsed``
+def timed_cell(runner: ExperimentRunner, cell: Cell):
+    """``runner.get(cell)``, returning ``(value, elapsed)``.  ``elapsed``
     times the cell's execution alone, with no queue wait or result IPC
     in it: what the run journal records."""
     t0 = time.monotonic()
-    value = compute_cell(runner, cell, spill=spill)
+    value = runner.get(cell)
     return value, time.monotonic() - t0
 
 
@@ -350,38 +308,9 @@ def _run_cell(cell: Cell, index: int = 0, attempt: int = 1):
     finished attempt, so the parent's run report counts the workers'
     cache traffic too."""
     faults.inject_cell_faults(index, attempt)
-    value, elapsed = timed_cell(_WORKER_RUNNER, cell, spill=True)
+    value, elapsed = timed_cell(_WORKER_RUNNER, cell)
     cache = _WORKER_RUNNER.cache
     return value, elapsed, cache.take_stats() if cache is not None else {}
-
-
-def _spill(runner: ExperimentRunner, cell: Cell, traced):
-    """Exchange a heavy traced payload for its cache reference.
-
-    ``runner.get`` already wrote the payload through the worker's cache
-    view (or read it from there), so the entry exists on disk; without a
-    cache there is nowhere to spill and the payload ships inline — the
-    degraded but correct path.
-    """
-    if runner.cache is None:
-        return traced
-    kind, payload = runner.entry(cell)
-    key = runner.cache.key_for(kind, payload)
-    return PayloadRef(kind, key, runner.cache.entry_size(kind, key))
-
-
-def _resolve(runner: ExperimentRunner, value):
-    """Parent-side inverse of :func:`_spill`: load the payload a worker
-    referenced.  Raises :class:`PayloadResolutionError` (retryable) when
-    the entry vanished between the worker's write and this read."""
-    if not isinstance(value, PayloadRef):
-        return value
-    resolved = (runner.cache.get_by_key(value.kind, value.key)
-                if runner.cache is not None else None)
-    if resolved is None:
-        raise PayloadResolutionError(
-            f"spilled payload {value.address} missing from cache")
-    return resolved
 
 
 # -- the supervisor --------------------------------------------------------
@@ -408,9 +337,8 @@ class Supervisor:
     says whether the cell goes back in after its backoff; a callback may
     raise to abort the caller's loop.
 
-    Pool attempts run :func:`_run_cell` in a worker.  The worker's cache
-    counters are added to ``runner.cache``'s, and a spilled
-    :class:`PayloadRef` is loaded before ``on_ok`` sees it.  Attempts in
+    Pool attempts run :func:`_run_cell` in a worker, and the worker's
+    cache counters are added to ``runner.cache``'s.  Attempts in
     process, with ``workers=0`` or in degraded mode, apply the cell
     faults and call :func:`timed_cell` on ``runner``.
     """
@@ -515,7 +443,6 @@ class Supervisor:
                 value, elapsed, cache_stats = fut.result()
                 if self.runner.cache is not None:
                     self.runner.cache.add_stats(cache_stats)
-                value = _resolve(self.runner, value)
             except BrokenProcessPool:
                 # Collateral or culprit — indistinguishable, and neither
                 # finished a real attempt: the crash charges the rebuild
@@ -618,16 +545,16 @@ def _message(exc: Exception) -> str:
 def run_cells(runner: ExperimentRunner, cells: list[Cell],
               jobs: int | None = None, *,
               policy: ExecutionPolicy | None = None,
-              journal: RunJournal | None = None,
-              resume: bool = False) -> RunReport:
+              journal: RunJournal | None = None) -> RunReport:
     """Compute ``cells`` fault-tolerantly, seeding ``runner``'s memo.
 
     Deterministic: cells are deduplicated preserving order and results are
     merged in that same order, and each cell's simulation is itself
     deterministic — so downstream rendering is byte-identical for any job
-    count, retry history or resume split.  Returns a :class:`RunReport`;
-    under ``policy.fail_fast`` a terminal cell failure raises
-    :class:`FatalCellError` instead (completed cells are still merged).
+    count, retry history or split across a crash and a rerun.  Returns a
+    :class:`RunReport`; under ``policy.fail_fast`` a terminal cell
+    failure raises :class:`FatalCellError` instead (completed cells are
+    still merged).
     """
     policy = policy or ExecutionPolicy()
     jobs = default_jobs() if jobs is None else jobs
@@ -636,8 +563,6 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
     report = RunReport(total=len(unique))
     if journal is not None and unique:
         journal.record_start(len(unique))
-    if resume and journal is not None and unique:
-        unique = _restore_resumed(runner, unique, journal, report)
     results: dict[int, object] = {}
 
     def on_ok(i: int, value, attempts: int, elapsed: float) -> None:
@@ -646,18 +571,11 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
         report.ok += 1
         if attempts > 1:
             report.retried += 1
-        if journal is None:
-            return
-        ref = size = None
-        if cell.trace is not None and runner.cache is not None:
-            # Journal the spilled payload by reference only — a traced
-            # payload never appears inline in the JSONL stream.
-            spilled = _spill(runner, cell, value)
-            ref, size = spilled.address, spilled.size
-        journal.record_cell(index=i, key=cell_key(runner, cell),
-                            workload=cell.workload, config=cell.config.name,
-                            status="ok", attempts=attempts, elapsed=elapsed,
-                            ref=ref, payload_bytes=size)
+        if journal is not None:
+            journal.record_cell(index=i, key=cell_key(runner, cell),
+                                workload=cell.workload,
+                                config=cell.config.name, status="ok",
+                                attempts=attempts, elapsed=elapsed)
 
     def on_failed(i: int, kind: str, error: str, attempts: int,
                   retry: bool) -> None:
@@ -692,8 +610,9 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
     except (KeyboardInterrupt, SystemExit):
         # Ctrl-C / SIGTERM: closing the supervisor on the way out killed
         # a busy pool, completed cells still merge below, and the
-        # journal's ``end`` record says the run was interrupted — so
-        # ``--resume`` picks up exactly where the interrupt landed.
+        # journal's ``end`` record says the run was interrupted.  Every
+        # finished cell is already in the cache (when one is attached),
+        # so a rerun picks up exactly where the interrupt landed.
         report.interrupted = True
         raise
     finally:
@@ -735,30 +654,6 @@ def _graceful_term():
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
-
-
-def _restore_resumed(runner: ExperimentRunner, unique: list[Cell],
-                     journal: RunJournal, report: RunReport) -> list[Cell]:
-    """Seed journaled-ok cells from the disk cache; return the rest.
-
-    A journaled ``ok`` is only trusted if the cache still holds the
-    payload — anything evicted (or run without a cache) is recomputed.
-    Each cell restores from the cache entry ``runner.entry`` names.
-    """
-    done = journal.completed_keys()
-    if not done:
-        return unique
-    remaining = []
-    for cell in unique:
-        restored = None
-        if cell_key(runner, cell) in done and runner.cache is not None:
-            restored = runner.cache.get(*runner.entry(cell))
-        if restored is not None:
-            runner.seed(cell, restored)
-            report.resumed += 1
-        else:
-            remaining.append(cell)
-    return remaining
 
 
 def _leaders_first(outstanding: dict[int, Cell]) -> list[int]:

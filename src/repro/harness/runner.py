@@ -201,8 +201,8 @@ class ExperimentRunner:
         policy only when it is not fixed (so fixed keys are
         byte-identical to pre-policy ones and adaptive entries never
         collide with them) and, for a traced run, by the trace
-        parameters.  The disk cache, the journal's cell key, a worker's
-        spill reference and ``--resume``'s lookup all use this answer.
+        parameters.  The disk cache and the journal's cell key both use
+        this answer.
         """
         cell = self._normalize(cell)
         payload = self._artifact_payload(cell.workload)
@@ -224,8 +224,8 @@ class ExperimentRunner:
         return self._normalize(cell) in self._memo
 
     def seed(self, cell: Cell, value) -> None:
-        """Adopt a value computed elsewhere (the parallel engine's merge,
-        ``--resume``'s restore)."""
+        """Adopt a value computed elsewhere (the parallel engine's
+        merge)."""
         self._memo[self._normalize(cell)] = value
 
     def get(self, cell: Cell):
@@ -410,11 +410,3 @@ class ExperimentRunner:
         """Normalized IPC of ``config`` over ``baseline``."""
         return (self.run(name, config, latencies).ipc
                 / self.run(name, baseline, latencies).ipc)
-
-    def clear(self) -> None:
-        """Drop every memo and reset the work counters, so a cleared
-        runner reports as if freshly constructed."""
-        self._artifacts.clear()
-        self._memo.clear()
-        self.builds = 0
-        self.simulations = 0

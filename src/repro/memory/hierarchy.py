@@ -151,20 +151,6 @@ class MemoryHierarchy:
         self.prefetch_l2_hits = 0
         self.prefetch_l2_misses = 0
 
-    def reset(self) -> None:
-        self.l1.reset()
-        self.l2.reset()
-        self._pending.clear()
-        self.thread_stats = [ThreadMemStats() for _ in self.thread_stats]
-        self._reset_fill_accounting()
-
-    def _reset_fill_accounting(self) -> None:
-        self.prefetch_fills = 0
-        self.fill_stats = (FillStats(), FillStats())
-        self._fill_owner.clear()
-        self.prefetch_l2_hits = 0
-        self.prefetch_l2_misses = 0
-
     def warm(self, addr: int, *, is_write: bool = False) -> None:
         """Touch the hierarchy during warmup (no latency bookkeeping)."""
         if not self.l1.probe(addr, is_write=is_write, count=False):
@@ -178,7 +164,11 @@ class MemoryHierarchy:
         self.l1.stats = type(self.l1.stats)()
         self.l2.stats = type(self.l2.stats)()
         self.thread_stats = [ThreadMemStats() for _ in self.thread_stats]
-        self._reset_fill_accounting()
+        self.prefetch_fills = 0
+        self.fill_stats = (FillStats(), FillStats())
+        self._fill_owner.clear()
+        self.prefetch_l2_hits = 0
+        self.prefetch_l2_misses = 0
 
     def access(self, addr: int, *, is_write: bool = False, thread: int = 0,
                now: int = 0) -> int:

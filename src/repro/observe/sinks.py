@@ -22,7 +22,7 @@ from collections import deque
 from pathlib import Path
 from typing import IO, Iterable, Protocol, runtime_checkable
 
-from .events import EVENT_KINDS, TraceEvent, serialize_events
+from .events import EVENT_KINDS, TraceEvent
 
 
 @runtime_checkable
@@ -87,10 +87,6 @@ class RingBufferSink:
 
     def __len__(self) -> int:
         return len(self._buf)
-
-    def serialize(self) -> str:
-        """Canonical JSONL of the retained events."""
-        return serialize_events(self._buf)
 
 
 class JsonlStreamSink:

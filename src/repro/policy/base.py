@@ -12,7 +12,7 @@ see ``docs/adaptive-policy.md`` for the full specification.
 
 Everything here is deterministic and side-effect-free: the same signals
 always produce the same proposal, which is what makes adaptive runs
-byte-reproducible across job counts, backends and crash/resume.
+byte-reproducible across job counts, backends and a crash and rerun.
 """
 
 from __future__ import annotations

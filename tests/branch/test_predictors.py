@@ -59,13 +59,6 @@ class TestBimodal:
             p.predict_and_update(0, i % 2 == 0)
         assert p.stats.hit_ratio < 0.6
 
-    def test_reset(self):
-        p = BimodalPredictor(16)
-        p.predict_and_update(0, False)
-        p.reset()
-        assert p.predict(0)
-        assert p.stats.lookups == 0
-
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
             BimodalPredictor(100)

@@ -86,9 +86,6 @@ class TestHelpers:
         assert cfg.ifq_size == SPEAR_128.ifq_size
         assert SPEAR_128.latencies.memory == 120   # original untouched
 
-    def test_renamed(self):
-        assert SPEAR_128.renamed("x").name == "x"
-
     def test_describe_covers_table2(self):
         d = SPEAR_128.describe()
         assert d["IFQ size"] == 128

@@ -1,4 +1,5 @@
-"""Campaign driver: byte-determinism across job counts, resume, triage."""
+"""Campaign driver: byte-determinism across job counts, a rerun after a
+crash, triage."""
 
 import hashlib
 import json
@@ -90,20 +91,20 @@ class TestResume:
         assert not first.run_reports[0].completed
         assert len(first.failed) == 1
 
-        # Resume without faults: only the missing cell reruns; the rest
-        # restore from the journal + cache, and the bytes match a clean
-        # uninterrupted campaign.
+        # Rerun without faults: only the missing cell is evaluated; the
+        # rest are cache hits, and the bytes match a clean uninterrupted
+        # campaign.
         monkeypatch.delenv("REPRO_FAULTS")
         resumed_runner = _runner(tmp_path)
         resumed = run_guided_campaign(spec, resumed_runner, jobs=2,
                                       policy=FAST,
-                                      journal_root=tmp_path / "j",
-                                      resume=True)
+                                      journal_root=tmp_path / "j")
         assert resumed.run_reports[0].completed
         assert resumed.failed == []
         assert resumed.verdicts == clean.verdicts
         assert resumed.report.render() == clean.report.render()
-        assert resumed.run_reports[0].resumed >= 1
+        fuzz = resumed.run_reports[0].cache_stats["fuzz"]
+        assert (fuzz["hits"], fuzz["misses"], fuzz["stores"]) == (3, 1, 1)
 
     def test_journal_key_isolates_check_changes(self, tmp_path):
         runner = _runner(tmp_path)

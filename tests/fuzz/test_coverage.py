@@ -96,13 +96,6 @@ class TestCoverageMap:
         assert forward.to_json() == backward.to_json()
         assert forward.content_hash() == backward.content_hash()
 
-    def test_merge_equals_joint_accumulation(self):
-        vs = [verdict(name=f"n{i}", triggers=i * 7) for i in range(6)]
-        joint = coverage_map(vs)
-        left, right = coverage_map(vs[:3]), coverage_map(vs[3:])
-        left.merge(right)
-        assert left.to_json() == joint.to_json()
-
     def test_add_reports_novelty_once(self):
         cmap = CoverageMap()
         assert cmap.add_verdict(verdict())

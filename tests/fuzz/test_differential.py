@@ -83,7 +83,8 @@ class TestInjectedDivergence:
 
     def test_fast_forward_drift_off_the_default_latency(self, monkeypatch):
         """A skip that drifts only away from the default memory latency
-        passes the backends check; only the sweep check sees it."""
+        passes the backends check; only the sweep check sees it, at both
+        of its points, since neither repeats the default latency."""
         run = TimingSimulator.run
 
         def drifting(sim):
@@ -96,7 +97,8 @@ class TestInjectedDivergence:
         swept = evaluate_workload(_small_workload(),
                                   FuzzCheckSpec(sweep_points=2))
         assert swept.divergences == (
-            "sweep: mem=40: run() drifts from the walk",)
+            "sweep: mem=40: run() drifts from the walk",
+            "sweep: mem=160: run() drifts from the walk")
         clean = evaluate_workload(_small_workload(),
                                   FuzzCheckSpec(sweep_points=0))
         assert not clean.diverged

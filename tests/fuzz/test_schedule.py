@@ -1,4 +1,5 @@
-"""Guided campaigns: mutation, arm scheduling, resume byte-identity."""
+"""Guided campaigns: mutation, arm scheduling, byte-identity across a
+crash and a rerun."""
 
 import os
 import subprocess
@@ -190,13 +191,15 @@ class TestGuidedCampaign:
         assert first.report.errored == first.failed
         assert len(first.verdicts) < spec.count
 
-        # Resume: completed cells replay from journal + cache, the
-        # missing cell reruns, and every byte matches the clean run.
+        # Rerun: completed cells replay from the cache, the missing cell
+        # is evaluated, and every byte matches the clean run.
         monkeypatch.delenv("REPRO_FAULTS")
         resumed = run_guided_campaign(
             spec, _runner(tmp_path), jobs=2, policy=FAST,
-            journal_root=tmp_path / "j", resume=True)
+            journal_root=tmp_path / "j")
         assert resumed.completed
+        fuzz = [r.cache_stats["fuzz"] for r in resumed.run_reports]
+        assert [(f["hits"], f["misses"]) for f in fuzz] == [(2, 1), (0, 3)]
         assert resumed.verdicts == clean.verdicts
         assert resumed.coverage.to_json() == clean.coverage.to_json()
         assert resumed.report.render() == clean.report.render()

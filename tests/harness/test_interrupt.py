@@ -1,6 +1,6 @@
 """Graceful interruption of ``run_cells``: SIGINT/SIGTERM mid-run must
-journal an ``interrupted`` end record (with completed cells intact) so
-``--resume`` picks up exactly where the interrupt landed."""
+journal an ``interrupted`` end record, with completed cells journaled and
+cached, so a rerun picks up exactly where the interrupt landed."""
 
 import os
 import signal
@@ -22,18 +22,18 @@ def _runner(tmp_path):
 
 def _interrupt_after(monkeypatch, n, exc=KeyboardInterrupt):
     """Patch the serial compute dispatch to blow up on the (n+1)-th cell."""
-    real = parallel_mod.compute_cell
+    real = parallel_mod.timed_cell
     calls = {"n": 0}
 
-    def boom(runner, cell, **kwargs):
+    def boom(runner, cell):
         if calls["n"] >= n:
             if exc is KeyboardInterrupt:
                 raise KeyboardInterrupt
             os.kill(os.getpid(), signal.SIGTERM)   # routed by _graceful_term
         calls["n"] += 1
-        return real(runner, cell, **kwargs)
+        return real(runner, cell)
 
-    monkeypatch.setattr(parallel_mod, "compute_cell", boom)
+    monkeypatch.setattr(parallel_mod, "timed_cell", boom)
 
 
 class TestInterrupt:
@@ -48,7 +48,10 @@ class TestInterrupt:
         assert events[-1]["report"]["interrupted"] is True
         assert events[-1]["report"]["ok"] == 1
         # The completed cell was journaled and cached before the cut.
-        assert len(journal.completed_keys()) == 1
+        oks = [e["key"] for e in events
+               if e["event"] == "cell" and e["status"] == "ok"]
+        assert len(oks) == 1
+        assert runner.cache.entry_size("results", oks[0]) > 0
 
     def test_sigterm_routes_through_graceful_unwind(self, tmp_path,
                                                     monkeypatch):
@@ -70,13 +73,16 @@ class TestInterrupt:
         with pytest.raises(KeyboardInterrupt):
             run_cells(runner, CELLS, jobs=1, journal=journal)
         monkeypatch.undo()
-        # Fresh runner, same journal + cache: only the second cell runs.
+        # Fresh runner, same journal + cache: the first cell is a cache
+        # hit and only the second one runs.
         resumed = ExperimentRunner(instruction_scale=0.05,
                                    cache=DiskCache(tmp_path / "cache"))
-        report = run_cells(resumed, CELLS, jobs=1, journal=journal,
-                           resume=True)
+        report = run_cells(resumed, CELLS, jobs=1, journal=journal)
         assert report.interrupted is False
-        assert report.resumed == 1 and report.ok == 1
+        assert report.ok == 2
+        results = report.cache_stats["results"]
+        assert (results["hits"], results["misses"],
+                results["stores"]) == (1, 1, 1)
         assert resumed.simulations == 1
         assert journal.entries()[-1]["report"]["interrupted"] is False
 

@@ -1,4 +1,5 @@
-"""Run journal: append/read round trip, run keys, resume bookkeeping."""
+"""Run journal: append/read round trip, run keys, and reruns that find
+finished cells in the cache."""
 
 import json
 
@@ -49,9 +50,6 @@ class TestRecords:
             fh.write('{"event": "cell", "trunca')
         with pytest.warns(TornJournalWarning, match="line 2"):
             j.entries()
-        # completed_keys reads through the same tolerant path.
-        with pytest.warns(TornJournalWarning):
-            assert j.completed_keys() == set()
 
     def test_non_record_line_is_skipped_with_warning(self, tmp_path):
         j = RunJournal(tmp_path / "r.jsonl")
@@ -72,22 +70,11 @@ class TestRecords:
         with pytest.warns(TornJournalWarning):
             events = j.entries()
         assert [e["event"] for e in events] == ["start", "cell"]
-        with pytest.warns(TornJournalWarning):
-            assert j.completed_keys() == {"k1"}
-
-    def test_completed_keys_only_counts_ok(self, tmp_path):
-        j = RunJournal(tmp_path / "r.jsonl")
-        j.record_cell(index=0, key="a", workload="w", config="c",
-                      status="ok", attempts=1)
-        j.record_cell(index=1, key="b", workload="w", config="c",
-                      status="failed", attempts=3)
-        j.record_cell(index=2, key="c", workload="w", config="c",
-                      status="retried", attempts=1)
-        assert j.completed_keys() == {"a"}
+        assert events[1]["key"] == "k1" and events[1]["status"] == "ok"
 
     def test_missing_file_reads_empty(self, tmp_path):
         j = RunJournal(tmp_path / "nope.jsonl")
-        assert j.entries() == [] and j.completed_keys() == set()
+        assert j.entries() == []
 
 
 class TestKeys:
@@ -108,10 +95,10 @@ class TestKeys:
         assert cell_key(runner, plain) == cell_key(runner, noop)
 
     def test_cell_key_matches_cache_key_derivation(self, tmp_path):
-        # The journal key must be exactly the key --resume's cache
-        # lookup uses — including a cache built with a non-default
-        # schema_version; the global-constant fallback applies only
-        # when no cache is attached.
+        # The journal key must be exactly the key the cache stores the
+        # cell's value under — including a cache built with a
+        # non-default schema_version; the global-constant fallback
+        # applies only when no cache is attached.
         cache = DiskCache(tmp_path / "c", schema_version=7)
         runner = _runner(cache=cache)
         cell = Cell("pointer", BASELINE)
@@ -127,9 +114,9 @@ class TestKeys:
         assert a.path == b.path
 
 
-#: ``cell_key`` values of mcf's cells at scale 0.2.  A warm cache and a
-#: ``--resume`` journal written by an earlier tree stay valid only while
-#: these hold, so a harness refactor must leave every one unchanged.
+#: ``cell_key`` values of mcf's cells at scale 0.2.  A warm cache and the
+#: journals written by an earlier tree stay valid only while these hold,
+#: so a harness refactor must leave every one unchanged.
 PINNED_CELL_KEYS = {
     "figure6/baseline":
         "01137c2e59f5dffa836b10e85ebd765fcdebf35cb55261ee88b980be453eed69",
@@ -223,6 +210,8 @@ class TestPinnedKeys:
 
 
 class TestResume:
+    """A rerun resumes from the cache, whatever its journal says."""
+
     def test_resume_skips_journaled_cells(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
         cells = cells_for("figure6", ["pointer"])
@@ -232,9 +221,11 @@ class TestResume:
         run_cells(first, cells, jobs=1, journal=journal)
 
         second = _runner(cache=cache)
-        report = run_cells(second, cells, jobs=1, journal=journal,
-                           resume=True)
-        assert report.resumed == len(cells) and report.ok == 0
+        report = run_cells(second, cells, jobs=1, journal=journal)
+        results = report.cache_stats["results"]
+        assert (results["hits"], results["misses"],
+                results["stores"]) == (len(cells), 0, 0)
+        assert report.ok == len(cells)
         assert second.simulations == 0
         assert second.has(Cell("pointer", BASELINE))
 
@@ -245,11 +236,11 @@ class TestResume:
                                      root=tmp_path / "j")
         run_cells(first, cells, jobs=1, journal=journal)
 
-        # A journaled ok without a cache to restore from must recompute.
+        # A journaled ok without a cache to read it from must recompute.
         second = _runner()
-        report = run_cells(second, cells, jobs=1, journal=journal,
-                           resume=True)
-        assert report.resumed == 0 and report.ok == len(cells)
+        report = run_cells(second, cells, jobs=1, journal=journal)
+        assert report.ok == len(cells)
+        assert second.simulations == len(cells)
 
 
 class TestListing:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import BASELINE, SPEAR_128, SPEAR_256
 from repro.harness import (Cell, DiskCache, ExperimentRunner, RunJournal,
-                           cells_for, default_jobs, figure6, run_cells)
+                           cells_for, default_jobs, figure6, report_cells,
+                           report_trace_spec, run_cells)
 from repro.harness.parallel import _leaders_first
 from repro.memory import FIG9_LATENCIES
 
@@ -153,15 +154,26 @@ class TestLeadersFirst:
 
 
 class TestCacheStats:
-    def test_pooled_run_counts_worker_cache_traffic(self, tmp_path):
-        # Every cell runs in a worker, so every result is missed and
-        # stored by a worker cache; the parent's report counts them.
-        runner = ExperimentRunner(instruction_scale=0.05,
-                                  cache=DiskCache(tmp_path / "cache"))
-        report = run_cells(runner, cells_for("figure6", ["pointer"]), jobs=2)
-        results = report.cache_stats["results"]
-        assert (results["hits"], results["misses"],
-                results["stores"]) == (0, 3, 3)
+    @pytest.mark.parametrize("kind, cells", [
+        ("results", cells_for("figure6", ["pointer"])),
+        ("traces", report_cells(["pointer"], [BASELINE, SPEAR_128],
+                                report_trace_spec())),
+    ], ids=["plain", "traced"])
+    def test_pooled_run_counts_worker_cache_traffic(self, tmp_path, kind,
+                                                    cells):
+        # Every cell runs in a worker, so every value is missed and
+        # stored by a worker cache; the parent's report counts them,
+        # once each.  A warm rerun in a fresh runner hits every cell
+        # and stores nothing.
+        def run():
+            runner = ExperimentRunner(instruction_scale=0.05,
+                                      cache=DiskCache(tmp_path / "cache"))
+            stats = run_cells(runner, cells, jobs=2).cache_stats[kind]
+            return stats["hits"], stats["misses"], stats["stores"]
+
+        n = len(cells)
+        assert run() == (0, n, n)
+        assert run() == (n, 0, 0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_back_to_back_runs_report_their_own_traffic(self, tmp_path,

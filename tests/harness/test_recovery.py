@@ -1,9 +1,9 @@
-"""Fault-tolerant executor: crash recovery, timeouts, retries, resume.
+"""Fault-tolerant executor: crash recovery, timeouts, retries, reruns.
 
 Every test drives a real figure-6 matrix (3 cells, scale 0.05) through
-deterministic ``REPRO_FAULTS`` injection, covering the ISSUE's recovery
-paths: worker crash preserves completed cells, per-cell timeout fires
-and retries, ``--resume`` skips journaled cells, and the serial path
+deterministic ``REPRO_FAULTS`` injection, covering the recovery paths:
+worker crash preserves completed cells, per-cell timeout fires and
+retries, a rerun finds finished cells in the cache, and the serial path
 honors the same retry/keep-going semantics as the pool.
 """
 
@@ -184,10 +184,9 @@ class TestJournalAndResume:
     def test_interrupted_run_resumes_byte_identical(self, tmp_path,
                                                     monkeypatch):
         # The acceptance scenario: a run with a persistently-crashing
-        # cell completes keep-going with one failure; a later --resume
-        # run restores the ok cells from journal+cache, recomputes only
-        # the failed cell, and renders byte-identically to an
-        # uninterrupted run.
+        # cell completes keep-going with one failure; a plain rerun
+        # finds the ok cells in the cache, recomputes only the failed
+        # cell, and renders byte-identically to an uninterrupted run.
         cache = DiskCache(tmp_path / "cache")
         cells = _cells()
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=1:times=0")
@@ -205,10 +204,11 @@ class TestJournalAndResume:
         journal2 = RunJournal.for_run("figure6", cells, resumed,
                                       root=tmp_path / "j")
         assert journal2.path == journal.path
-        second = run_cells(resumed, cells, jobs=2, journal=journal2,
-                           resume=True)
-        assert second.resumed == 2 and second.ok == 1
-        assert second.completed
+        second = run_cells(resumed, cells, jobs=2, journal=journal2)
+        assert second.ok == 3 and second.completed
+        results = second.cache_stats["results"]
+        assert (results["hits"], results["misses"],
+                results["stores"]) == (2, 1, 1)
 
         reference = _runner()
         run_cells(reference, cells, jobs=1)

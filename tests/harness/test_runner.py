@@ -53,18 +53,6 @@ class TestRuns:
         assert s == (runner.run("pointer", SPEAR_128).ipc
                      / runner.run("pointer", BASELINE).ipc)
 
-    def test_clear(self, runner):
-        runner.run("pointer", BASELINE)
-        runner.clear()
-        assert not runner._artifacts and not runner._memo
-
-    def test_clear_resets_counters(self):
-        runner = ExperimentRunner(instruction_scale=0.05)
-        runner.run("pointer", BASELINE)
-        assert runner.builds == 1 and runner.simulations == 1
-        runner.clear()
-        assert runner.builds == 0 and runner.simulations == 0
-
     def test_has_result_membership(self):
         runner = ExperimentRunner(instruction_scale=0.05)
         assert not runner.has(Cell("pointer", BASELINE))

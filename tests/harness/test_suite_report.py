@@ -1,6 +1,6 @@
 """Suite report: golden speedup table, serial-vs-parallel byte identity,
-the exact-invariant check, reference-only journaling of traced payloads,
-and crash + ``--resume`` reproducing the same bytes without re-simulating
+the exact-invariant check, key-only journaling of traced payloads, and a
+rerun after a crash reproducing the same bytes without re-simulating
 completed cells."""
 
 import json
@@ -69,7 +69,7 @@ class TestGoldenSuite:
 class TestParallelByteIdentity:
     def test_serial_vs_jobs4_identical_markdown_and_svg(self, tmp_path):
         # Separate caches: identical bytes must come from determinism,
-        # not from the second run reading the first run's spills.
+        # not from the second run reading the first run's cache.
         serial = _runner(DiskCache(tmp_path / "cache-serial"))
         run_cells(serial, _cells(), jobs=1, policy=FAST)
         md_serial, svg_serial = _render(serial)
@@ -77,8 +77,8 @@ class TestParallelByteIdentity:
         parallel = _runner(DiskCache(tmp_path / "cache-jobs4"))
         report = run_cells(parallel, _cells(), jobs=4, policy=FAST)
         assert report.completed and report.ok == len(_cells())
-        # Every traced payload was spilled by a worker and resolved by
-        # reference — the parent process simulated nothing itself.
+        # Every traced value came back from a worker over the result
+        # pipe — the parent process simulated nothing itself.
         assert parallel.simulations == 0
         md_parallel, svg_parallel = _render(parallel)
         assert parallel.simulations == 0
@@ -91,7 +91,8 @@ class TestParallelByteIdentity:
         run_cells(cached, _cells(), jobs=1, policy=FAST)
         md_ref, svg_ref = _render(cached)
 
-        # No cache attached: workers ship TracedRun payloads inline.
+        # No cache attached: the workers' TracedRun values are the only
+        # copies, and they still render the same bytes.
         plain = _runner(cache=None)
         report = run_cells(plain, _cells(), jobs=2, policy=FAST)
         assert report.completed
@@ -134,13 +135,10 @@ class TestJournalReferences:
                if r.get("event") == "cell" and r.get("status") == "ok"]
         assert len(oks) == len(cells)
         for rec in oks:
-            assert rec["ref"].startswith("traces/")
-            key = rec["ref"].split("/", 1)[1]
-            assert rec["payload_bytes"] > 0
-            assert rec["payload_bytes"] == \
-                runner.cache.entry_size("traces", key)
-        # Reference-only journaling keeps every record tiny even though
-        # the traced payloads are orders of magnitude larger.
+            # The record's key names the cache entry holding the payload.
+            assert runner.cache.entry_size("traces", rec["key"]) > 0
+        # Key-only journaling keeps every record tiny even though the
+        # traced payloads are orders of magnitude larger.
         for line in journal.path.read_text().splitlines():
             assert len(line) < 1024
             assert "events" not in json.loads(line)
@@ -153,7 +151,8 @@ class TestJournalReferences:
         traced = Cell("pointer", SPEAR_128, trace=report_trace_spec())
         assert cell_key(runner, plain) != cell_key(runner, traced)
         # Without a cache the derivation must agree with the cached one
-        # (default schema version), so resume works either way.
+        # (default schema version), so a journal reads the same either
+        # way.
         assert cell_key(_runner(), traced) == cell_key(runner, traced)
 
 
@@ -180,19 +179,21 @@ class TestCrashResume:
         assert report.failed == 1
         assert report.ok == len(cells) - 1
 
-        # Resume without faults: the five journaled cells restore from
-        # the cache, only the crashed one simulates (serial jobs=1 keeps
-        # the simulation in-process so the counter can prove it).
+        # Rerun without faults: the five finished cells are cache hits,
+        # only the crashed one simulates (serial jobs=1 keeps the
+        # simulation in-process so the counter can prove it).
         monkeypatch.delenv("REPRO_FAULTS")
         resumed = _runner(DiskCache(tmp_path / "cache"))
         journal2 = RunJournal.for_run("report-suite", cells, resumed,
                                       root=tmp_path / "journal")
         assert journal2.path == journal.path
         report2 = run_cells(resumed, cells, jobs=1, policy=FAST,
-                            journal=journal2, resume=True)
+                            journal=journal2)
         assert report2.completed
-        assert report2.resumed == len(cells) - 1
-        assert report2.ok == 1
+        assert report2.ok == len(cells)
+        traces = report2.cache_stats["traces"]
+        assert (traces["hits"], traces["misses"],
+                traces["stores"]) == (len(cells) - 1, 1, 1)
         assert resumed.simulations == 1
 
         md, svg = _render(resumed)
@@ -211,8 +212,9 @@ class TestCrashResume:
         report = run_cells(again, cells, jobs=1, policy=FAST,
                            journal=RunJournal.for_run(
                                "report-suite", cells, again,
-                               root=tmp_path / "journal"),
-                           resume=True)
-        assert report.resumed == len(cells)
-        assert report.ok == 0
+                               root=tmp_path / "journal"))
+        assert report.ok == len(cells)
+        traces = report.cache_stats["traces"]
+        assert (traces["hits"], traces["misses"],
+                traces["stores"]) == (len(cells), 0, 0)
         assert again.simulations == 0

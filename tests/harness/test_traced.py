@@ -44,12 +44,6 @@ class TestRunTraced:
         # plain results must never inherit a traced run's timeline
         assert runner.run("pointer", SPEAR_128).timeline is None
 
-    def test_clear_drops_traced_memo(self):
-        r = ExperimentRunner(instruction_scale=0.05)
-        r.run_traced("pointer", SPEAR_128)
-        r.clear()
-        assert not r._memo
-
 
 class TestDiskCache:
     def test_warm_read_through(self, tmp_path):

@@ -123,9 +123,3 @@ class TestWarmup:
         m.access(0x5000, now=0)    # creates a pending fill
         m.finish_warmup()
         assert m.access(0x5000, now=0) == 1  # no delayed-hit artifact
-
-    def test_reset_clears_everything(self):
-        m = hier()
-        m.access(0x1000, now=0)
-        m.reset()
-        assert m.access(0x1000, now=0) == 120

@@ -148,16 +148,16 @@ class TestPrefetchL2Accounting:
 
 
 class TestLifecycle:
-    def test_reset_clears_fill_accounting(self, mem):
-        mem.access(0x1000, thread=PT, now=0)
-        mem.prefetch(0x2000, now=0)
-        mem.reset()
-        assert pthread_fills(mem)["fills"] == 0
-        assert prefetch_fills(mem)["fills"] == 0
-        assert mem.prefetch_l2_hits == mem.prefetch_l2_misses == 0
-
     def test_finish_warmup_clears_fill_accounting(self, mem):
         mem.access(0x1000, thread=PT, now=0)
         mem.finish_warmup()
         f = pthread_fills(mem)
         assert f["fills"] == f["unused"] == 0
+
+    def test_finish_warmup_clears_prefetch_accounting(self, mem):
+        mem.prefetch(0x2000, now=0)
+        assert prefetch_fills(mem)["fills"] == 1
+        assert mem.prefetch_l2_misses == 1
+        mem.finish_warmup()
+        assert prefetch_fills(mem)["fills"] == 0
+        assert mem.prefetch_l2_hits == mem.prefetch_l2_misses == 0

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro.observe import (JsonlStreamSink, RingBufferSink, TraceEvent,
-                           TraceSink)
+                           TraceSink, serialize_events)
 
 
 def events(n, kind="commit"):
@@ -55,8 +55,8 @@ class TestRingBufferSink:
         sink = RingBufferSink()
         for e in events(3):
             sink.emit(e)
-        assert sink.serialize() == "".join(e.to_json() + "\n"
-                                           for e in sink.events())
+        assert serialize_events(sink.events()) == "".join(
+            e.to_json() + "\n" for e in sink.events())
 
 
 class TestJsonlStreamSink:

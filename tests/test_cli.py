@@ -243,7 +243,7 @@ class TestSuiteReport:
     def test_suite_serial_vs_jobs2_byte_identical(self, monkeypatch,
                                                   capsys, tmp_path):
         # Separate cache dirs: identical bytes must come from
-        # determinism, not from shared spilled payloads.
+        # determinism, not from a shared cache.
         args = ["report", "pointer", "matrix", "mcf", "--suite",
                 *self.SMALL]
         md_a, svg_a = tmp_path / "a.md", tmp_path / "a.svg"
@@ -275,15 +275,16 @@ class TestSuiteReport:
                      "--retries", "0"]) == 1
         assert partial.read_bytes() != ref_md.read_bytes()
 
-        # Resume heals the run: completed traced cells restore from the
-        # journal + cache, only the crashed cell re-simulates, and the
-        # finished document is byte-identical to the uninterrupted one.
+        # A plain rerun heals the run: completed traced cells are cache
+        # hits, only the crashed cell re-simulates, and the finished
+        # document is byte-identical to the uninterrupted one.
         monkeypatch.delenv("REPRO_FAULTS")
+        capsys.readouterr()
         out_md, out_svg = tmp_path / "out.md", tmp_path / "out.svg"
         assert main([*args, "-o", str(out_md), "--svg", str(out_svg),
-                     "--resume", "--jobs", "1"]) == 0
+                     "--jobs", "1"]) == 0
         err = capsys.readouterr().err
-        assert "resumed" in err
+        assert "  cache[traces]: 5 hits, 1 misses, 1 stores" in err
         assert out_md.read_bytes() == ref_md.read_bytes()
         assert out_svg.read_bytes() == ref_svg.read_bytes()
 
@@ -328,13 +329,33 @@ class TestNoBackendOption:
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
+class TestNoResumeOption:
+    """A rerun finds finished cells in the cache; there is no flag."""
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "6", "pointer", *SCALE, "--resume"],
+        ["fuzz", "run", "--count", "1", "--resume"],
+    ], ids=["figure", "fuzz"])
+    def test_resume_is_an_unrecognized_argument(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
+
 class TestRobustnessFlags:
-    def test_resume_rerun_restores_from_journal(self, capsys):
+    def test_rerun_serves_finished_cells_from_cache(self, capsys):
         assert main(["figure", "6", "pointer", *SCALE, "--jobs", "1"]) == 0
-        capsys.readouterr()
-        assert main(["figure", "6", "pointer", *SCALE, "--jobs", "1",
-                     "--resume"]) == 0
-        assert "resumed" in capsys.readouterr().out
+        first = capsys.readouterr().out
+        assert main(["figure", "6", "pointer", *SCALE, "--jobs", "1"]) == 0
+        again = capsys.readouterr().out
+        assert "  cache[results]: 3 hits, 0 misses, 0 stores" in again
+
+        def figure(out):
+            return [line for line in out.splitlines()
+                    if not line.startswith(("run report:", "  "))]
+
+        assert figure(again) == figure(first)
 
     def test_fail_fast_flag_accepted(self, capsys):
         assert main(["figure", "6", "pointer", *SCALE, "--jobs", "1",
