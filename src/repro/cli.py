@@ -318,12 +318,13 @@ def _series_tables(name: str, series) -> list:
 
 def cmd_analyze(args) -> int:
     """``repro analyze``: traced interval series + fill timeliness."""
-    from .harness import TextTable
+    from .harness import TextTable, report_trace_spec
     config = _lookup_config(args.config)
     if config is None:
         return 2
     runner = _runner(args)
-    traced = runner.run_traced(args.workload, config, interval=args.interval)
+    traced = runner.run_traced(args.workload, config,
+                               spec=report_trace_spec(args.interval))
     tl = traced.result.timeline
     t = TextTable(
         f"{args.workload} / {config.name} — per-{tl['interval']}-cycle "
@@ -342,8 +343,7 @@ def cmd_analyze(args) -> int:
             f"{source} fills: {f['fills']} "
             f"(timely {f['timely']}, late {f['late']}, "
             f"unused {f['unused']}; redundant attempts {f['redundant']})")
-    t.add_footer(f"events: {traced.emitted} emitted, "
-                 f"{traced.dropped} dropped by the ring buffer")
+    t.add_footer(f"pre-execution events: {traced.emitted}")
     print(t.render())
     for name in tl:
         if name in _TIMELINE_KNOWN:

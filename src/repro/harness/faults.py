@@ -2,7 +2,7 @@
 
 Set ``REPRO_FAULTS`` to a comma-separated fault spec and the harness
 will inject failures at well-defined sites, so every recovery path in
-:mod:`repro.harness.parallel` (retry, pool rebuild, serial degradation,
+:mod:`repro.harness.parallel` (retry, pool rebuild, crash charging,
 cache-corruption-as-miss) is testable in CI without real crashes.
 
 Grammar::
@@ -41,9 +41,9 @@ Fault kinds:
 
 ``crash``
     Hard-kills the worker process (``os._exit``), which the parent sees
-    as a ``BrokenProcessPool``.  In the in-process serial path it raises
-    :class:`InjectedCrash` instead (a real segfault there would take the
-    whole run down; the injected analog stays recoverable).
+    as a ``BrokenProcessPool``.  In process (one job) it raises
+    :class:`InjectedCrash` instead, since an exit there would end the
+    run.  Either way a charged crash fails with kind ``"crash"``.
 ``fail``
     Raises :class:`InjectedFault` inside the cell attempt.
 ``delay``

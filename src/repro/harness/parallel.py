@@ -7,12 +7,11 @@ hung, failing) cell is squashed and re-executed alone, never at the cost
 of the rest of the run.  This module enumerates those cells as picklable
 :class:`~repro.harness.runner.Cell` descriptors and runs them under one
 :class:`Supervisor`, which owns the process pool, the attempts in
-flight, retry backoff, the timeout clock, pool rebuilds and in-process
-degradation.  Every attempt is one
-:meth:`~repro.harness.runner.ExperimentRunner.get` on the cell, in a
-worker or in process.  :func:`run_cells` adds a run's cells and steps
-the supervisor on the calling thread until none is outstanding, then
-seeds the results into the parent
+flight, retry backoff, the timeout clock and pool rebuilds.  Every
+attempt is one :meth:`~repro.harness.runner.ExperimentRunner.get` on
+the cell, in a worker or in process.  :func:`run_cells` adds a run's
+cells and steps the supervisor on the calling thread until none is
+outstanding, then seeds the results into the parent
 :class:`~repro.harness.runner.ExperimentRunner`'s memo **in index
 order**, so figures and tables render byte-identically regardless of
 job count.  With ``jobs <= 1`` or a single cell every attempt runs in
@@ -31,13 +30,12 @@ The rules come from :class:`ExecutionPolicy`:
   only when its attempt ranks among the ``workers`` oldest running
   ones: queue wait never counts.  In process nothing can be preempted,
   and the timeout is not enforced;
-- a dead worker (``BrokenProcessPool``) costs only the attempts in
-  flight: the pool is rebuilt and they go back in their first-submission
-  order, charging the rebuild budget rather than any retry budget;
-- after ``max_pool_rebuilds`` rebuilds with no success between them,
-  attempts run in process (degraded mode) until one succeeds, which
-  re-arms the budget and returns to the pool.  ``RunReport.degraded``
-  says a run was degraded at some point;
+- a dead worker (``BrokenProcessPool``) loses the attempts in flight
+  and the pool is rebuilt.  A lone attempt in flight is charged a
+  ``"crash"`` failure, retried like any other; of several, none is:
+  the executing ones (the ``workers`` oldest) become *suspects*, rerun
+  alone in first-submission order until each finishes an attempt
+  without killing its worker or fails terminally;
 - with ``fail_fast`` a terminal failure raises :class:`FatalCellError`;
   otherwise (keep-going, the default) failures are collected on the
   returned :class:`RunReport` and every other cell still completes.
@@ -155,15 +153,12 @@ class ExecutionPolicy:
     #: seconds one attempt may run before being abandoned (pool mode only;
     #: the in-process serial path cannot preempt a running cell)
     cell_timeout: float | None = None
-    #: extra attempts after the first, per cell
+    #: extra attempts after the first, per cell, crashes included
     retries: int = 2
     #: base of the exponential retry backoff, in seconds
     backoff: float = 0.25
     #: abort the whole run on the first terminal failure
     fail_fast: bool = False
-    #: pool rebuilds since the last success tolerated before degrading
-    #: to in-process execution
-    max_pool_rebuilds: int = 2
 
     def backoff_for(self, attempt: int) -> float:
         """Sleep before ``attempt`` (attempt 2 = first retry)."""
@@ -179,7 +174,7 @@ class CellFailure:
     cell: Cell
     index: int
     attempts: int
-    kind: str        #: ``"exception"`` or ``"timeout"``
+    kind: str        #: ``"exception"``, ``"timeout"`` or ``"crash"``
     error: str
 
     def describe(self) -> str:
@@ -198,7 +193,6 @@ class RunReport:
     retried: int = 0        #: ok cells that needed more than one attempt
     timeouts: int = 0       #: attempts lost to the per-cell timeout
     pool_rebuilds: int = 0
-    degraded: bool = False  #: ran in process (degraded) at some point
     interrupted: bool = False  #: cut short by SIGINT/SIGTERM (clean exit)
     wall_time: float = 0.0
     failures: list[CellFailure] = field(default_factory=list)
@@ -217,7 +211,7 @@ class RunReport:
         return {"total": self.total, "ok": self.ok,
                 "retried": self.retried, "timeouts": self.timeouts,
                 "failed": self.failed, "pool_rebuilds": self.pool_rebuilds,
-                "degraded": self.degraded, "interrupted": self.interrupted,
+                "interrupted": self.interrupted,
                 "wall_time": round(self.wall_time, 3),
                 "failures": [f.describe() for f in self.failures],
                 "cache": self.cache_stats}
@@ -231,12 +225,9 @@ class RunReport:
         bits.append(f"{self.failed} failed")
         lines = [f"run report: {self.total} cell(s) — " + ", ".join(bits)
                  + f"; wall {self.wall_time:.1f}s"]
-        if self.timeouts or self.pool_rebuilds or self.degraded:
-            extra = [f"timeouts {self.timeouts}",
-                     f"pool rebuilds {self.pool_rebuilds}"]
-            if self.degraded:
-                extra.append("degraded to serial")
-            lines.append("  " + ", ".join(extra))
+        if self.timeouts or self.pool_rebuilds:
+            lines.append(f"  timeouts {self.timeouts}, "
+                         f"pool rebuilds {self.pool_rebuilds}")
         for failure in self.failures:
             lines.append(f"  FAILED {failure.describe()}")
         for kind, c in sorted(self.cache_stats.items()):
@@ -338,9 +329,10 @@ class Supervisor:
     raise to abort the caller's loop.
 
     Pool attempts run :func:`_run_cell` in a worker, and the worker's
-    cache counters are added to ``runner.cache``'s.  Attempts in
-    process, with ``workers=0`` or in degraded mode, apply the cell
-    faults and call :func:`timed_cell` on ``runner``.
+    cache counters are added to ``runner.cache``'s.  With ``workers=0``
+    attempts run in process: they apply the cell faults and call
+    :func:`timed_cell` on ``runner``.  While there are suspects (see
+    :meth:`_broken`), the pool runs only the first, by itself.
     """
 
     def __init__(self, runner: ExperimentRunner, workers: int,
@@ -350,14 +342,12 @@ class Supervisor:
         self.policy = policy
         self._on_ok, self._on_failed = on_ok, on_failed
         self.pool_rebuilds = 0
-        #: attempts run in process until the next success
-        self.degraded = False
-        self._window = 0      # rebuilds since the last success
         self._pool: ProcessPoolExecutor | None = None
         self._jobs: dict = {}             # key -> _Job, first-submission order
         self._ready: deque = deque()      # keys awaiting (re)submission
         self._backoffs: dict = {}         # key -> resubmit-not-before deadline
         self._running: dict[Future, object] = {}   # submission order
+        self._suspects: list = []         # keys, first-submission order
 
     @property
     def outstanding(self) -> int:
@@ -378,7 +368,7 @@ class Supervisor:
         for key in [k for k, t in self._backoffs.items() if t <= now]:
             del self._backoffs[key]
             self._ready.append(key)
-        if self.workers <= 0 or self.degraded:
+        if self.workers <= 0:
             self._step_in_process()
         else:
             self._step_pool()
@@ -399,6 +389,8 @@ class Supervisor:
         try:
             faults.inject_cell_faults(key, job.submits)
             value, elapsed = timed_cell(self.runner, job.cell)
+        except faults.InjectedCrash as exc:
+            self._failed(key, "crash", _message(exc))
         except Exception as exc:
             self._failed(key, "exception", _message(exc))
         else:
@@ -408,19 +400,24 @@ class Supervisor:
         if self._pool is None:
             self._pool = _pool(self.runner, self.workers)
         while self._ready:
-            key = self._ready[0]
+            if self._suspects:
+                key = self._suspects[0]
+                if self._running or key not in self._ready:
+                    break
+                self._ready.remove(key)
+            else:
+                key = self._ready.popleft()
             job = self._jobs[key]
             try:
                 # A module-global lookup at submit time, so a wrapper
                 # installed on ``_run_cell`` (the bench's) is what runs.
                 fut = self._pool.submit(_run_cell, job.cell, key,
                                         job.submits + 1)
-            except Exception:
-                # The pool broke before this submission: rebuild without
-                # charging the cell.
-                self._rebuild()
+            except Exception as exc:
+                # The pool broke before this submission: the rebuild
+                # puts it back in.
+                self._broken(exc)
                 return
-            self._ready.popleft()
             job.submits += 1
             job.started = None
             self._running[fut] = key
@@ -436,24 +433,22 @@ class Supervisor:
             timeout = until if timeout is None else min(timeout, until)
         done, _ = wait(list(self._running), timeout=timeout,
                        return_when=FIRST_COMPLETED)
-        broken = False
+        broken = None
         for fut in done:
-            key = self._running.pop(fut)
             try:
                 value, elapsed, cache_stats = fut.result()
                 if self.runner.cache is not None:
                     self.runner.cache.add_stats(cache_stats)
-            except BrokenProcessPool:
-                # Collateral or culprit — indistinguishable, and neither
-                # finished a real attempt: the crash charges the rebuild
-                # budget, not the cell's retry budget.
-                broken = True
+            except BrokenProcessPool as exc:
+                # Lost with the pool: left in ``_running`` for _broken.
+                broken = exc
             except Exception as exc:
-                self._failed(key, "exception", _message(exc))
+                self._failed(self._running.pop(fut), "exception",
+                             _message(exc))
             else:
-                self._ok(key, value, elapsed)
-        if broken:
-            self._rebuild()
+                self._ok(self._running.pop(fut), value, elapsed)
+        if broken is not None:
+            self._broken(broken)
         elif self.policy.cell_timeout is not None:
             self._expire()
 
@@ -488,10 +483,8 @@ class Supervisor:
     def _ok(self, key, value, elapsed: float) -> None:
         job = self._jobs.pop(key)
         job.attempts += 1
-        # A success proves the pool healthy: re-arm the rebuild budget
-        # and leave degraded mode.
-        self._window = 0
-        self.degraded = False
+        if key in self._suspects:
+            self._suspects.remove(key)
         self._on_ok(key, value, job.attempts, elapsed)
 
     def _failed(self, key, kind: str, error: str) -> None:
@@ -503,18 +496,26 @@ class Supervisor:
                                    + self.policy.backoff_for(job.attempts + 1))
         else:
             del self._jobs[key]
+        if key in self._suspects and (kind != "crash" or not retry):
+            self._suspects.remove(key)
         self._on_failed(key, kind, error, job.attempts, retry)
+
+    def _broken(self, exc: Exception) -> None:
+        """A worker died: charge or suspect the attempts in flight."""
+        lost = list(self._running.values())
+        if len(lost) == 1:
+            self._failed(lost[0], "crash", _message(exc))
+        elif lost:
+            executing = set(lost[:self.workers])
+            self._suspects = [k for k in self._jobs if k in executing]
+        self._rebuild()
 
     def _rebuild(self) -> None:
         """Replace a broken or stuck pool.  Every outstanding cell not
-        backing off goes back in first-submission order; the incident
-        charges the rebuild budget, not any retry budget."""
+        backing off goes back in first-submission order."""
         self._teardown(kill=True)
         self._ready = deque(k for k in self._jobs if k not in self._backoffs)
         self.pool_rebuilds += 1
-        self._window += 1
-        if self._window > self.policy.max_pool_rebuilds:
-            self.degraded = True
 
     def _teardown(self, *, kill: bool) -> None:
         if self._pool is not None:
@@ -606,7 +607,6 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
         with _graceful_term(), contextlib.closing(supervisor):
             while supervisor.outstanding:
                 supervisor.step()
-                report.degraded = report.degraded or supervisor.degraded
     except (KeyboardInterrupt, SystemExit):
         # Ctrl-C / SIGTERM: closing the supervisor on the way out killed
         # a busy pool, completed cells still merge below, and the

@@ -11,7 +11,7 @@ from repro.fuzz.generator import KernelDials
 from repro.harness import DiskCache, ExecutionPolicy, ExperimentRunner
 from repro.harness.journal import RunJournal, cell_key
 
-FAST = ExecutionPolicy(retries=1, backoff=0, max_pool_rebuilds=1)
+FAST = ExecutionPolicy(retries=1, backoff=0)
 #: small + cheap: tiny footprints, short programs, no sweep sampling
 SMALL = KernelDials(mem_words=512, target_instructions=600)
 #: the one generation arm of every blind campaign here

@@ -38,28 +38,38 @@ class TestCrashRecovery:
         assert runner.has(Cell("pointer", BASELINE))
         assert runner.has(Cell("pointer", SPEAR_128))
 
-    def test_persistent_crash_degrades_to_serial_keep_going(self,
-                                                            monkeypatch):
-        # Unlimited crashing exhausts the rebuild budget; the serial
-        # fallback converts the crash into a terminal CellFailure while
-        # the other cells still complete.
+    def test_persistent_crash_fails_only_its_cell(self, monkeypatch):
+        # Cell 1 kills its worker on every attempt.  Rerun alone, each
+        # death is charged to it as a crash, so it fails terminally
+        # after retries + 1 attempts while the other cells complete.
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=1:times=0")
         runner = _runner()
         report = run_cells(
             runner, _cells(), jobs=2,
-            policy=ExecutionPolicy(retries=1, backoff=0, max_pool_rebuilds=1))
-        assert report.degraded
+            policy=ExecutionPolicy(retries=1, backoff=0))
         assert report.ok == 2 and report.failed == 1
-        assert report.failures[0].cell.config.name == "SPEAR-128"
+        failure = report.failures[0]
+        assert failure.cell.config.name == "SPEAR-128"
+        assert failure.kind == "crash" and failure.attempts == 2
         assert runner.has(Cell("pointer", BASELINE))
         assert not runner.has(Cell("pointer", SPEAR_128))
 
+    def test_persistent_crash_fail_fast_raises(self, monkeypatch):
+        # A charged crash is a terminal failure like any other: under
+        # fail-fast it aborts the run.
+        monkeypatch.setenv("REPRO_FAULTS", "crash:cell=1:times=0")
+        with pytest.raises(FatalCellError) as excinfo:
+            run_cells(_runner(), _cells(), jobs=2,
+                      policy=ExecutionPolicy(retries=0, backoff=0,
+                                             fail_fast=True))
+        failure = excinfo.value.failure
+        assert failure.index == 1 and failure.kind == "crash"
 
     def test_crash_does_not_consume_retry_budget(self, monkeypatch):
         # Cell 1's worker is hard-killed on attempt 1 and raises a plain
-        # fault on attempt 2.  The crash must charge only the rebuild
-        # budget, leaving the single retry free to absorb the real
-        # exception — previously the BrokenProcessPool burned it.
+        # fault on attempt 2.  Other attempts are in flight when the
+        # worker dies, so the death is charged to no cell, leaving the
+        # single retry free to absorb the real exception.
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=1,fail:cell=1:times=2")
         runner = _runner()
         report = run_cells(runner, _cells(), jobs=2,
@@ -116,27 +126,24 @@ class TestTimeout:
         runner = _runner()
         report = run_cells(
             runner, _cells(), jobs=2,
-            policy=ExecutionPolicy(cell_timeout=0.5, retries=0, backoff=0,
-                                   max_pool_rebuilds=0))
+            policy=ExecutionPolicy(cell_timeout=0.5, retries=0, backoff=0))
         assert report.failed == 1
         assert report.failures[0].kind == "timeout"
 
 
-class TestRebuildBudget:
-    def test_success_rearms_the_rebuild_budget(self, monkeypatch):
-        # One crash with no rebuilds to spare degrades the run to
-        # in-process execution, but only until the first success there:
-        # the budget counts the rebuilds since the last success, so the
-        # rest of the run goes back to the pool.
+class TestCrashSuspects:
+    def test_one_crash_charges_no_cell(self, monkeypatch):
+        # Cell 0 kills its worker once, with other attempts in flight:
+        # none is charged, the executing ones rerun alone, and the run
+        # finishes at full width with every cell on its first attempt.
         names = ["pointer", "update", "mcf"]
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=0")
         runner = _runner()
         report = run_cells(runner, cells_for("figure6", names), jobs=2,
-                           policy=ExecutionPolicy(backoff=0,
-                                                  max_pool_rebuilds=0))
-        assert report.completed
-        assert report.degraded
-        assert runner.simulations < 9
+                           policy=FAST)
+        assert report.completed and report.ok == 9
+        assert report.retried == 0
+        assert report.pool_rebuilds >= 1
 
         monkeypatch.delenv("REPRO_FAULTS")
         reference = _runner()
@@ -179,6 +186,15 @@ class TestSerialSemantics:
         report = run_cells(_runner(), _cells(), jobs=1, policy=FAST)
         assert report.completed and report.retried == 1
 
+    def test_serial_injected_crash_has_the_pool_kind(self, monkeypatch):
+        # One fault spec names the same failure kind at any job count.
+        monkeypatch.setenv("REPRO_FAULTS", "crash:cell=2:times=0")
+        report = run_cells(_runner(), _cells(), jobs=1,
+                           policy=ExecutionPolicy(retries=1, backoff=0))
+        assert report.ok == 2 and report.failed == 1
+        failure = report.failures[0]
+        assert failure.kind == "crash" and failure.attempts == 2
+
 
 class TestJournalAndResume:
     def test_interrupted_run_resumes_byte_identical(self, tmp_path,
@@ -193,10 +209,9 @@ class TestJournalAndResume:
         broken = _runner(cache=cache)
         journal = RunJournal.for_run("figure6", cells, broken,
                                      root=tmp_path / "j")
-        first = run_cells(
-            broken, cells, jobs=2,
-            policy=ExecutionPolicy(retries=1, backoff=0, max_pool_rebuilds=1),
-            journal=journal)
+        first = run_cells(broken, cells, jobs=2,
+                          policy=ExecutionPolicy(retries=1, backoff=0),
+                          journal=journal)
         assert first.failed == 1 and first.ok == 2
 
         monkeypatch.delenv("REPRO_FAULTS")
@@ -227,3 +242,17 @@ class TestJournalAndResume:
         assert statuses.count("ok") == 3
         report = [e for e in journal.entries() if e.get("event") == "end"]
         assert report and report[-1]["report"]["retried"] == 1
+
+    def test_journal_records_charged_crash(self, tmp_path, monkeypatch):
+        # Cell 1 kills its worker on every attempt: each charged death
+        # is a cell record of kind "crash", the last one terminal.
+        monkeypatch.setenv("REPRO_FAULTS", "crash:cell=1:times=0")
+        runner = _runner()
+        journal = RunJournal.for_run("figure6", _cells(), runner,
+                                     root=tmp_path / "j")
+        run_cells(runner, _cells(), jobs=2,
+                  policy=ExecutionPolicy(retries=1, backoff=0),
+                  journal=journal)
+        crashes = [(e["index"], e["status"]) for e in journal.entries()
+                   if e.get("event") == "cell" and e.get("kind") == "crash"]
+        assert crashes == [(1, "retried"), (1, "failed")]

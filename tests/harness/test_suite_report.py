@@ -164,18 +164,16 @@ class TestCrashResume:
         run_cells(reference, cells, jobs=2, policy=FAST)
         md_ref, svg_ref = _render(reference)
 
-        # Cell 3 crashes its worker on every attempt; with a rebuild
-        # budget of 1 the run degrades to serial and records the cell
-        # as failed while the other five complete and are journaled.
+        # Cell 3 crashes its worker on every attempt; rerun alone, it
+        # is charged each crash and fails while the other five complete
+        # and are journaled.
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=3:times=0")
         crashed = _runner(DiskCache(tmp_path / "cache"))
         journal = RunJournal.for_run("report-suite", cells, crashed,
                                      root=tmp_path / "journal")
-        report = run_cells(
-            crashed, cells, jobs=2,
-            policy=ExecutionPolicy(retries=1, backoff=0,
-                                   max_pool_rebuilds=1),
-            journal=journal)
+        report = run_cells(crashed, cells, jobs=2,
+                           policy=ExecutionPolicy(retries=1, backoff=0),
+                           journal=journal)
         assert report.failed == 1
         assert report.ok == len(cells) - 1
 

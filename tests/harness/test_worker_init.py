@@ -1,7 +1,8 @@
-"""Pool-worker start-up rules (``parallel._init_worker``): a worker dies
-with its parent, and a torn-down worker ends quietly.
+"""Pool-worker process rules: a worker dies with its parent, a torn-down
+worker ends quietly (both set up by ``parallel._init_worker``), and a
+cell that really kills its worker fails alone.
 
-Both are about processes, so each test runs ``run_cells`` in a child
+All are about processes, so each test runs ``run_cells`` in a child
 interpreter and watches it from outside.
 """
 
@@ -34,6 +35,16 @@ def _child(faults: str, policy: str = "", *, stdout=subprocess.PIPE,
     env = dict(os.environ, PYTHONPATH=SRC, REPRO_FAULTS=faults)
     return subprocess.Popen([sys.executable, "-c", CHILD.format(policy=policy)],
                             env=env, stdout=stdout, stderr=stderr, text=True)
+
+
+def _communicate(child: subprocess.Popen) -> tuple[str, str]:
+    """The child's ``(stdout, stderr)``, killing it if it overruns."""
+    try:
+        return child.communicate(timeout=120)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate(timeout=10)
 
 
 def _stat(pid: int) -> tuple[str, int] | None:
@@ -100,12 +111,46 @@ def test_timed_out_pool_teardown_writes_no_keyboard_interrupt():
     # Cell 0's first attempt sleeps past the 1 s timeout, so the pool is
     # torn down with SIGTERM while the run's SIGTERM handler is installed.
     child = _child("delay:cell=0:ms=30000", "cell_timeout=1, backoff=0")
-    try:
-        out, err = child.communicate(timeout=120)
-    finally:
-        if child.poll() is None:
-            child.kill()
-            child.communicate(timeout=10)
+    out, err = _communicate(child)
     assert child.returncode == 0, err
     assert out.split() == ["1", "True"]     # one timeout, every cell done
     assert "KeyboardInterrupt" not in err
+
+
+#: The figure-6 rows of pointer, update and mcf (nine cells) over two
+#: workers, where update/SPEAR-128 ends whatever process runs it, the
+#: way a segfault or the OOM killer would.  The patch is made before the
+#: pool forks, so every worker inherits it.
+DYING_CELL_CHILD = """
+import os
+from repro.harness import ExperimentRunner, cells_for, run_cells
+
+compute = ExperimentRunner._compute
+def _compute(self, cell):
+    if (cell.workload, cell.config.name) == ("update", "SPEAR-128"):
+        os._exit(139)
+    return compute(self, cell)
+ExperimentRunner._compute = _compute
+
+runner = ExperimentRunner(instruction_scale=0.05)
+cells = cells_for("figure6", ["pointer", "update", "mcf"])
+report = run_cells(runner, cells, jobs=2)
+failure, = report.failures
+print(report.ok, report.failed, failure.kind, failure.attempts,
+      failure.cell.workload, failure.cell.config.name,
+      sum(runner.has(c) for c in cells))
+"""
+
+
+def test_cell_that_kills_its_worker_fails_alone():
+    # Under the default policy the dying cell is charged one crash per
+    # attempt it runs alone, fails after retries + 1 of them, and the
+    # other eight cells are merged.
+    child = subprocess.Popen([sys.executable, "-c", DYING_CELL_CHILD],
+                             env=dict(os.environ, PYTHONPATH=SRC),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+    out, err = _communicate(child)
+    assert child.returncode == 0, err
+    assert out.split() == ["8", "1", "crash", "3", "update", "SPEAR-128",
+                           "8"]

@@ -39,7 +39,7 @@ from ..fuzz.test_coverage import verdict
 
 SETTINGS = dict(derandomize=True, deadline=None, print_blob=False)
 
-FAST = ExecutionPolicy(retries=1, backoff=0, max_pool_rebuilds=1)
+FAST = ExecutionPolicy(retries=1, backoff=0)
 SMALL = KernelDials(mem_words=512, target_instructions=600)
 
 #: Raw behaviour tuples for the synthetic-verdict properties: every

@@ -163,10 +163,9 @@ def test_adaptive_cells_crash_resume_byte_identical(tmp_path, monkeypatch):
     broken = ExperimentRunner(instruction_scale=0.05, cache=cache)
     journal = RunJournal.for_run("ablate-policy", cells, broken,
                                  root=tmp_path / "j")
-    first = run_cells(
-        broken, cells, jobs=2,
-        policy=ExecutionPolicy(retries=1, backoff=0, max_pool_rebuilds=1),
-        journal=journal)
+    first = run_cells(broken, cells, jobs=2,
+                      policy=ExecutionPolicy(retries=1, backoff=0),
+                      journal=journal)
     assert first.failed == 1 and first.ok == 3
 
     monkeypatch.delenv("REPRO_FAULTS")

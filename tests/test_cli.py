@@ -93,6 +93,20 @@ class TestAnalyzeTimeline:
         assert main(["analyze", "pointer", "--interval", "500", *SCALE]) == 0
         assert "500" in capsys.readouterr().out
 
+    def test_reuses_the_report_cell(self, monkeypatch, capsys):
+        # analyze traces under the report's spec, so the SPEAR-128 cell
+        # a report cached serves it, and nothing simulates again.
+        from repro.harness import ExperimentRunner
+        assert main(["report", "pointer", *SCALE]) == 0
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("analyze simulated its cell again")
+
+        monkeypatch.setattr(ExperimentRunner, "_simulate", simulate)
+        capsys.readouterr()
+        assert main(["analyze", "pointer", *SCALE]) == 0
+        assert "pre-execution events: " in capsys.readouterr().out
+
     def test_timeline_flag_is_gone(self, capsys):
         # The timeline is the verb's only view, so no flag selects it.
         with pytest.raises(SystemExit) as exc:
@@ -265,9 +279,9 @@ class TestSuiteReport:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ref"))
         assert main([*args, "-o", str(ref_md), "--svg", str(ref_svg)]) == 0
 
-        # One cell crashes its worker on every attempt: the run degrades
-        # to serial, records that cell failed, and its workload is
-        # dropped from the (partial) document.
+        # One cell crashes its worker on every attempt: rerun alone, it
+        # is charged the crash, fails, and its workload is dropped from
+        # the (partial) document.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "work"))
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=3:times=0")
         partial = tmp_path / "partial.md"
