@@ -30,12 +30,12 @@ The rules come from :class:`ExecutionPolicy`:
   only when its attempt ranks among the ``workers`` oldest running
   ones: queue wait never counts.  In process nothing can be preempted,
   and the timeout is not enforced;
-- a dead worker (``BrokenProcessPool``) loses the attempts in flight
-  and the pool is rebuilt.  A lone attempt in flight is charged a
-  ``"crash"`` failure, retried like any other; of several, none is:
-  the executing ones (the ``workers`` oldest) become *suspects*, rerun
-  alone in first-submission order until each finishes an attempt
-  without killing its worker or fails terminally;
+- a worker that dies or cannot start loses the attempts in flight, and
+  the pool is rebuilt.  A lone one (with none, the attempt submitted)
+  is charged a ``"crash"`` failure, retried like any other; of several,
+  none is: the executing ones (the ``workers`` oldest) become
+  *suspects*, rerun alone in first-submission order until each
+  finishes an attempt without killing its worker or fails terminally;
 - with ``fail_fast`` a terminal failure raises :class:`FatalCellError`;
   otherwise (keep-going, the default) failures are collected on the
   returned :class:`RunReport` and every other cell still completes.
@@ -257,9 +257,9 @@ def _init_worker(slicer_config: SlicerConfig, scale: float,
     global _WORKER_RUNNER
     faults.mark_worker()
     # Forked workers inherit the parent's signal handlers, including
-    # _graceful_term's SIGTERM-to-KeyboardInterrupt.  Tearing down a
-    # stuck or broken pool terminates its workers with SIGTERM, and with
-    # the inherited handler each busy one would print a KeyboardInterrupt
+    # _graceful_term's SIGTERM-to-KeyboardInterrupt.  The executor
+    # terminates a broken pool's workers with SIGTERM, and with the
+    # inherited handler each busy one would print a KeyboardInterrupt
     # traceback on stderr.  Restore the defaults so a signal aimed at a
     # worker just ends it.
     for _sig in (signal.SIGINT, signal.SIGTERM):
@@ -414,9 +414,9 @@ class Supervisor:
                 fut = self._pool.submit(_run_cell, job.cell, key,
                                         job.submits + 1)
             except Exception as exc:
-                # The pool broke before this submission: the rebuild
-                # puts it back in.
-                self._broken(exc)
+                # The pool broke, or could not start a worker for this
+                # attempt (a fork or a thread failed).
+                self._broken(exc, key)
                 return
             job.submits += 1
             job.started = None
@@ -472,12 +472,12 @@ class Supervisor:
                 expired.append(fut)
         if not expired:
             return
-        # Still listed as running, so a callback that raises leaves the
-        # pool to be killed by close() rather than waited on.
-        for fut in expired:
-            self._failed(self._running[fut], "timeout",
-                         f"exceeded {self.policy.cell_timeout:g}s")
+        lost = [self._running[fut] for fut in expired]
         # A stuck worker can only be reclaimed by pool teardown.
+        self._teardown(kill=True)
+        for key in lost:
+            self._failed(key, "timeout",
+                         f"exceeded {self.policy.cell_timeout:g}s")
         self._rebuild()
 
     def _ok(self, key, value, elapsed: float) -> None:
@@ -500,20 +500,21 @@ class Supervisor:
             self._suspects.remove(key)
         self._on_failed(key, kind, error, job.attempts, retry)
 
-    def _broken(self, exc: Exception) -> None:
-        """A worker died: charge or suspect the attempts in flight."""
-        lost = list(self._running.values())
+    def _broken(self, exc: Exception, key=None) -> None:
+        """The pool is lost: charge or suspect the attempts it took."""
+        lost = list(self._running.values()) or [key]
+        # Kill it before a callback can raise: close() would wait on it.
+        self._teardown(kill=True)
         if len(lost) == 1:
             self._failed(lost[0], "crash", _message(exc))
-        elif lost:
+        else:
             executing = set(lost[:self.workers])
             self._suspects = [k for k in self._jobs if k in executing]
         self._rebuild()
 
     def _rebuild(self) -> None:
-        """Replace a broken or stuck pool.  Every outstanding cell not
-        backing off goes back in first-submission order."""
-        self._teardown(kill=True)
+        """After a broken or stuck pool is killed: every outstanding cell
+        not backing off goes back in first-submission order."""
         self._ready = deque(k for k in self._jobs if k not in self._backoffs)
         self.pool_rebuilds += 1
 
@@ -521,11 +522,10 @@ class Supervisor:
         if self._pool is not None:
             if kill:
                 procs = getattr(self._pool, "_processes", None) or {}
+                # SIGKILL: a worker not yet initialized may swallow SIGTERM.
                 for proc in list(procs.values()):
-                    try:
-                        proc.terminate()
-                    except Exception:
-                        pass
+                    with contextlib.suppress(Exception):
+                        proc.kill()
             self._pool.shutdown(wait=not kill, cancel_futures=kill)
             self._pool = None
         self._running.clear()

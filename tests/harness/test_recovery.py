@@ -1,11 +1,18 @@
 """Fault-tolerant executor: crash recovery, timeouts, retries, reruns.
 
 Every test drives a real figure-6 matrix (3 cells, scale 0.05) through
-deterministic ``REPRO_FAULTS`` injection, covering the recovery paths:
-worker crash preserves completed cells, per-cell timeout fires and
-retries, a rerun finds finished cells in the cache, and the serial path
-honors the same retry/keep-going semantics as the pool.
+deterministic ``REPRO_FAULTS`` injection or a refused fork or thread,
+covering the recovery paths: worker crash preserves completed cells, a
+pool that cannot start a worker fails its cells instead of looping,
+per-cell timeout fires and retries, a rerun finds finished cells in the
+cache, and the serial path honors the same retry/keep-going semantics
+as the pool.
 """
+
+import errno
+import multiprocessing
+import time
+from concurrent.futures import ProcessPoolExecutor, process
 
 import pytest
 
@@ -87,6 +94,86 @@ class TestCrashRecovery:
                            policy=ExecutionPolicy(backoff=0.2))
         assert report.completed and report.ok == 3
         assert report.retried == 1
+
+
+class TestForkFailure:
+    """``submit`` forks the pool's workers and starts its manager
+    thread, so a fork or a thread refused under a pids or memory limit
+    raises there, with no attempt in flight.  The attempt being
+    submitted is charged a crash, so the retry budget bounds the loop
+    and the run report names the failure."""
+
+    @staticmethod
+    def _refuse_forks(monkeypatch, calls):
+        """Make the listed worker spawns (1-based) fail; ``None``, all."""
+        spawn = ProcessPoolExecutor._spawn_process
+        count = []
+
+        def _spawn_process(self):
+            count.append(1)
+            if calls is None or len(count) in calls:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            spawn(self)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process",
+                            _spawn_process)
+
+    def test_refused_fork_fails_every_cell(self, monkeypatch):
+        self._refuse_forks(monkeypatch, None)
+        report = run_cells(_runner(), _cells(), jobs=2,
+                           policy=ExecutionPolicy(retries=1, backoff=0))
+        assert report.ok == 0 and report.failed == 3
+        assert [(f.index, f.kind, f.attempts) for f in report.failures] \
+            == [(0, "crash", 2), (1, "crash", 2), (2, "crash", 2)]
+        assert "Resource temporarily unavailable" in report.failures[0].error
+        assert report.pool_rebuilds == 6
+
+    def test_refused_fork_fail_fast_raises(self, monkeypatch):
+        self._refuse_forks(monkeypatch, None)
+        with pytest.raises(FatalCellError) as excinfo:
+            run_cells(_runner(), _cells(), jobs=2,
+                      policy=ExecutionPolicy(retries=0, backoff=0,
+                                             fail_fast=True))
+        failure = excinfo.value.failure
+        assert failure.index == 0 and failure.kind == "crash"
+
+    @pytest.mark.parametrize("calls", [{1}, {2}])
+    def test_one_refused_fork_is_retried(self, monkeypatch, calls):
+        # {2}: the first worker forks and the second does not, so the
+        # rebuild must also reclaim the half-started pool's worker.
+        self._refuse_forks(monkeypatch, calls)
+        runner = _runner()
+        report = run_cells(runner, _cells(), jobs=2, policy=FAST)
+        assert report.completed and report.ok == 3
+        assert report.retried == 1 and report.pool_rebuilds == 1
+        deadline = time.monotonic() + 10
+        while multiprocessing.active_children() and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
+
+        monkeypatch.undo()
+        reference = _runner()
+        run_cells(reference, _cells(), jobs=1)
+        assert (figure6(runner, ["pointer"]).table("Figure 6").render()
+                == figure6(reference, ["pointer"]).table("Figure 6").render())
+
+    def test_one_refused_thread_is_retried(self, monkeypatch):
+        # Both workers fork, then the manager thread cannot start: the
+        # rebuild reclaims the two workers and the charged cell reruns.
+        start = process._ExecutorManagerThread.start
+        refused = []
+
+        def _start(self):
+            if not refused:
+                refused.append(self)
+                raise RuntimeError("can't start new thread")
+            start(self)
+
+        monkeypatch.setattr(process._ExecutorManagerThread, "start", _start)
+        report = run_cells(_runner(), _cells(), jobs=2, policy=FAST)
+        assert report.completed and report.ok == 3
+        assert report.retried == 1 and report.pool_rebuilds == 1
 
 
 class TestTimeout:

@@ -109,7 +109,7 @@ def test_killed_parent_leaves_no_workers(tmp_path):
 
 def test_timed_out_pool_teardown_writes_no_keyboard_interrupt():
     # Cell 0's first attempt sleeps past the 1 s timeout, so the pool is
-    # torn down with SIGTERM while the run's SIGTERM handler is installed.
+    # torn down while the run's SIGTERM handler is installed.
     child = _child("delay:cell=0:ms=30000", "cell_timeout=1, backoff=0")
     out, err = _communicate(child)
     assert child.returncode == 0, err
