@@ -10,7 +10,8 @@ own cell).
 
 import os
 
-from repro.fuzz import GuidedCampaignSpec, coverage_map, run_guided_campaign
+from repro.fuzz import coverage_map
+from repro.fuzz.schedule import GuidedCampaignSpec, run_guided_campaign
 
 from .conftest import emit, once
 

@@ -67,12 +67,12 @@ import os
 import sys
 from pathlib import Path
 
-from .core.configs import PAPER_CONFIGS, BASELINE
-from .harness import (Cell, DiskCache, ExecutionPolicy, ExperimentRunner,
-                      FatalCellError, RunJournal, RunReport, cells_for,
-                      default_jobs, default_journal_dir, default_workloads,
-                      figure6, figure7, figure8, figure9, list_journals,
-                      run_cells, table1, table2, table3)
+from .core.configs import PAPER_CONFIGS
+from .harness import (MATRICES, Cell, DiskCache, ExecutionPolicy,
+                      ExperimentRunner, FatalCellError, RunJournal, RunReport,
+                      cells_for, default_jobs, default_journal_dir, figure6,
+                      figure7, figure8, figure9, list_journals, run_cells,
+                      table1, table2, table3)
 from .harness.faults import FAULTS_ENV, FaultSpecError, active_faults
 from .observe import EVENT_KINDS, filter_events
 from .paper import TABLE
@@ -162,13 +162,25 @@ def _run_matrix(runner: ExperimentRunner, experiment: str,
                      journal=journal)
 
 
-def _surviving_workloads(experiment: str, workloads: list[str] | None,
-                         report: RunReport) -> list[str]:
-    """Drop workloads with terminally-failed cells so rendering can't
-    re-trip the failure in-process (keep-going semantics)."""
-    names = workloads or default_workloads(experiment)
+def _run_and_render(runner: ExperimentRunner, experiment: str,
+                    cells: list[Cell], workloads: list[str], render,
+                    args) -> int:
+    """Run ``cells``, then print ``render(keep)`` and the run report.
+    ``keep`` drops the workloads with a terminally failed cell, so
+    rendering cannot re-trip the failure in process (keep-going)."""
+    try:
+        report = _run_matrix(runner, experiment, cells, args)
+    except FatalCellError as exc:
+        return _fatal(exc)
     bad = {f.cell.workload for f in report.failures}
-    return [n for n in names if n not in bad]
+    keep = [w for w in workloads if w not in bad]
+    if keep:
+        print(render(keep).render())
+    else:
+        print("no workload completed; nothing to render", file=sys.stderr)
+    print()
+    print(report.render())
+    return 0 if report.completed else 1
 
 
 def _fatal(exc: FatalCellError) -> int:
@@ -241,10 +253,11 @@ def cmd_compare(args) -> int:
     if report.failures:
         print(report.render(), file=sys.stderr)
         return 1
-    base = runner.run(args.workload, BASELINE)
+    configs = MATRICES["compare"][0]
+    base = runner.run(args.workload, configs[0])
     print(f"{'model':14s} {'IPC':>8s} {'speedup':>9s} {'L1 misses':>10s} "
           f"{'triggers':>9s}")
-    for config in PAPER_CONFIGS.values():
+    for config in configs:
         res = runner.run(args.workload, config)
         print(f"{config.name:14s} {res.ipc:8.3f} "
               f"{res.ipc / base.ipc:8.3f}x {res.main_l1_misses:10d} "
@@ -369,9 +382,8 @@ def cmd_report(args) -> int:
     simulates nothing.  The run report goes to stderr so stdout stays
     byte-comparable across job counts.
     """
-    from .harness import (build_report, build_suite_report, report_cells,
-                          report_trace_spec, timeline_diff)
-    from .harness.experiments import EVAL_WORKLOADS
+    from .harness import (EVAL_WORKLOADS, build_report, build_suite_report,
+                          report_cells, report_trace_spec)
     from .observe import render_diff_svg, render_suite_svg
     baseline = _lookup_config(args.baseline)
     model = _lookup_config(args.model)
@@ -401,13 +413,9 @@ def cmd_report(args) -> int:
                                            interval=args.interval)
         svg = render_suite_svg(suite) if args.svg else None
     else:
-        report = build_report(runner, keep[0], baseline, model,
-                              interval=args.interval)
-        svg = None
-        if args.svg:
-            diff = timeline_diff(runner, keep[0], baseline, model,
-                                 interval=args.interval)
-            svg = render_diff_svg(diff)
+        report, diff = build_report(runner, keep[0], baseline, model,
+                                    interval=args.interval)
+        svg = render_diff_svg(diff) if args.svg else None
     if svg is not None:
         Path(args.svg).write_text(svg, encoding="utf-8")
         print(f"SVG written to {args.svg}", file=sys.stderr)
@@ -483,29 +491,16 @@ def cmd_figure(args) -> int:
         print("figures: 6, 7, 8, 9", file=sys.stderr)
         return 2
     runner = _runner(args)
-    workloads = args.workloads or None
     experiment = f"figure{args.number}"
-    try:
-        report = _run_matrix(
-            runner, experiment,
-            cells_for(experiment, workloads, policy=args.policy), args)
-    except FatalCellError as exc:
-        return _fatal(exc)
-    keep = _surviving_workloads(experiment, workloads, report)
-    if keep:
-        if args.number == 6:
-            print(figure6(runner, keep).table("Figure 6").render())
-        elif args.number == 7:
-            print(figure7(runner, keep).table("Figure 7").render())
-        elif args.number == 8:
-            print(figure8(runner, keep).table().render())
-        else:
-            print(figure9(runner, keep).table().render())
-    else:
-        print("no workload completed; nothing to render", file=sys.stderr)
-    print()
-    print(report.render())
-    return 0 if report.completed else 1
+    workloads = args.workloads or MATRICES[experiment][1]
+    render = {6: lambda keep: figure6(runner, keep).table("Figure 6"),
+              7: lambda keep: figure7(runner, keep).table("Figure 7"),
+              8: lambda keep: figure8(runner, keep).table(),
+              9: lambda keep: figure9(runner, keep).table()}[args.number]
+    return _run_and_render(
+        runner, experiment,
+        cells_for(experiment, workloads, policy=args.policy), workloads,
+        render, args)
 
 
 def cmd_table(args) -> int:
@@ -519,20 +514,10 @@ def cmd_table(args) -> int:
     if args.number == 1:
         print(table1(runner, args.workloads or None).render())
         return 0
-    workloads = args.workloads or None
-    try:
-        report = _run_matrix(runner, "table3",
-                             cells_for("table3", workloads), args)
-    except FatalCellError as exc:
-        return _fatal(exc)
-    keep = _surviving_workloads("table3", workloads, report)
-    if keep:
-        print(table3(runner, keep).render())
-    else:
-        print("no workload completed; nothing to render", file=sys.stderr)
-    print()
-    print(report.render())
-    return 0 if report.completed else 1
+    workloads = args.workloads or MATRICES["table3"][1]
+    return _run_and_render(runner, "table3",
+                           cells_for("table3", workloads), workloads,
+                           lambda keep: table3(runner, keep), args)
 
 
 def cmd_ablate_policy(args) -> int:
@@ -548,29 +533,17 @@ def cmd_ablate_policy(args) -> int:
     from .policy import POLICIES
     runner = _runner(args)
     workloads = args.workloads or policy_ablation_workloads()
-    policies = tuple(args.policies) if args.policies else (
-        "fixed", "adaptive-epoch", "adaptive-phase")
+    policies = tuple(args.policies) if args.policies else POLICIES
     bad_policies = sorted(set(policies) - set(POLICIES))
     if bad_policies:
         print(f"unknown polic{'ies' if len(bad_policies) > 1 else 'y'} "
               f"{', '.join(bad_policies)}; known: {', '.join(POLICIES)}",
               file=sys.stderr)
         return 2
-    cells = ablate_policy_cells(workloads, policies=policies)
-    try:
-        report = _run_matrix(runner, "ablate-policy", cells, args)
-    except FatalCellError as exc:
-        return _fatal(exc)
-    bad = {f.cell.workload for f in report.failures}
-    keep = [w for w in workloads if w not in bad]
-    if keep:
-        print(ablate_policy(runner, workloads=keep,
-                            policies=policies).table().render())
-    else:
-        print("no workload completed; nothing to render", file=sys.stderr)
-    print()
-    print(report.render())
-    return 0 if report.completed else 1
+    return _run_and_render(
+        runner, "ablate-policy",
+        ablate_policy_cells(workloads, policies=policies), workloads,
+        lambda keep: ablate_policy(runner, keep, policies).table(), args)
 
 
 def cmd_journal_show(args) -> int:
@@ -613,8 +586,9 @@ def cmd_journal_show(args) -> int:
 def _campaign(args):
     """Run (or replay from the cache) the campaign ``args`` describe: the
     guided arm palette with ``--guided``, else one arm at ``--dials``."""
-    from .fuzz import DEFAULT_ARMS, Arm, GuidedCampaignSpec, parse_dials, \
-        run_guided_campaign
+    from .fuzz import parse_dials
+    from .fuzz.schedule import (DEFAULT_ARMS, Arm, GuidedCampaignSpec,
+                                run_guided_campaign)
     if args.guided:
         if args.dials:
             raise SystemExit("--dials applies to blind campaigns; "

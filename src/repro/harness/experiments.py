@@ -1,8 +1,11 @@
 """Regeneration of every table and figure in the paper's evaluation.
 
-Each ``ExperimentX`` function takes an :class:`ExperimentRunner`, runs the
-required (workload x configuration) matrix, and returns a result object
-whose ``table()`` renders the same rows/series the paper reports.
+Each experiment's (workload x configuration [x latency]) cell matrix is
+written once, in :data:`MATRICES`.  :func:`cells_for` enumerates it for
+the parallel pre-run, and the experiment's function (``figure6``,
+``table3``, ...) takes an :class:`ExperimentRunner`, reads the same
+matrix back from the runner's memo, and returns a result object whose
+``table()`` renders the same rows/series the paper reports.
 
 The paper's published values come from :mod:`repro.paper`, so reports
 show paper-vs-measured side by side (EXPERIMENTS.md is generated from
@@ -14,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.configs import (BASELINE, BASELINE_NEXTLINE, BASELINE_STRIDE,
-                            PAPER_CONFIGS, SPEAR_128, SPEAR_256,
-                            SPEAR_SF_128, SPEAR_SF_256, MachineConfig)
+                            SPEAR_128, SPEAR_256, SPEAR_SF_128, SPEAR_SF_256,
+                            MachineConfig)
 from ..memory.hierarchy import FIG9_LATENCIES, LatencyConfig
 from ..observe.compare import (PE_EVENT_KINDS, SuiteDiff, TimelineDiff,
                                diff_timelines)
 from ..observe.render import render_report, render_suite_report
 from ..paper import CLAIMS, TABLE, mean_gain
-from ..workloads.base import all_workload_names, get_workload
+from ..policy import POLICIES
 from .runner import Cell, ExperimentRunner, TracedRun, TraceSpec
 from .tables import TextTable, arithmetic_mean, geometric_mean
 
@@ -42,6 +45,47 @@ PAPER_MEANS = {c.config: c.paper for c in CLAIMS.values()
 FIG9_WORKLOADS = ["pointer", "update", "nbh", "dm", "mcf", "vpr"]
 PAPER_FIG9_DEGRADATION = {c.config: c.paper for c in CLAIMS.values()
                           if c.figure == "figure9"}
+
+#: Benchmarks with regular (prefetcher-friendly) vs irregular access.
+REGULAR_WORKLOADS = ["art", "matrix", "equake"]
+IRREGULAR_WORKLOADS = ["pointer", "update", "mcf"]
+
+#: Each experiment's cell matrix: its config columns, its default
+#: workload rows and (figure 9 only) its latency points.  The parallel
+#: pre-run (:func:`cells_for`) and the function that renders the
+#: experiment both read this one entry.
+MATRICES: dict[str, tuple[list[MachineConfig], list[str],
+                          list[LatencyConfig] | None]] = {
+    "figure6": ([BASELINE, SPEAR_128, SPEAR_256], EVAL_WORKLOADS, None),
+    "figure7": ([BASELINE, SPEAR_128, SPEAR_256, SPEAR_SF_128, SPEAR_SF_256],
+                EVAL_WORKLOADS, None),
+    "figure8": ([BASELINE, SPEAR_128, SPEAR_256], EVAL_WORKLOADS, None),
+    "figure9": ([BASELINE, SPEAR_128, SPEAR_256], FIG9_WORKLOADS,
+                FIG9_LATENCIES),
+    "table3": ([SPEAR_128, SPEAR_256], EVAL_WORKLOADS, None),
+    "motivation": ([BASELINE, BASELINE_NEXTLINE, BASELINE_STRIDE, SPEAR_128],
+                   REGULAR_WORKLOADS + IRREGULAR_WORKLOADS, None),
+}
+#: ``repro compare``: figure 7's five models, on the workload it names.
+MATRICES["compare"] = MATRICES["figure7"]
+
+
+def cells_for(experiment: str,
+              workloads: list[str] | None = None,
+              policy: str | None = None) -> list[Cell]:
+    """Enumerate the cell matrix of one experiment, workload-major, in
+    the order its function reads it."""
+    configs, rows, latencies = MATRICES[experiment]
+    return [Cell(n, c, lat, policy=policy) for n in workloads or rows
+            for lat in latencies or [None] for c in configs]
+
+
+def report_cells(workloads: list[str], configs: list[MachineConfig],
+                 spec: TraceSpec, policy: str | None = None) -> list[Cell]:
+    """Enumerate the traced-cell matrix of a (suite) report: every
+    workload under every config, all captured under one trace spec."""
+    return [Cell(n, c, trace=spec, policy=policy)
+            for n in workloads for c in configs]
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +170,21 @@ def figure6(runner: ExperimentRunner,
             workloads: list[str] | None = None) -> SpeedupResult:
     """Baseline vs SPEAR-128 vs SPEAR-256 (the paper's values are the
     ``figure6`` claims and Table 3 verdicts of :mod:`repro.paper`)."""
-    configs = [BASELINE, SPEAR_128, SPEAR_256]
-    return _speedups(runner, configs, workloads or EVAL_WORKLOADS)
+    return _speedups(runner, "figure6", workloads)
 
 
 def figure7(runner: ExperimentRunner,
             workloads: list[str] | None = None) -> SpeedupResult:
     """Figure 6 plus the dedicated-FU models (the paper's means are the
     ``figure7`` claims of :mod:`repro.paper`)."""
-    configs = [BASELINE, SPEAR_128, SPEAR_256, SPEAR_SF_128, SPEAR_SF_256]
-    return _speedups(runner, configs, workloads or EVAL_WORKLOADS)
+    return _speedups(runner, "figure7", workloads)
 
 
-def _speedups(runner: ExperimentRunner, configs: list[MachineConfig],
-              workloads: list[str]) -> SpeedupResult:
+def _speedups(runner: ExperimentRunner, experiment: str,
+              workloads: list[str] | None) -> SpeedupResult:
+    configs, rows, _ = MATRICES[experiment]
     result = SpeedupResult(configs)
-    for name in workloads:
+    for name in workloads or rows:
         base = runner.run(name, configs[0])
         row = {"workload": name, "ipc_base": base.ipc}
         for cfg in configs[1:]:
@@ -161,14 +204,18 @@ def table3(runner: ExperimentRunner,
         "Table 3 — performance enhancement with a longer IFQ",
         ["workload", "256/128", "paper", "branch hit", "paper",
          "IPB", "paper"])
+    configs, rows, _ = MATRICES["table3"]
     ratios = []
-    for name in workloads or EVAL_WORKLOADS:
-        r128 = runner.run(name, SPEAR_128)
-        r256 = runner.run(name, SPEAR_256)
+    for name in workloads or rows:
+        r128, r256 = (runner.run(name, c) for c in configs)
         ratio = r256.ipc / r128.ipc
         ratios.append(ratio)
-        bhr = r128.stats.branch_hit_ratio
-        ipb = runner.artifacts(name).eval_trace.instructions_per_branch()
+        stats = r128.stats
+        bhr = stats.branch_hit_ratio
+        # The eval trace's IPB: normal fetch predicts each of its
+        # conditional branches exactly once.
+        ipb = (stats.committed / stats.cond_branches
+               if stats.cond_branches else float("inf"))
         p_ratio, p_bhr, p_ipb = PAPER_TABLE3.get(name, ("-", "-", "-"))
         t.add_row(name, ratio, p_ratio, bhr, p_bhr, ipb, p_ipb)
     t.add_footer(f"mean 256/128 ratio: {arithmetic_mean(ratios):.3f}")
@@ -212,11 +259,11 @@ def figure8(runner: ExperimentRunner,
             workloads: list[str] | None = None) -> MissReductionResult:
     """Main-thread L1 miss reduction under SPEAR (the paper's values are
     the ``figure8`` claims of :mod:`repro.paper`)."""
+    configs, rows, _ = MATRICES["figure8"]
     result = MissReductionResult()
-    for name in workloads or EVAL_WORKLOADS:
-        base = runner.run(name, BASELINE).main_l1_misses
-        m128 = runner.run(name, SPEAR_128).main_l1_misses
-        m256 = runner.run(name, SPEAR_256).main_l1_misses
+    for name in workloads or rows:
+        base, m128, m256 = (runner.run(name, c).main_l1_misses
+                            for c in configs)
         result.rows.append({
             "workload": name, "base": base, "m128": m128, "m256": m256,
             "SPEAR-128": (base - m128) / base if base else 0.0,
@@ -265,10 +312,10 @@ def figure9(runner: ExperimentRunner,
     """Latency sweep over the paper's six benchmarks (the paper's losses
     at the longest latency are the ``figure9`` claims of
     :mod:`repro.paper`)."""
-    latencies = latencies or FIG9_LATENCIES
-    configs = [BASELINE, SPEAR_128, SPEAR_256]
+    configs, rows, points = MATRICES["figure9"]
+    latencies = latencies or points
     result = LatencySweepResult(latencies, configs)
-    for name in workloads or FIG9_WORKLOADS:
+    for name in workloads or rows:
         series: dict[str, list[float]] = {c.name: [] for c in configs}
         for lat in latencies:
             for cfg in configs:
@@ -281,19 +328,12 @@ def figure9(runner: ExperimentRunner,
 # Motivation experiment — traditional prefetching vs pre-execution
 # ---------------------------------------------------------------------------
 
-#: Benchmarks with regular (prefetcher-friendly) vs irregular access.
-REGULAR_WORKLOADS = ["art", "matrix", "equake"]
-IRREGULAR_WORKLOADS = ["pointer", "update", "mcf"]
-
-
 def motivation(runner: ExperimentRunner,
                workloads: list[str] | None = None) -> SpeedupResult:
     """The paper's opening claim, measured: traditional prefetchers
     (next-line, stride) help regular streams but fail on irregular
     patterns, while pre-execution helps both."""
-    configs = [BASELINE, BASELINE_NEXTLINE, BASELINE_STRIDE, SPEAR_128]
-    return _speedups(runner, configs,
-                     workloads or REGULAR_WORKLOADS + IRREGULAR_WORKLOADS)
+    return _speedups(runner, "motivation", workloads)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +374,24 @@ def report_trace_spec(interval: int = 1000) -> TraceSpec:
     newest N would drop early extract events and misclassify early wins
     as variance), and the PE kinds are a small fraction of a full
     stream.  Centralized so a parallel pre-run (``run_cells`` over
-    :func:`~repro.harness.parallel.report_cells`) seeds exactly the memo
-    entries the diff below will look up.
+    :func:`report_cells`) seeds exactly the memo entries the diff below
+    will look up.
     """
     return TraceSpec(interval=interval, capacity=None,
                      kinds=tuple(sorted(PE_EVENT_KINDS)))
+
+
+def _traced_pair(runner: ExperimentRunner, workload: str,
+                 baseline: MachineConfig, model: MachineConfig,
+                 interval: int) -> tuple[TracedRun, TracedRun, TimelineDiff]:
+    """``workload`` traced under both configs (the cells
+    :func:`report_cells` enumerates), and the diff of their timelines."""
+    spec = report_trace_spec(interval)
+    base = runner.run_traced(workload, baseline, spec=spec)
+    mod = runner.run_traced(workload, model, spec=spec)
+    return base, mod, diff_timelines(
+        base.result.timeline, mod.result.timeline, mod.events,
+        workload=workload, base_name=baseline.name, model_name=model.name)
 
 
 def timeline_diff(runner: ExperimentRunner, workload: str,
@@ -351,12 +404,7 @@ def timeline_diff(runner: ExperimentRunner, workload: str,
     they are memoized and disk-cached under the existing ``traces`` kind;
     a report re-render after a warm run simulates nothing.
     """
-    spec = report_trace_spec(interval)
-    base = runner.run_traced(workload, baseline, spec=spec)
-    mod = runner.run_traced(workload, model, spec=spec)
-    return diff_timelines(base.result.timeline, mod.result.timeline,
-                          mod.events, workload=workload,
-                          base_name=baseline.name, model_name=model.name)
+    return _traced_pair(runner, workload, baseline, model, interval)[2]
 
 
 def diff_table(diff: TimelineDiff) -> TextTable:
@@ -403,17 +451,15 @@ def per_thread_table(traced: TracedRun, workload: str = "") -> TextTable:
 def build_report(runner: ExperimentRunner, workload: str,
                  baseline: MachineConfig = BASELINE,
                  model: MachineConfig = SPEAR_128, *,
-                 interval: int = 1000) -> str:
-    """The complete ``repro report`` markdown document for one workload."""
-    spec = report_trace_spec(interval)
-    base = runner.run_traced(workload, baseline, spec=spec)
-    mod = runner.run_traced(workload, model, spec=spec)
-    diff = diff_timelines(base.result.timeline, mod.result.timeline,
-                          mod.events, workload=workload,
-                          base_name=baseline.name, model_name=model.name)
+                 interval: int = 1000) -> tuple[str, TimelineDiff]:
+    """The ``repro report`` markdown document for one workload plus its
+    diff (callers render the SVG panels from the diff)."""
+    base, mod, diff = _traced_pair(runner, workload, baseline, model,
+                                   interval)
     return render_report(diff, mod.result.timeline,
                          model_fills=mod.result.memory["fills"],
-                         base_ipc=base.result.ipc, model_ipc=mod.result.ipc)
+                         base_ipc=base.result.ipc,
+                         model_ipc=mod.result.ipc), diff
 
 
 def suite_diff(runner: ExperimentRunner,
@@ -427,15 +473,11 @@ def suite_diff(runner: ExperimentRunner,
     returned aggregate is validated — its geomean provably equals the
     product of the per-workload cycle ratios raised to ``1/n``.
     """
-    spec = report_trace_spec(interval)
-    names = list(workloads or EVAL_WORKLOADS)
     diffs, base_ipcs, model_ipcs = [], [], []
-    for name in names:
-        base = runner.run_traced(name, baseline, spec=spec)
-        mod = runner.run_traced(name, model, spec=spec)
-        diffs.append(diff_timelines(
-            base.result.timeline, mod.result.timeline, mod.events,
-            workload=name, base_name=baseline.name, model_name=model.name))
+    for name in workloads or EVAL_WORKLOADS:
+        base, mod, diff = _traced_pair(runner, name, baseline, model,
+                                       interval)
+        diffs.append(diff)
         base_ipcs.append(base.result.ipc)
         model_ipcs.append(mod.result.ipc)
     return SuiteDiff.from_diffs(diffs, base_ipcs, model_ipcs).validate()
@@ -546,8 +588,7 @@ class PolicyAblationResult:
 
 def ablate_policy(runner: ExperimentRunner,
                   workloads: list[str] | None = None,
-                  policies: tuple[str, ...] = ("fixed", "adaptive-epoch",
-                                               "adaptive-phase"),
+                  policies: tuple[str, ...] = POLICIES,
                   config: MachineConfig = SPEAR_128,
                   baseline: MachineConfig = BASELINE
                   ) -> PolicyAblationResult:
@@ -593,9 +634,7 @@ def ablate_policy(runner: ExperimentRunner,
 
 
 def ablate_policy_cells(workloads: list[str] | None = None,
-                        policies: tuple[str, ...] = ("fixed",
-                                                     "adaptive-epoch",
-                                                     "adaptive-phase"),
+                        policies: tuple[str, ...] = POLICIES,
                         config: MachineConfig = SPEAR_128,
                         baseline: MachineConfig = BASELINE) -> list:
     """The parallel-engine cell matrix behind :func:`ablate_policy`:

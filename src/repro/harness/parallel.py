@@ -4,10 +4,12 @@ Every figure/table is a (workload × machine-config [× latency]) matrix of
 independent cells — the same embarrassing parallelism Prophet exploits for
 speculative threads, and the same fault model: a mis-speculated (crashed,
 hung, failing) cell is squashed and re-executed alone, never at the cost
-of the rest of the run.  This module enumerates those cells as picklable
-:class:`~repro.harness.runner.Cell` descriptors and runs them under one
-:class:`Supervisor`, which owns the process pool, the attempts in
-flight, retry backoff, the timeout clock and pool rebuilds.  Every
+of the rest of the run.  This module runs cells and knows no experiment:
+a verb hands it picklable :class:`~repro.harness.runner.Cell`
+descriptors (each experiment's matrix lives in
+:mod:`repro.harness.experiments`), and one :class:`Supervisor` runs them,
+owning the process pool, the attempts in flight, retry backoff, the
+timeout clock and pool rebuilds.  Every
 attempt is one :meth:`~repro.harness.runner.ExperimentRunner.get` on
 the cell, in a worker or in process.  :func:`run_cells` adds a run's
 cells and steps the supervisor on the calling thread until none is
@@ -32,7 +34,8 @@ The rules come from :class:`ExecutionPolicy`:
   and the timeout is not enforced;
 - a worker that dies or cannot start loses the attempts in flight, and
   the pool is rebuilt.  A lone one (with none, the attempt submitted)
-  is charged a ``"crash"`` failure, retried like any other; of several,
+  is charged a ``"crash"`` failure, whose error names each dead
+  worker's exit status, retried like any other; of several,
   none is: the executing ones (the ``workers`` oldest) become
   *suspects*, rerun alone in first-submission order until each
   finishes an attempt without killing its worker or fails terminally;
@@ -77,59 +80,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..compiler.slicer import SlicerConfig
-from ..core.configs import (BASELINE, BASELINE_NEXTLINE, BASELINE_STRIDE,
-                            PAPER_CONFIGS, SPEAR_128, SPEAR_256, SPEAR_SF_128,
-                            SPEAR_SF_256, MachineConfig)
-from ..memory.hierarchy import FIG9_LATENCIES
 from . import faults
 from .diskcache import DiskCache
+# Re-exported: bench/verbs.py enumerates its cells through this module.
+from .experiments import cells_for, report_cells  # noqa: F401
 from .journal import RunJournal, cell_key
-from .runner import Cell, ExperimentRunner, TraceSpec
-
-
-#: Config columns of each experiment's matrix (workload rows come from the
-#: experiment's default list or the user's subset).
-EXPERIMENT_CONFIGS: dict[str, list[MachineConfig]] = {
-    "figure6": [BASELINE, SPEAR_128, SPEAR_256],
-    "figure7": [BASELINE, SPEAR_128, SPEAR_256, SPEAR_SF_128, SPEAR_SF_256],
-    "figure8": [BASELINE, SPEAR_128, SPEAR_256],
-    "figure9": [BASELINE, SPEAR_128, SPEAR_256],
-    "table3": [SPEAR_128, SPEAR_256],
-    "motivation": [BASELINE, BASELINE_NEXTLINE, BASELINE_STRIDE, SPEAR_128],
-    "compare": list(PAPER_CONFIGS.values()),
-}
-
-
-def default_workloads(experiment: str) -> list[str]:
-    """The workload rows an experiment uses when none are requested."""
-    from .experiments import (EVAL_WORKLOADS, FIG9_WORKLOADS,
-                              IRREGULAR_WORKLOADS, REGULAR_WORKLOADS)
-    if experiment == "figure9":
-        return list(FIG9_WORKLOADS)
-    if experiment == "motivation":
-        return REGULAR_WORKLOADS + IRREGULAR_WORKLOADS
-    return list(EVAL_WORKLOADS)
-
-
-def cells_for(experiment: str,
-              workloads: list[str] | None = None,
-              policy: str | None = None) -> list[Cell]:
-    """Enumerate the cell matrix of one experiment, workload-major (so
-    chunked submission keeps one workload's artifacts in one worker)."""
-    configs = EXPERIMENT_CONFIGS[experiment]
-    names = workloads or default_workloads(experiment)
-    if experiment == "figure9":
-        return [Cell(n, c, lat, policy=policy)
-                for n in names for lat in FIG9_LATENCIES for c in configs]
-    return [Cell(n, c, policy=policy) for n in names for c in configs]
-
-
-def report_cells(workloads: list[str], configs: list[MachineConfig],
-                 spec: TraceSpec, policy: str | None = None) -> list[Cell]:
-    """Enumerate the traced-cell matrix of a (suite) report: every
-    workload under every config, all captured under one trace spec."""
-    return [Cell(n, c, trace=spec, policy=policy)
-            for n in workloads for c in configs]
+from .runner import Cell, ExperimentRunner
 
 
 def default_jobs() -> int:
@@ -503,14 +459,35 @@ class Supervisor:
     def _broken(self, exc: Exception, key=None) -> None:
         """The pool is lost: charge or suspect the attempts it took."""
         lost = list(self._running.values()) or [key]
+        error = _message(exc)
+        if isinstance(exc, BrokenProcessPool):
+            error += self._worker_exits()
         # Kill it before a callback can raise: close() would wait on it.
         self._teardown(kill=True)
         if len(lost) == 1:
-            self._failed(lost[0], "crash", _message(exc))
+            self._failed(lost[0], "crash", error)
         else:
             executing = set(lost[:self.workers])
             self._suspects = [k for k in self._jobs if k in executing]
         self._rebuild()
+
+    def _worker_exits(self) -> str:
+        """The exit status of each worker of the broken pool that ended
+        on its own, as text to append to the executor's fixed message.
+        Waits (a second at most) for the executor's thread, which
+        SIGTERMs the other workers and reaps them all, so every status
+        is known before teardown; a SIGTERM status is the executor's."""
+        manager = getattr(self._pool, "_executor_manager_thread", None)
+        if manager is not None and manager.is_alive():
+            manager.join(timeout=1.0)
+        procs = getattr(self._pool, "_processes", None) or {}
+        ended = []
+        for proc in list(procs.values()):
+            code = proc.exitcode
+            if code is not None and code != -signal.SIGTERM:
+                ended.append(f"exit code {code}" if code >= 0
+                             else f"killed by signal {-code}")
+        return f" (worker {', '.join(ended)})" if ended else ""
 
     def _rebuild(self) -> None:
         """After a broken or stuck pool is killed: every outstanding cell

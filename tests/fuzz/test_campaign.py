@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.fuzz import Arm, GuidedCampaignSpec, run_guided_campaign, triage
+from repro.fuzz import triage
+from repro.fuzz.schedule import Arm, GuidedCampaignSpec, run_guided_campaign
 from repro.fuzz.generator import KernelDials
 from repro.harness import DiskCache, ExecutionPolicy, ExperimentRunner
 from repro.harness.journal import RunJournal, cell_key

@@ -5,11 +5,11 @@ import json
 
 import pytest
 
-from repro.fuzz import (CoverageMap, coverage_map, run_guided_campaign,
-                        vector_of)
+from repro.fuzz import CoverageMap, coverage_map, vector_of
 from repro.fuzz.coverage import (DIMENSIONS, UNMEASURED, _log_band,
                                  _ratio_band)
 from repro.fuzz.differential import BEHAVIOR_FIELDS, FuzzVerdict
+from repro.fuzz.schedule import run_guided_campaign
 
 from .test_campaign import FAST, _runner, _spec
 

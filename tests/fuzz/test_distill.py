@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.fuzz import (check_corpus, corpus_from_json, corpus_to_json,
-                        distill, run_guided_campaign, vector_of)
+                        distill, vector_of)
+from repro.fuzz.schedule import run_guided_campaign
 
 from .test_campaign import FAST, _runner, _spec
 

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.fuzz import (ArmScheduler, GuidedCampaignSpec, encode_mut_name,
-                        mut_workload_from_name, mutate_spec, parse_mut_name,
-                        run_guided_campaign)
 from repro.fuzz.generator import DEFAULT_DIALS
-from repro.fuzz.schedule import (_MUT_DYNAMIC_CAP, MutWorkload, mutated_spec,
-                                 resolve_arm)
+from repro.fuzz.schedule import (_MUT_DYNAMIC_CAP, ArmScheduler,
+                                 GuidedCampaignSpec, MutWorkload,
+                                 encode_mut_name, mut_workload_from_name,
+                                 mutate_spec, mutated_spec, parse_mut_name,
+                                 resolve_arm, run_guided_campaign)
 from repro.workloads.base import get_workload
 
 from .test_campaign import FAST, _runner

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import SPEAR_128
-from repro.harness import (ExperimentRunner, figure6, figure8, figure9,
-                           table1, table2, table3)
+from repro.harness import (EVAL_WORKLOADS, ExperimentRunner, figure6,
+                           figure8, figure9, table1, table2, table3)
 from repro.memory import LatencyConfig
 
 SUBSET = ["pointer", "mcf"]
@@ -33,6 +33,18 @@ class TestTables:
         out = t.render()
         assert "256/128" in out
         assert "mean 256/128" in t.footers[0]
+
+    def test_table3_ipb_is_the_eval_traces(self):
+        """Table 3 reads IPB off its SPEAR-128 cell: normal fetch commits
+        the eval trace and predicts each of its conditional branches
+        exactly once (wrong-path fetch predicts nothing), so the cell's
+        counts are the trace's own."""
+        runner = ExperimentRunner(instruction_scale=0.05)
+        for name in EVAL_WORKLOADS:
+            stats = runner.run(name, SPEAR_128).stats
+            trace = runner.artifacts(name).eval_trace
+            assert (stats.committed, stats.cond_branches) == (
+                len(trace), trace.count_branches(conditional_only=True)), name
 
 
 class TestFigure6:

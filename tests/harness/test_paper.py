@@ -41,12 +41,9 @@ class _StubRunner:
     """Just enough of an ExperimentRunner for Table 3 to render."""
 
     def run(self, name, config):
-        return SimpleNamespace(ipc=1.0,
-                               stats=SimpleNamespace(branch_hit_ratio=1.0))
-
-    def artifacts(self, name):
-        trace = SimpleNamespace(instructions_per_branch=lambda: 1.0)
-        return SimpleNamespace(eval_trace=trace)
+        stats = SimpleNamespace(branch_hit_ratio=1.0, committed=1,
+                                cond_branches=1)
+        return SimpleNamespace(ipc=1.0, stats=stats)
 
 
 def test_harness_views_equal_the_module():

@@ -343,3 +343,23 @@ class TestJournalAndResume:
         crashes = [(e["index"], e["status"]) for e in journal.entries()
                    if e.get("event") == "cell" and e.get("kind") == "crash"]
         assert crashes == [(1, "retried"), (1, "failed")]
+
+    def test_charged_crash_names_the_exit_code(self, tmp_path, monkeypatch):
+        # The injected crash ends its worker with os._exit(13).  The
+        # executor's own text says only that a worker died; the failure
+        # adds how, in the run report and in the journal.
+        monkeypatch.setenv("REPRO_FAULTS", "crash:cell=1:times=0")
+        runner = _runner()
+        journal = RunJournal.for_run("figure6", _cells(), runner,
+                                     root=tmp_path / "j")
+        report = run_cells(runner, _cells(), jobs=2,
+                           policy=ExecutionPolicy(retries=0, backoff=0),
+                           journal=journal)
+        error = report.failures[0].error
+        assert error.startswith("BrokenProcessPool: ")
+        assert error.endswith(" (worker exit code 13)")
+        assert ("  FAILED pointer/SPEAR-128: crash after 1 attempt(s) — "
+                + error) in report.render()
+        assert [e["error"] for e in journal.entries()
+                if e.get("event") == "cell"
+                and e.get("kind") == "crash"] == [error]

@@ -27,12 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fuzz import (Arm, FuzzCheckSpec, GuidedCampaignSpec, coverage_map,
-                        distill, evaluate_workload, run_guided_campaign,
-                        vector_of)
+from repro.fuzz import (FuzzCheckSpec, coverage_map, distill,
+                        evaluate_workload, vector_of)
 from repro.fuzz.differential import BEHAVIOR_FIELDS
 from repro.fuzz.generator import (KernelDials, encode_name,
                                   fuzz_workload_from_name)
+from repro.fuzz.schedule import (Arm, GuidedCampaignSpec,
+                                 run_guided_campaign)
 from repro.harness import DiskCache, ExecutionPolicy, ExperimentRunner
 
 from ..fuzz.test_coverage import verdict

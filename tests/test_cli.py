@@ -329,6 +329,47 @@ class TestFiguresAndTables:
             main([])
 
 
+#: Every verb that pre-runs its cells through the parallel engine, on one
+#: or two workloads (``SVG`` stands for a file in the test's tmp dir).
+PRE_RUN_VERBS = {
+    "figure6": ["figure", "6", "pointer", "mcf"],
+    "figure7": ["figure", "7", "pointer"],
+    "figure8": ["figure", "8", "pointer"],
+    "figure9": ["figure", "9", "pointer"],
+    "table3": ["table", "3", "pointer", "mcf"],
+    "compare": ["compare", "pointer"],
+    "ablate-policy": ["ablate-policy", "pointer"],
+    "report": ["report", "pointer", "--svg", "SVG"],
+    "report-suite": ["report", "--suite", "pointer", "mcf", "--svg", "SVG"],
+}
+
+
+@pytest.mark.parametrize("verb", list(PRE_RUN_VERBS))
+def test_verb_renders_from_its_pre_run(verb, monkeypatch, tmp_path, capsys):
+    """Once a verb's pre-run has run, rendering neither simulates nor
+    builds in the parent: the pre-run held every cell the rendering
+    reads.  A cell missing from it would be simulated here, serially and
+    outside retries, timeouts and the journal."""
+    import repro.cli as cli
+    from repro.harness import ExperimentRunner
+    runner = ExperimentRunner(instruction_scale=0.05)
+    monkeypatch.setattr(cli, "_runner", lambda args: runner)
+    counts = []
+    run_matrix = cli._run_matrix
+
+    def pre_run(*args):
+        report = run_matrix(*args)
+        counts.append((runner.simulations, runner.builds))
+        return report
+
+    monkeypatch.setattr(cli, "_run_matrix", pre_run)
+    argv = [str(tmp_path / "out.svg") if a == "SVG" else a
+            for a in PRE_RUN_VERBS[verb]]
+    assert main(argv + ["--jobs", "2", "--no-cache"]) == 0
+    assert capsys.readouterr().out
+    assert counts == [(runner.simulations, runner.builds)]
+
+
 class TestNoBackendOption:
     """Every verb runs the one timing kernel; there is no kernel choice."""
 

@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.fuzz import (FuzzCheckSpec, SpecWorkload, evaluate_workload,
-                        mutate_spec, spec_from_json, spec_to_json, vector_of)
-from repro.fuzz.schedule import MUT_BASES, MutWorkload, encode_mut_name
+                        spec_from_json, spec_to_json, vector_of)
+from repro.fuzz.schedule import (MUT_BASES, MutWorkload, encode_mut_name,
+                                 mutate_spec)
 from repro.workloads.base import get_workload
 
 #: Every workload exporting a spec (= every mutation base, by design).
