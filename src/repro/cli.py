@@ -48,7 +48,7 @@ cache stats          per-kind on-disk cache accounting
 cache gc --budget N  LRU-evict entries until the cache fits the budget
 
 Every verb simulates on the one timing kernel.  ``figure``,
-``table``, ``compare`` and ``report`` accept ``--jobs N`` (parallel cell
+``table 3``, ``compare`` and ``report`` accept ``--jobs N`` (parallel cell
 fan-out over processes, default usable-CPU count),
 ``--cache-dir``/``--no-cache``
 (persistent artifact cache, default ``~/.cache/repro`` or
@@ -115,7 +115,7 @@ def _add_perf(p: argparse.ArgumentParser) -> None:
                    metavar="SECONDS",
                    help="abandon and retry a cell attempt after this long "
                         "(pool mode only)")
-    p.add_argument("--retries", type=int, default=2,
+    p.add_argument("--retries", type=int, default=None,
                    help="extra attempts per failing cell (default 2)")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--fail-fast", action="store_true",
@@ -141,9 +141,10 @@ def _jobs(args) -> int:
 
 
 def _policy(args) -> ExecutionPolicy:
+    retries = getattr(args, "retries", None)
     return ExecutionPolicy(
         cell_timeout=getattr(args, "cell_timeout", None),
-        retries=getattr(args, "retries", 2),
+        retries=ExecutionPolicy.retries if retries is None else retries,
         fail_fast=getattr(args, "fail_fast", False))
 
 
@@ -506,6 +507,12 @@ def cmd_figure(args) -> int:
 def cmd_table(args) -> int:
     if args.number not in (1, 2, 3):
         print("tables: 1, 2, 3", file=sys.stderr)
+        return 2
+    if args.number != 3 and (args.jobs is not None or args.fail_fast
+                             or args.retries is not None
+                             or args.cell_timeout is not None):
+        print("--jobs, --retries, --cell-timeout and --fail-fast apply to "
+              "table 3 only", file=sys.stderr)
         return 2
     runner = _runner(args)
     if args.number == 2:

@@ -2,7 +2,7 @@
 
 Set ``REPRO_FAULTS`` to a comma-separated fault spec and the harness
 will inject failures at well-defined sites, so every recovery path in
-:mod:`repro.harness.parallel` (retry, pool rebuild, crash charging,
+:mod:`repro.harness.parallel` (retry, timeout, crash charging,
 cache-corruption-as-miss) is testable in CI without real crashes.
 
 Grammar::
@@ -40,10 +40,12 @@ Examples::
 Fault kinds:
 
 ``crash``
-    Hard-kills the worker process (``os._exit``), which the parent sees
-    as a ``BrokenProcessPool``.  In process (one job) it raises
-    :class:`InjectedCrash` instead, since an exit there would end the
-    run.  Either way a charged crash fails with kind ``"crash"``.
+    Hard-kills the worker process (``os._exit(13)``), which the parent
+    sees as its pipe closing with no result, and charges the attempt a
+    crash whose error is ``worker exit code 13``.  In process (one job)
+    it raises :class:`InjectedCrash` instead, since an exit there would
+    end the run.  Either way the attempt fails with kind ``"crash"`` and
+    counts in the run report's ``crashes``.
 ``fail``
     Raises :class:`InjectedFault` inside the cell attempt.
 ``delay``

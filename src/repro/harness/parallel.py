@@ -8,8 +8,8 @@ of the rest of the run.  This module runs cells and knows no experiment:
 a verb hands it picklable :class:`~repro.harness.runner.Cell`
 descriptors (each experiment's matrix lives in
 :mod:`repro.harness.experiments`), and one :class:`Supervisor` runs them,
-owning the process pool, the attempts in flight, retry backoff, the
-timeout clock and pool rebuilds.  Every
+owning the worker processes, the attempt each one holds, retry backoff
+and the timeout clocks.  Every
 attempt is one :meth:`~repro.harness.runner.ExperimentRunner.get` on
 the cell, in a worker or in process.  :func:`run_cells` adds a run's
 cells and steps the supervisor on the calling thread until none is
@@ -17,34 +17,32 @@ outstanding, then seeds the results into the parent
 :class:`~repro.harness.runner.ExperimentRunner`'s memo **in index
 order**, so figures and tables render byte-identically regardless of
 job count.  With ``jobs <= 1`` or a single cell every attempt runs in
-process and no pool is made.
+process and no worker is started.
 
-The rules come from :class:`ExecutionPolicy`:
+Each worker is a process of its own with its own pipe, and holds one
+attempt at a time, so every fault belongs to exactly one attempt.  The
+rules come from :class:`ExecutionPolicy`:
 
-- every ready attempt is submitted at once (nothing caps the attempts in
-  flight at the worker count);
+- ready attempts go to idle workers in ready order; a worker is started
+  when an attempt finds none idle and fewer than ``workers`` run;
 - an attempt that raises is retried after an exponential backoff, up to
   ``retries`` extra attempts, then reported as a terminal failure;
 - an attempt executing longer than ``cell_timeout`` seconds is abandoned
-  (the pool is torn down to reclaim the stuck worker) and, like a failed
-  attempt, retried after its backoff.  The executor reports an attempt
-  still waiting in its FIFO call queue as running, so a clock starts
-  only when its attempt ranks among the ``workers`` oldest running
-  ones: queue wait never counts.  In process nothing can be preempted,
-  and the timeout is not enforced;
-- a worker that dies or cannot start loses the attempts in flight, and
-  the pool is rebuilt.  A lone one (with none, the attempt submitted)
-  is charged a ``"crash"`` failure, whose error names each dead
-  worker's exit status, retried like any other; of several,
-  none is: the executing ones (the ``workers`` oldest) become
-  *suspects*, rerun alone in first-submission order until each
-  finishes an attempt without killing its worker or fails terminally;
+  (its worker alone is killed) and, like a failed attempt, retried after
+  its backoff.  The clock starts when a worker takes the attempt, so
+  queue wait never counts.  In process nothing can be preempted, and
+  the timeout is not enforced;
+- a worker that dies charges its attempt a ``"crash"`` failure, whose
+  error is the worker's exit status, retried like any other, while the
+  other workers keep running.  An attempt that cannot be handed out (no
+  process could start, or the idle worker's pipe is gone) is charged a
+  ``"crash"`` too, so retries still bound the run;
 - with ``fail_fast`` a terminal failure raises :class:`FatalCellError`;
   otherwise (keep-going, the default) failures are collected on the
   returned :class:`RunReport` and every other cell still completes.
 
-Every value, traced or not, comes back from its worker over the result
-pipe.  Attach a :class:`~repro.harness.journal.RunJournal` and every
+Every value, traced or not, comes back from its worker over its pipe.
+Attach a :class:`~repro.harness.journal.RunJournal` and every
 attempt is journaled.  A finished cell is found again only through the
 disk cache that :meth:`~repro.harness.runner.ExperimentRunner.get` reads
 through, so a rerun after a crash or an interrupt recomputes only the
@@ -69,15 +67,15 @@ Either costs time, never correctness.
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, \
-    wait
-from concurrent.futures.process import BrokenProcessPool
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from multiprocessing import connection
 
 from ..compiler.slicer import SlicerConfig
 from . import faults
@@ -148,7 +146,7 @@ class RunReport:
     ok: int = 0             #: cells finished this run, computed or cached
     retried: int = 0        #: ok cells that needed more than one attempt
     timeouts: int = 0       #: attempts lost to the per-cell timeout
-    pool_rebuilds: int = 0
+    crashes: int = 0        #: attempts charged a crash
     interrupted: bool = False  #: cut short by SIGINT/SIGTERM (clean exit)
     wall_time: float = 0.0
     failures: list[CellFailure] = field(default_factory=list)
@@ -166,7 +164,7 @@ class RunReport:
     def summary(self) -> dict:
         return {"total": self.total, "ok": self.ok,
                 "retried": self.retried, "timeouts": self.timeouts,
-                "failed": self.failed, "pool_rebuilds": self.pool_rebuilds,
+                "failed": self.failed, "crashes": self.crashes,
                 "interrupted": self.interrupted,
                 "wall_time": round(self.wall_time, 3),
                 "failures": [f.describe() for f in self.failures],
@@ -181,9 +179,9 @@ class RunReport:
         bits.append(f"{self.failed} failed")
         lines = [f"run report: {self.total} cell(s) — " + ", ".join(bits)
                  + f"; wall {self.wall_time:.1f}s"]
-        if self.timeouts or self.pool_rebuilds:
+        if self.timeouts or self.crashes:
             lines.append(f"  timeouts {self.timeouts}, "
-                         f"pool rebuilds {self.pool_rebuilds}")
+                         f"crashes {self.crashes}")
         for failure in self.failures:
             lines.append(f"  FAILED {failure.describe()}")
         for kind, c in sorted(self.cache_stats.items()):
@@ -213,16 +211,14 @@ def _init_worker(slicer_config: SlicerConfig, scale: float,
     global _WORKER_RUNNER
     faults.mark_worker()
     # Forked workers inherit the parent's signal handlers, including
-    # _graceful_term's SIGTERM-to-KeyboardInterrupt.  The executor
-    # terminates a broken pool's workers with SIGTERM, and with the
-    # inherited handler each busy one would print a KeyboardInterrupt
-    # traceback on stderr.  Restore the defaults so a signal aimed at a
-    # worker just ends it.
+    # _graceful_term's SIGTERM-to-KeyboardInterrupt, with which a busy
+    # worker sent SIGTERM or SIGINT would print a traceback on stderr.
+    # Restore the defaults so a signal aimed at a worker just ends it.
     for _sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(_sig, signal.SIG_DFL)
     # Die with the parent (Linux).  A parent killed outright (SIGKILL,
-    # the OOM killer) never shuts its pool down, and its workers would
-    # outlive it, blocked on a call queue nobody feeds.
+    # the OOM killer) never closes its workers, and they would outlive
+    # it, blocked on a pipe nobody feeds.
     try:
         import ctypes
         PR_SET_PDEATHSIG = 1
@@ -230,8 +226,8 @@ def _init_worker(slicer_config: SlicerConfig, scale: float,
             PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
     except Exception:
         pass
-    # The parent already swept stale tmp files; workers (respawned on
-    # every pool rebuild) skip the cache-tree walk.
+    # The parent already swept stale tmp files; workers (one more for
+    # every worker lost) skip the cache-tree walk.
     cache = (DiskCache(cache_dir, sweep=False)
              if cache_dir is not None else None)
     _WORKER_RUNNER = ExperimentRunner(slicer_config=slicer_config,
@@ -249,7 +245,7 @@ def timed_cell(runner: ExperimentRunner, cell: Cell):
 
 
 def _run_cell(cell: Cell, index: int = 0, attempt: int = 1):
-    """Pool-worker entry: cell-level fault injection, then
+    """Worker entry: cell-level fault injection, then
     :func:`timed_cell`.  Returns ``(value, elapsed, cache_stats)``:
     ``cache_stats`` takes the worker cache's counters since its last
     finished attempt, so the parent's run report counts the workers'
@@ -260,21 +256,88 @@ def _run_cell(cell: Cell, index: int = 0, attempt: int = 1):
     return value, elapsed, cache.take_stats() if cache is not None else {}
 
 
+def _serve(conn: connection.Connection, initargs: tuple) -> None:
+    """A worker's life: :func:`_init_worker`, then answer each
+    ``(cell, index, attempt)`` received with the pickled ``(True,
+    result)`` or ``(False, error)`` until the parent closes the pipe."""
+    _init_worker(*initargs)
+    while True:
+        try:
+            cell, index, attempt = conn.recv()
+        except EOFError:
+            return
+        try:
+            # A module-global lookup per attempt, so a wrapper installed
+            # on ``_run_cell`` before the fork (the bench's) is what runs.
+            data = pickle.dumps((True, _run_cell(cell, index, attempt)),
+                                pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, _message(exc)))
+        conn.send_bytes(data)
+
+
 # -- the supervisor --------------------------------------------------------
 
 @dataclass
-class _Job:
-    """Supervisor-side bookkeeping for one outstanding cell."""
+class _Worker:
+    """A worker process, the parent's end of its pipe, and its attempt."""
 
-    cell: Cell
-    attempts: int = 0    #: finished attempts, charged to the retry budget
-    submits: int = 0     #: attempts started, incl. ones lost to a dead pool
-    #: when the current attempt's timeout clock started
-    started: float | None = None
+    process: multiprocessing.Process
+    conn: connection.Connection
+    key: object = None     #: the held attempt's cell key; None when idle
+    started: float = 0.0   #: when it took that attempt
+
+
+class _Pool:
+    """A run's worker processes, started as attempts need them, up to
+    ``size`` at once, and each one killed alone."""
+
+    def __init__(self, size: int, initargs: tuple):
+        self.size, self.initargs = size, initargs
+        self.workers: list[_Worker] = []
+
+    def busy(self) -> list[_Worker]:
+        return [w for w in self.workers if w.key is not None]
+
+    def idle(self) -> _Worker | None:
+        """An idle worker, started now if none is and fewer than
+        ``size`` run; None while every one is busy.  Raises when a
+        process cannot start."""
+        for worker in self.workers:
+            if worker.key is None:
+                return worker
+        if len(self.workers) == self.size:
+            return None
+        conn, child = multiprocessing.Pipe()
+        process = multiprocessing.Process(target=_serve,
+                                          args=(child, self.initargs),
+                                          daemon=True)
+        try:
+            process.start()
+        finally:
+            child.close()
+        self.workers.append(_Worker(process, conn))
+        return self.workers[-1]
+
+    def drop(self, worker: _Worker) -> str:
+        """Kill, reap and forget ``worker``; returns how it ended."""
+        self.workers.remove(worker)
+        worker.conn.close()
+        worker.process.kill()
+        worker.process.join()
+        code = worker.process.exitcode
+        return (f"worker exit code {code}" if code >= 0
+                else f"worker killed by signal {-code}")
+
+    def close(self) -> None:
+        """Kill every worker.  An idle one holds nothing: its cache
+        writes finished before it sent its last result."""
+        for worker in list(self.workers):
+            self.drop(worker)
 
 
 class Supervisor:
-    """One process pool run under :class:`ExecutionPolicy`, in steps.
+    """One pooled run under :class:`ExecutionPolicy`, in steps.
 
     :func:`run_cells` :meth:`add`\\ s each cell once, under its index,
     and calls :meth:`step` until :attr:`outstanding` reaches zero.
@@ -284,54 +347,52 @@ class Supervisor:
     says whether the cell goes back in after its backoff; a callback may
     raise to abort the caller's loop.
 
-    Pool attempts run :func:`_run_cell` in a worker, and the worker's
-    cache counters are added to ``runner.cache``'s.  With ``workers=0``
-    attempts run in process: they apply the cell faults and call
-    :func:`timed_cell` on ``runner``.  While there are suspects (see
-    :meth:`_broken`), the pool runs only the first, by itself.
+    Pool attempts run :func:`_run_cell` in a worker of :func:`_pool`'s
+    worker set, and the worker's cache counters are added to
+    ``runner.cache``'s.  With ``workers=0`` attempts run in process:
+    they apply the cell faults and call :func:`timed_cell` on
+    ``runner``.
     """
 
     def __init__(self, runner: ExperimentRunner, workers: int,
                  policy: ExecutionPolicy, *, on_ok, on_failed):
         self.runner = runner
-        self.workers = workers
         self.policy = policy
         self._on_ok, self._on_failed = on_ok, on_failed
-        self.pool_rebuilds = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._jobs: dict = {}             # key -> _Job, first-submission order
-        self._ready: deque = deque()      # keys awaiting (re)submission
+        self._pool = _pool(runner, workers) if workers > 0 else None
+        self._cells: dict = {}            # key -> outstanding Cell
+        self._attempts = Counter()        # key -> attempts charged so far
+        self._ready: deque = deque()      # keys awaiting a worker
         self._backoffs: dict = {}         # key -> resubmit-not-before deadline
-        self._running: dict[Future, object] = {}   # submission order
-        self._suspects: list = []         # keys, first-submission order
 
     @property
     def outstanding(self) -> int:
         """Cells added and not yet finished (ok or terminally failed)."""
-        return len(self._jobs)
+        return len(self._cells)
 
     def add(self, key, cell: Cell) -> None:
         """Track ``cell`` under ``key``."""
-        self._jobs[key] = _Job(cell)
+        self._cells[key] = cell
         self._ready.append(key)
 
     def step(self) -> None:
-        """One round: resubmit retries whose backoff has passed, then
-        either run one attempt in process or submit every ready attempt
-        to the pool and harvest what finishes.  Waits until an attempt
-        finishes or a deadline passes."""
+        """One round: requeue retries whose backoff has passed, then
+        either run one attempt in process or hand ready attempts to idle
+        workers and take what they send back.  Waits until a worker
+        answers or dies, or a backoff or timeout deadline passes."""
         now = time.monotonic()
         for key in [k for k, t in self._backoffs.items() if t <= now]:
             del self._backoffs[key]
             self._ready.append(key)
-        if self.workers <= 0:
+        if self._pool is None:
             self._step_in_process()
         else:
             self._step_pool()
 
     def close(self) -> None:
-        """Release the pool: wait for an idle one, kill a busy one."""
-        self._teardown(kill=bool(self._running))
+        """Kill every worker."""
+        if self._pool is not None:
+            self._pool.close()
 
     # -- internals ---------------------------------------------------------
 
@@ -340,11 +401,9 @@ class Supervisor:
             self._sleep_to_backoff()
             return
         key = self._ready.popleft()
-        job = self._jobs[key]
-        job.submits += 1
         try:
-            faults.inject_cell_faults(key, job.submits)
-            value, elapsed = timed_cell(self.runner, job.cell)
+            faults.inject_cell_faults(key, self._attempts[key] + 1)
+            value, elapsed = timed_cell(self.runner, self._cells[key])
         except faults.InjectedCrash as exc:
             self._failed(key, "crash", _message(exc))
         except Exception as exc:
@@ -353,159 +412,94 @@ class Supervisor:
             self._ok(key, value, elapsed)
 
     def _step_pool(self) -> None:
-        if self._pool is None:
-            self._pool = _pool(self.runner, self.workers)
-        while self._ready:
-            if self._suspects:
-                key = self._suspects[0]
-                if self._running or key not in self._ready:
-                    break
-                self._ready.remove(key)
-            else:
-                key = self._ready.popleft()
-            job = self._jobs[key]
-            try:
-                # A module-global lookup at submit time, so a wrapper
-                # installed on ``_run_cell`` (the bench's) is what runs.
-                fut = self._pool.submit(_run_cell, job.cell, key,
-                                        job.submits + 1)
-            except Exception as exc:
-                # The pool broke, or could not start a worker for this
-                # attempt (a fork or a thread failed).
-                self._broken(exc, key)
-                return
-            job.submits += 1
-            job.started = None
-            self._running[fut] = key
-        if not self._running:
+        self._dispatch()
+        busy = self._pool.busy()
+        if not busy:
             self._sleep_to_backoff()
             return
-        timeout = None
+        deadlines = list(self._backoffs.values())
         if self.policy.cell_timeout is not None:
-            timeout = max(0.01, min(0.25, self.policy.cell_timeout / 4))
-        if self._backoffs:
-            until = max(0.001, min(self._backoffs.values())
-                        - time.monotonic())
-            timeout = until if timeout is None else min(timeout, until)
-        done, _ = wait(list(self._running), timeout=timeout,
-                       return_when=FIRST_COMPLETED)
-        broken = None
-        for fut in done:
+            deadlines += [w.started + self.policy.cell_timeout
+                          for w in busy]
+        timeout = (max(0.0, min(deadlines) - time.monotonic())
+                   if deadlines else None)
+        ready = set(connection.wait(
+            [w.conn for w in busy] + [w.process.sentinel for w in busy],
+            timeout))
+        for worker in [w for w in busy if w.conn in ready
+                       or w.process.sentinel in ready]:
+            self._harvest(worker)
+        self._expire()
+
+    def _dispatch(self) -> None:
+        """Hand ready attempts to idle workers, in ready order."""
+        while self._ready:
             try:
-                value, elapsed, cache_stats = fut.result()
-                if self.runner.cache is not None:
-                    self.runner.cache.add_stats(cache_stats)
-            except BrokenProcessPool as exc:
-                # Lost with the pool: left in ``_running`` for _broken.
-                broken = exc
-            except Exception as exc:
-                self._failed(self._running.pop(fut), "exception",
-                             _message(exc))
-            else:
-                self._ok(self._running.pop(fut), value, elapsed)
-        if broken is not None:
-            self._broken(broken)
-        elif self.policy.cell_timeout is not None:
-            self._expire()
+                worker = self._pool.idle()
+            except OSError as exc:        # a fork refused, say
+                self._failed(self._ready.popleft(), "crash", _message(exc))
+                continue
+            if worker is None:
+                return
+            key = self._ready.popleft()
+            try:
+                worker.conn.send((self._cells[key], key,
+                                  self._attempts[key] + 1))
+            except OSError:               # it died while idle
+                self._failed(key, "crash", self._pool.drop(worker))
+                continue
+            worker.key, worker.started = key, time.monotonic()
+
+    def _harvest(self, worker: _Worker) -> None:
+        """Take what ``worker`` sent back, or charge its death to its
+        attempt."""
+        key = worker.key
+        try:
+            data = worker.conn.recv_bytes() if worker.conn.poll() else None
+        except (EOFError, OSError):
+            data = None
+        if data is None:
+            self._failed(key, "crash", self._pool.drop(worker))
+            return
+        # Feed the worker before unpickling a (traced, ~1 MB) payload.
+        worker.key = None
+        self._dispatch()
+        ok, outcome = pickle.loads(data)
+        del data
+        if not ok:
+            self._failed(key, "exception", outcome)
+            return
+        value, elapsed, cache_stats = outcome
+        if self.runner.cache is not None:
+            self.runner.cache.add_stats(cache_stats)
+        self._ok(key, value, elapsed)
 
     def _expire(self) -> None:
-        """Start and check timeout clocks.  The executor reports an
-        attempt waiting in its FIFO call queue as running too, so only
-        the ``workers`` oldest running attempts are executing: a clock
-        starts when its attempt first ranks among them."""
-        now = time.monotonic()
-        expired, executing = [], 0
-        for fut, key in self._running.items():
-            if executing == self.workers:
-                break
-            if not fut.running():
-                continue
-            executing += 1
-            job = self._jobs[key]
-            if job.started is None:
-                job.started = now
-            elif now - job.started > self.policy.cell_timeout:
-                expired.append(fut)
-        if not expired:
+        """Kill each worker whose attempt has run out its timeout."""
+        timeout = self.policy.cell_timeout
+        if timeout is None:
             return
-        lost = [self._running[fut] for fut in expired]
-        # A stuck worker can only be reclaimed by pool teardown.
-        self._teardown(kill=True)
-        for key in lost:
-            self._failed(key, "timeout",
-                         f"exceeded {self.policy.cell_timeout:g}s")
-        self._rebuild()
+        now = time.monotonic()
+        for worker in self._pool.busy():
+            if now - worker.started >= timeout:
+                key = worker.key
+                self._pool.drop(worker)
+                self._failed(key, "timeout", f"exceeded {timeout:g}s")
 
     def _ok(self, key, value, elapsed: float) -> None:
-        job = self._jobs.pop(key)
-        job.attempts += 1
-        if key in self._suspects:
-            self._suspects.remove(key)
-        self._on_ok(key, value, job.attempts, elapsed)
+        del self._cells[key]
+        self._on_ok(key, value, self._attempts[key] + 1, elapsed)
 
     def _failed(self, key, kind: str, error: str) -> None:
-        job = self._jobs[key]
-        job.attempts += 1
-        retry = job.attempts <= self.policy.retries
+        self._attempts[key] += 1
+        attempts = self._attempts[key]
+        retry = attempts <= self.policy.retries
         if retry:
             self._backoffs[key] = (time.monotonic()
-                                   + self.policy.backoff_for(job.attempts + 1))
+                                   + self.policy.backoff_for(attempts + 1))
         else:
-            del self._jobs[key]
-        if key in self._suspects and (kind != "crash" or not retry):
-            self._suspects.remove(key)
-        self._on_failed(key, kind, error, job.attempts, retry)
-
-    def _broken(self, exc: Exception, key=None) -> None:
-        """The pool is lost: charge or suspect the attempts it took."""
-        lost = list(self._running.values()) or [key]
-        error = _message(exc)
-        if isinstance(exc, BrokenProcessPool):
-            error += self._worker_exits()
-        # Kill it before a callback can raise: close() would wait on it.
-        self._teardown(kill=True)
-        if len(lost) == 1:
-            self._failed(lost[0], "crash", error)
-        else:
-            executing = set(lost[:self.workers])
-            self._suspects = [k for k in self._jobs if k in executing]
-        self._rebuild()
-
-    def _worker_exits(self) -> str:
-        """The exit status of each worker of the broken pool that ended
-        on its own, as text to append to the executor's fixed message.
-        Waits (a second at most) for the executor's thread, which
-        SIGTERMs the other workers and reaps them all, so every status
-        is known before teardown; a SIGTERM status is the executor's."""
-        manager = getattr(self._pool, "_executor_manager_thread", None)
-        if manager is not None and manager.is_alive():
-            manager.join(timeout=1.0)
-        procs = getattr(self._pool, "_processes", None) or {}
-        ended = []
-        for proc in list(procs.values()):
-            code = proc.exitcode
-            if code is not None and code != -signal.SIGTERM:
-                ended.append(f"exit code {code}" if code >= 0
-                             else f"killed by signal {-code}")
-        return f" (worker {', '.join(ended)})" if ended else ""
-
-    def _rebuild(self) -> None:
-        """After a broken or stuck pool is killed: every outstanding cell
-        not backing off goes back in first-submission order."""
-        self._ready = deque(k for k in self._jobs if k not in self._backoffs)
-        self.pool_rebuilds += 1
-
-    def _teardown(self, *, kill: bool) -> None:
-        if self._pool is not None:
-            if kill:
-                procs = getattr(self._pool, "_processes", None) or {}
-                # SIGKILL: a worker not yet initialized may swallow SIGTERM.
-                for proc in list(procs.values()):
-                    with contextlib.suppress(Exception):
-                        proc.kill()
-            self._pool.shutdown(wait=not kill, cancel_futures=kill)
-            self._pool = None
-        self._running.clear()
+            del self._cells[key]
+        self._on_failed(key, kind, error, attempts, retry)
 
     def _sleep_to_backoff(self) -> None:
         """Nothing to run until the earliest backoff deadline."""
@@ -560,6 +554,8 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
         cell = unique[i]
         if kind == "timeout":
             report.timeouts += 1
+        elif kind == "crash":
+            report.crashes += 1
         if journal is not None:
             status = ("timed-out" if kind == "timeout" else "retried") \
                 if retry else "failed"
@@ -586,14 +582,13 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
                 supervisor.step()
     except (KeyboardInterrupt, SystemExit):
         # Ctrl-C / SIGTERM: closing the supervisor on the way out killed
-        # a busy pool, completed cells still merge below, and the
+        # every worker, completed cells still merge below, and the
         # journal's ``end`` record says the run was interrupted.  Every
         # finished cell is already in the cache (when one is attached),
         # so a rerun picks up exactly where the interrupt landed.
         report.interrupted = True
         raise
     finally:
-        report.pool_rebuilds = supervisor.pool_rebuilds
         # Merge in submission order so rendering is order-independent.
         for i, cell in enumerate(unique):
             if i in results:
@@ -613,8 +608,8 @@ def run_cells(runner: ExperimentRunner, cells: list[Cell],
 @contextlib.contextmanager
 def _graceful_term():
     """Route SIGTERM through ``KeyboardInterrupt`` for the duration of a
-    run, so a polite kill gets the same clean unwind as Ctrl-C: pool
-    teardown, result merge, and a journaled ``interrupted`` end record.
+    run, so a polite kill gets the same clean unwind as Ctrl-C: workers
+    killed, results merged, and a journaled ``interrupted`` end record.
     Outside the main thread signal handlers cannot be installed and the
     run proceeds unwrapped."""
     if threading.current_thread() is not threading.main_thread():
@@ -655,9 +650,9 @@ def _leaders_first(outstanding: dict[int, Cell]) -> list[int]:
     return leaders + followers
 
 
-def _pool(runner: ExperimentRunner, workers: int) -> ProcessPoolExecutor:
+def _pool(runner: ExperimentRunner, workers: int) -> _Pool:
+    """The run's worker set: up to ``workers`` processes, each set up by
+    :func:`_init_worker` with ``runner``'s settings."""
     cache_dir = str(runner.cache.root) if runner.cache is not None else None
-    return ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker,
-        initargs=(runner.slicer_config, runner.instruction_scale, cache_dir,
-                  runner.policy))
+    return _Pool(workers, (runner.slicer_config, runner.instruction_scale,
+                           cache_dir, runner.policy))

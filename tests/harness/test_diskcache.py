@@ -246,8 +246,8 @@ class TestTmpSweep:
         assert not tmp.exists()
 
     def test_sweep_opt_out_for_workers(self, tmp_path):
-        # Pool workers (respawned every rebuild) skip the cache-tree
-        # walk; the parent's constructor already swept.
+        # Pool workers (one more started for every worker lost) skip
+        # the cache-tree walk; the parent's constructor already swept.
         root = tmp_path / "c"
         tmp = self._plant_tmp(root, age_s=7200)
         cache = DiskCache(root, sweep=False)

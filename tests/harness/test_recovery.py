@@ -1,25 +1,24 @@
 """Fault-tolerant executor: crash recovery, timeouts, retries, reruns.
 
 Every test drives a real figure-6 matrix (3 cells, scale 0.05) through
-deterministic ``REPRO_FAULTS`` injection or a refused fork or thread,
-covering the recovery paths: worker crash preserves completed cells, a
-pool that cannot start a worker fails its cells instead of looping,
-per-cell timeout fires and retries, a rerun finds finished cells in the
-cache, and the serial path honors the same retry/keep-going semantics
-as the pool.
+deterministic ``REPRO_FAULTS`` injection or a refused fork, covering the
+recovery paths: a worker crash is charged to its own attempt and
+preserves every other one, a worker that cannot start fails its cells
+instead of looping, per-cell timeout fires and retries, a rerun finds
+finished cells in the cache, and the serial path honors the same
+retry/keep-going semantics as the pool.
 """
 
 import errno
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, process
 
 import pytest
 
 from repro.core import BASELINE, SPEAR_128
 from repro.harness import (Cell, DiskCache, ExecutionPolicy, ExperimentRunner,
                            FatalCellError, RunJournal, cells_for, figure6,
-                           run_cells)
+                           report_cells, report_trace_spec, run_cells)
 
 FAST = ExecutionPolicy(backoff=0)
 
@@ -34,27 +33,27 @@ def _cells():
 
 class TestCrashRecovery:
     def test_worker_crash_recovers_without_losing_cells(self, monkeypatch):
-        # Cell 1's worker hard-exits on its first attempt; the pool is
-        # rebuilt and every cell — including already-completed ones —
-        # still lands exactly once.
+        # Cell 1's worker hard-exits on its first attempt; a new worker
+        # takes the retry and every cell still lands exactly once.
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=1")
         runner = _runner()
         report = run_cells(runner, _cells(), jobs=2, policy=FAST)
         assert report.completed and report.ok == 3
-        assert report.pool_rebuilds >= 1
+        assert report.crashes == 1
         assert runner.has(Cell("pointer", BASELINE))
         assert runner.has(Cell("pointer", SPEAR_128))
 
     def test_persistent_crash_fails_only_its_cell(self, monkeypatch):
-        # Cell 1 kills its worker on every attempt.  Rerun alone, each
-        # death is charged to it as a crash, so it fails terminally
-        # after retries + 1 attempts while the other cells complete.
+        # Cell 1 kills its worker on every attempt.  Each death is
+        # charged to it as a crash, so it fails terminally after
+        # retries + 1 attempts while the other cells complete.
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=1:times=0")
         runner = _runner()
         report = run_cells(
             runner, _cells(), jobs=2,
             policy=ExecutionPolicy(retries=1, backoff=0))
         assert report.ok == 2 and report.failed == 1
+        assert report.crashes == 2
         failure = report.failures[0]
         assert failure.cell.config.name == "SPEAR-128"
         assert failure.kind == "crash" and failure.attempts == 2
@@ -72,18 +71,18 @@ class TestCrashRecovery:
         failure = excinfo.value.failure
         assert failure.index == 1 and failure.kind == "crash"
 
-    def test_crash_does_not_consume_retry_budget(self, monkeypatch):
+    def test_crash_and_fault_share_the_retry_budget(self, monkeypatch):
         # Cell 1's worker is hard-killed on attempt 1 and raises a plain
-        # fault on attempt 2.  Other attempts are in flight when the
-        # worker dies, so the death is charged to no cell, leaving the
-        # single retry free to absorb the real exception.
+        # fault on attempt 2.  The death is charged to cell 1 like the
+        # fault, so its single retry is spent on the crash and the fault
+        # fails it.
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=1,fail:cell=1:times=2")
         runner = _runner()
         report = run_cells(runner, _cells(), jobs=2,
                            policy=ExecutionPolicy(retries=1, backoff=0))
-        assert report.completed and report.ok == 3
-        assert report.pool_rebuilds >= 1
-        assert report.retried == 1
+        assert report.ok == 2 and report.crashes == 1
+        assert [(f.index, f.kind, f.attempts) for f in report.failures] \
+            == [(1, "exception", 2)]
 
     def test_pool_retry_after_backoff_completes(self, monkeypatch):
         # Retries are resubmitted by the harvest loop once their backoff
@@ -95,28 +94,83 @@ class TestCrashRecovery:
         assert report.completed and report.ok == 3
         assert report.retried == 1
 
+    def test_one_crash_charges_only_its_cell(self, tmp_path, monkeypatch):
+        # Cell 0 kills its worker once, with other attempts in flight:
+        # only cell 0 is charged, and every other cell finishes on its
+        # first attempt, on a worker that kept running.
+        names = ["pointer", "update", "mcf"]
+        cells = cells_for("figure6", names)
+        monkeypatch.setenv("REPRO_FAULTS", "crash:cell=0")
+        runner = _runner()
+        journal = RunJournal.for_run("figure6", cells, runner,
+                                     root=tmp_path / "j")
+        report = run_cells(runner, cells, jobs=2, policy=FAST,
+                           journal=journal)
+        assert report.completed and report.ok == 9
+        assert report.retried == 1 and report.crashes == 1
+        trail = sorted((e["index"], e["status"], e["attempts"])
+                       for e in journal.entries() if e.get("event") == "cell")
+        assert trail == [(0, "ok", 2), (0, "retried", 1)] \
+            + [(i, "ok", 1) for i in range(1, 9)]
+
+        monkeypatch.delenv("REPRO_FAULTS")
+        reference = _runner()
+        run_cells(reference, cells, jobs=1)
+        assert (figure6(runner, names).table("Figure 6").render()
+                == figure6(reference, names).table("Figure 6").render())
+
+    def test_crash_keeps_other_workers_cache_counters(self, tmp_path,
+                                                      monkeypatch):
+        # Cell 3 kills its worker on its only attempt.  The other
+        # worker's attempts run on, so the stores they made are all
+        # counted: at least one artifacts store per entry on disk (two
+        # workers may still build and store one workload in the
+        # leaders-first tail race), and one traces store per finished
+        # traced cell.  The mcf leader (cell 4) lingers after its build
+        # and cell 3 dies late, so cell 4 is in flight, its artifacts
+        # stored, when cell 3's worker dies.
+        compute = ExperimentRunner._compute
+
+        def _compute(self, cell):
+            value = compute(self, cell)
+            if (cell.workload, cell.config.name) == ("mcf", "baseline"):
+                time.sleep(1.5)
+            return value
+
+        monkeypatch.setattr(ExperimentRunner, "_compute", _compute)
+        cache = DiskCache(tmp_path / "cache")
+        cells = report_cells(["pointer", "matrix", "mcf"],
+                             [BASELINE, SPEAR_128], report_trace_spec())
+        monkeypatch.setenv("REPRO_FAULTS",
+                           "delay:cell=3:ms=700,crash:cell=3:times=0")
+        report = run_cells(_runner(cache=cache), cells, jobs=2,
+                           policy=ExecutionPolicy(retries=0, backoff=0))
+        assert report.ok == 5 and report.crashes == 1
+        stats = report.cache_stats
+        on_disk = len(list((tmp_path / "cache" / "artifacts").rglob("*.pkl")))
+        assert on_disk and stats["artifacts"]["stores"] >= on_disk
+        assert stats["traces"]["stores"] == 5
+
 
 class TestForkFailure:
-    """``submit`` forks the pool's workers and starts its manager
-    thread, so a fork or a thread refused under a pids or memory limit
-    raises there, with no attempt in flight.  The attempt being
-    submitted is charged a crash, so the retry budget bounds the loop
-    and the run report names the failure."""
+    """A worker is started when an attempt finds none idle, so a fork
+    refused under a pids or memory limit raises there.  The attempt
+    being handed out is charged a crash, so the retry budget bounds the
+    loop and the run report names the failure."""
 
     @staticmethod
     def _refuse_forks(monkeypatch, calls):
-        """Make the listed worker spawns (1-based) fail; ``None``, all."""
-        spawn = ProcessPoolExecutor._spawn_process
+        """Make the listed worker starts (1-based) fail; ``None``, all."""
+        start = multiprocessing.Process.start
         count = []
 
-        def _spawn_process(self):
+        def _start(self):
             count.append(1)
             if calls is None or len(count) in calls:
                 raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-            spawn(self)
+            start(self)
 
-        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process",
-                            _spawn_process)
+        monkeypatch.setattr(multiprocessing.Process, "start", _start)
 
     def test_refused_fork_fails_every_cell(self, monkeypatch):
         self._refuse_forks(monkeypatch, None)
@@ -126,7 +180,7 @@ class TestForkFailure:
         assert [(f.index, f.kind, f.attempts) for f in report.failures] \
             == [(0, "crash", 2), (1, "crash", 2), (2, "crash", 2)]
         assert "Resource temporarily unavailable" in report.failures[0].error
-        assert report.pool_rebuilds == 6
+        assert report.crashes == 6
 
     def test_refused_fork_fail_fast_raises(self, monkeypatch):
         self._refuse_forks(monkeypatch, None)
@@ -139,17 +193,13 @@ class TestForkFailure:
 
     @pytest.mark.parametrize("calls", [{1}, {2}])
     def test_one_refused_fork_is_retried(self, monkeypatch, calls):
-        # {2}: the first worker forks and the second does not, so the
-        # rebuild must also reclaim the half-started pool's worker.
+        # {2}: the first worker starts and the second does not; the
+        # charged cell is retried and no worker outlives the run.
         self._refuse_forks(monkeypatch, calls)
         runner = _runner()
         report = run_cells(runner, _cells(), jobs=2, policy=FAST)
         assert report.completed and report.ok == 3
-        assert report.retried == 1 and report.pool_rebuilds == 1
-        deadline = time.monotonic() + 10
-        while multiprocessing.active_children() and \
-                time.monotonic() < deadline:
-            time.sleep(0.05)
+        assert report.retried == 1 and report.crashes == 1
         assert multiprocessing.active_children() == []
 
         monkeypatch.undo()
@@ -158,28 +208,12 @@ class TestForkFailure:
         assert (figure6(runner, ["pointer"]).table("Figure 6").render()
                 == figure6(reference, ["pointer"]).table("Figure 6").render())
 
-    def test_one_refused_thread_is_retried(self, monkeypatch):
-        # Both workers fork, then the manager thread cannot start: the
-        # rebuild reclaims the two workers and the charged cell reruns.
-        start = process._ExecutorManagerThread.start
-        refused = []
-
-        def _start(self):
-            if not refused:
-                refused.append(self)
-                raise RuntimeError("can't start new thread")
-            start(self)
-
-        monkeypatch.setattr(process._ExecutorManagerThread, "start", _start)
-        report = run_cells(_runner(), _cells(), jobs=2, policy=FAST)
-        assert report.completed and report.ok == 3
-        assert report.retried == 1 and report.pool_rebuilds == 1
-
 
 class TestTimeout:
     def test_timeout_fires_and_retry_succeeds(self, monkeypatch):
         # Cell 0 sleeps far past the timeout on attempt 1 only; the
-        # attempt is abandoned (pool teardown) and the retry completes.
+        # attempt is abandoned (its worker killed) and the retry
+        # completes.
         monkeypatch.setenv("REPRO_FAULTS", "delay:cell=0:ms=30000")
         runner = _runner()
         report = run_cells(
@@ -196,9 +230,7 @@ class TestTimeout:
         # cells, so the queued third cell waits about that long before
         # it even starts executing.  The timeout clock must start at
         # execution, not submission: with retries=0 a false expiry would
-        # be a terminal failure.  The executor reports the third attempt
-        # as running while it still waits in its call queue, so at
-        # 1500 ms a clock started by that report alone expires.
+        # be a terminal failure.
         monkeypatch.setenv("REPRO_FAULTS", f"delay:ms={delay_ms}:times=0")
         runner = _runner()
         report = run_cells(
@@ -216,27 +248,6 @@ class TestTimeout:
             policy=ExecutionPolicy(cell_timeout=0.5, retries=0, backoff=0))
         assert report.failed == 1
         assert report.failures[0].kind == "timeout"
-
-
-class TestCrashSuspects:
-    def test_one_crash_charges_no_cell(self, monkeypatch):
-        # Cell 0 kills its worker once, with other attempts in flight:
-        # none is charged, the executing ones rerun alone, and the run
-        # finishes at full width with every cell on its first attempt.
-        names = ["pointer", "update", "mcf"]
-        monkeypatch.setenv("REPRO_FAULTS", "crash:cell=0")
-        runner = _runner()
-        report = run_cells(runner, cells_for("figure6", names), jobs=2,
-                           policy=FAST)
-        assert report.completed and report.ok == 9
-        assert report.retried == 0
-        assert report.pool_rebuilds >= 1
-
-        monkeypatch.delenv("REPRO_FAULTS")
-        reference = _runner()
-        run_cells(reference, cells_for("figure6", names), jobs=1)
-        assert (figure6(runner, names).table("Figure 6").render()
-                == figure6(reference, names).table("Figure 6").render())
 
 
 class TestSerialSemantics:
@@ -274,11 +285,13 @@ class TestSerialSemantics:
         assert report.completed and report.retried == 1
 
     def test_serial_injected_crash_has_the_pool_kind(self, monkeypatch):
-        # One fault spec names the same failure kind at any job count.
+        # One fault spec names the same failure kind, and counts the
+        # same crashes, at any job count.
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=2:times=0")
         report = run_cells(_runner(), _cells(), jobs=1,
                            policy=ExecutionPolicy(retries=1, backoff=0))
         assert report.ok == 2 and report.failed == 1
+        assert report.crashes == 2
         failure = report.failures[0]
         assert failure.kind == "crash" and failure.attempts == 2
 
@@ -345,9 +358,9 @@ class TestJournalAndResume:
         assert crashes == [(1, "retried"), (1, "failed")]
 
     def test_charged_crash_names_the_exit_code(self, tmp_path, monkeypatch):
-        # The injected crash ends its worker with os._exit(13).  The
-        # executor's own text says only that a worker died; the failure
-        # adds how, in the run report and in the journal.
+        # The injected crash ends its worker with os._exit(13): the
+        # failure's error is that exit status, in the run report and in
+        # the journal.
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=1:times=0")
         runner = _runner()
         journal = RunJournal.for_run("figure6", _cells(), runner,
@@ -356,8 +369,7 @@ class TestJournalAndResume:
                            policy=ExecutionPolicy(retries=0, backoff=0),
                            journal=journal)
         error = report.failures[0].error
-        assert error.startswith("BrokenProcessPool: ")
-        assert error.endswith(" (worker exit code 13)")
+        assert error == "worker exit code 13"
         assert ("  FAILED pointer/SPEAR-128: crash after 1 attempt(s) — "
                 + error) in report.render()
         assert [e["error"] for e in journal.entries()

@@ -164,9 +164,9 @@ class TestCrashResume:
         run_cells(reference, cells, jobs=2, policy=FAST)
         md_ref, svg_ref = _render(reference)
 
-        # Cell 3 crashes its worker on every attempt; rerun alone, it
-        # is charged each crash and fails while the other five complete
-        # and are journaled.
+        # Cell 3 crashes its worker on every attempt; it is charged
+        # each crash and fails while the other five complete and are
+        # journaled.
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=3:times=0")
         crashed = _runner(DiskCache(tmp_path / "cache"))
         journal = RunJournal.for_run("report-suite", cells, crashed,

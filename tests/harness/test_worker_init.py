@@ -154,3 +154,45 @@ def test_cell_that_kills_its_worker_fails_alone():
     assert child.returncode == 0, err
     assert out.split() == ["8", "1", "crash", "3", "update", "SPEAR-128",
                            "8"]
+
+
+#: The nine figure-6 cells of pointer, update and mcf over two workers,
+#: where cell 0 kills its worker on its first attempt.  Every worker
+#: inherits the patch, which appends each computed cell to a file.
+#: update/baseline (cell 3, the other worker's first) is made slow, so
+#: it is still computing when cell 0's worker dies.
+COMPUTED_ONCE_CHILD = """
+import sys, time
+from repro.harness import (ExecutionPolicy, ExperimentRunner, cells_for,
+                           run_cells)
+
+compute = ExperimentRunner._compute
+def _compute(self, cell):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{cell.workload}/{cell.config.name}\\n")
+    if (cell.workload, cell.config.name) == ("update", "baseline"):
+        time.sleep(1)
+    return compute(self, cell)
+ExperimentRunner._compute = _compute
+
+report = run_cells(ExperimentRunner(instruction_scale=0.05),
+                   cells_for("figure6", ["pointer", "update", "mcf"]),
+                   jobs=2, policy=ExecutionPolicy(backoff=0))
+print(report.ok, report.retried, report.crashes)
+"""
+
+
+def test_crash_recomputes_no_other_cell(tmp_path):
+    # Only the dead worker's attempt is lost: the other worker's
+    # attempt in flight runs on, so every cell is computed once.
+    log = tmp_path / "computed"
+    child = subprocess.Popen(
+        [sys.executable, "-c", COMPUTED_ONCE_CHILD, str(log)],
+        env=dict(os.environ, PYTHONPATH=SRC,
+                 REPRO_FAULTS="delay:cell=0:ms=300,crash:cell=0"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = _communicate(child)
+    assert child.returncode == 0, err
+    assert out.split() == ["9", "1", "1"]
+    computed = log.read_text().split()
+    assert len(computed) == 9 and len(set(computed)) == 9

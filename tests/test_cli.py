@@ -279,9 +279,9 @@ class TestSuiteReport:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ref"))
         assert main([*args, "-o", str(ref_md), "--svg", str(ref_svg)]) == 0
 
-        # One cell crashes its worker on every attempt: rerun alone, it
-        # is charged the crash, fails, and its workload is dropped from
-        # the (partial) document.
+        # One cell crashes its worker on every attempt: it is charged
+        # the crash, fails, and its workload is dropped from the
+        # (partial) document.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "work"))
         monkeypatch.setenv("REPRO_FAULTS", "crash:cell=3:times=0")
         partial = tmp_path / "partial.md"
@@ -323,6 +323,31 @@ class TestFiguresAndTables:
 
     def test_table_unknown(self, capsys):
         assert main(["table", "9", *SCALE]) == 2
+
+    @pytest.mark.parametrize("number", ["1", "2"])
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--retries", "0"],
+                                      ["--cell-timeout", "5"],
+                                      ["--fail-fast"]])
+    def test_tables_1_and_2_reject_engine_flags(self, capsys, number, flag):
+        # Tables 1 and 2 run no cell matrix, so no engine flag applies.
+        assert main(["table", number, "pointer", *flag, *SCALE]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and "apply to table 3 only" in cap.err
+
+    def test_table1_without_engine_flags_prints_the_table(self, capsys):
+        from repro.harness import ExperimentRunner, table1
+        assert main(["table", "1", "pointer", *SCALE]) == 0
+        runner = ExperimentRunner(instruction_scale=0.2)
+        assert capsys.readouterr().out \
+            == table1(runner, ["pointer"]).render() + "\n"
+
+    def test_table3_takes_engine_flags(self, capsys):
+        from repro.harness import ExperimentRunner, table3
+        assert main(["table", "3", "pointer", "--jobs", "2", *SCALE]) == 0
+        runner = ExperimentRunner(instruction_scale=0.2)
+        assert capsys.readouterr().out.startswith(
+            table3(runner, ["pointer"]).render()
+            + "\n\nrun report: 2 cell(s) — 2 ok, 0 failed")
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
